@@ -15,12 +15,10 @@ import time
 import numpy as np
 
 from . import crown, horo, maass, sobolev, spectral
-from .liecore import (GroupElement, LieVector, a_t, complex_na_decompose,
-                      exp_lie, k_theta, n_x, p_of_pair, E_VEC, F_VEC, H_VEC,
-                      U_VEC)
-from .pairmodel import PairPoint
-from .repn import (SpectralParam, apply_pi, continue_vK, d_pi, doubling_check,
-                   group_disc, h_limit_gap, levi_check, norm_growth, rep_norm)
+from .liecore import LieVector, a_t, complex_na_decompose, k_theta, p_of_pair
+from .repn import (DIRECTIONS, SpectralParam, continue_vK, doubling_check,
+                   dpi_fd_gap, group_disc, h_limit_gap, levi_check,
+                   norm_growth, rep_norm)
 from .vectors import ExpPoly
 
 DEFAULT_SEED = 20090
@@ -28,17 +26,6 @@ DEFAULT_SEED = 20090
 
 def _rng(seed):
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-
-
-def _random_real_element(rng, scale=0.8) -> GroupElement:
-    return (k_theta(rng.uniform(0.0, np.pi))
-            @ a_t(float(np.exp(rng.normal(0.0, scale))))
-            @ n_x(float(rng.normal(0.0, scale))))
-
-
-def _random_crown_point(rng, scale=0.8) -> PairPoint:
-    phi = rng.uniform(-0.85, 0.85) * math.pi / 4.0
-    return crown.elliptic_point(_random_real_element(rng, scale), phi)
 
 
 def _random_schwartz(rng) -> ExpPoly:
@@ -105,7 +92,7 @@ def criterion_4(quick=False, seed=None):
     n_pts = 1000 if quick else 10000
     ok_inclusion = True
     for _ in range(n_pts):
-        value = p_of_pair(_random_crown_point(rng))
+        value = p_of_pair(crown.random_crown_point(rng))
         if not horo.trace_domain_contains(horo.DOUBLED_OMEGA, value):
             ok_inclusion = False
             break
@@ -133,21 +120,12 @@ def criterion_5(quick=False, seed=None):
     rng = _rng(seed)
     param = SpectralParam(1.0)
     n_vec = 5 if quick else 20
-    directions = {"h": H_VEC, "e": E_VEC, "f": F_VEC, "u": U_VEC,
-                  "e+f": LieVector(c_e=1.0, c_f=1.0)}
     xs = np.array([0.0, 0.7, -1.3, 2.1, -0.4])
-    step = 1e-4
-    worst = {name: 0.0 for name in directions}
+    worst = {name: 0.0 for name in DIRECTIONS}
     for _ in range(n_vec):
         f = _random_schwartz(rng)
-        for name, vec in directions.items():
-            plus = apply_pi(param, exp_lie(vec, step), f).value(xs)
-            minus = apply_pi(param, exp_lie(vec, -step), f).value(xs)
-            fd = (plus - minus) / (2.0 * step)
-            an = d_pi(param, name, f).value(xs)
-            scale = max(float(np.max(np.abs(an))), 1e-10)
-            worst[name] = max(worst[name],
-                              float(np.max(np.abs(fd - an))) / scale)
+        for name in DIRECTIONS:
+            worst[name] = max(worst[name], dpi_fd_gap(param, name, f, xs))
     return {"id": "AC5", "description": "derived action vs finite differences",
             "worst_relative": worst, "tolerance": 1e-6,
             "passed": bool(max(worst.values()) < 1e-6)}
@@ -243,7 +221,7 @@ def criterion_10(quick=False, seed=None):
     n_inv = 5 if quick else 20
     herm_worst, min_eig_ratio, ok = 0.0, math.inf, True
     for _ in range(n_sets):
-        pts = [_random_crown_point(rng, 0.6) for _ in range(5)]
+        pts = [crown.random_crown_point(rng, 0.6) for _ in range(5)]
         gram = np.zeros((5, 5), dtype=complex)
         for i in range(5):
             for j in range(i, 5):
@@ -257,8 +235,9 @@ def criterion_10(quick=False, seed=None):
         ok = ok and eigs.min() >= -1e-7 * np.trace(gram).real
     inv_worst = 0.0
     for _ in range(n_inv):
-        g = _random_real_element(rng, 0.5)
-        z, w = _random_crown_point(rng, 0.5), _random_crown_point(rng, 0.5)
+        g = crown.random_real_element(rng, 0.5)
+        z = crown.random_crown_point(rng, 0.5)
+        w = crown.random_crown_point(rng, 0.5)
         k1 = spectral.hardy_kernel(z, w)
         k2 = spectral.hardy_kernel(z.apply(g.m), w.apply(g.m))
         inv_worst = max(inv_worst, abs(k1 - k2) / max(abs(k1), 1e-300))

@@ -23,11 +23,9 @@ import numpy as np
 
 from .errors import (DomainError, NotInCrown, NotOnBoundary,
                      NumericalDrift)
-from .liecore import (GroupElement, LieVector, a_t, complex_na_decompose,
-                      k_theta)
-from .pairmodel import BOUNDARY_BASE, PairPoint, is_infinity
-
-OMEGA_RADIUS = math.pi / 4.0
+from .liecore import (OMEGA_RADIUS, GroupElement, LieVector, a_t, k_theta,
+                      n_x, pair_sym)
+from .pairmodel import PairPoint, is_infinity
 
 
 def _imag_or_none(z):
@@ -91,10 +89,6 @@ class OrbitMatch:
     residual: float
     boost: float  # hyperbolic parameter of the A-part, diverges at pi/4
 
-    def __iter__(self):
-        yield self.g
-        yield self.residual
-
 
 _MAX_BOOST_SCALE = 1e8
 
@@ -156,10 +150,7 @@ def point_to_tangent(z: PairPoint) -> TangentBundleCoords:
     """
     if not crown_contains(z):
         raise NotInCrown(f"{z} is outside the crown")
-    dec = complex_na_decompose(z)
-    a = dec.a_part * dec.a_part
-    w = dec.n_part
-    s_mat = np.array([[a + w * w / a, w / a], [w / a, 1.0 / a]])
+    s_mat = pair_sym(z)
     A = s_mat.real.copy()
     B = s_mat.imag.copy()
     try:
@@ -195,12 +186,13 @@ class BoundaryClass:
 
 def _real_pair_transporter(u: float, v: float) -> GroupElement:
     """Real group element sending (1, -1) to the distinct real pair (u, v)."""
-    if u > v:
-        half = 0.5 * (u - v)
-        m = np.array([[half, 0.5 * (u + v)], [0.0, 1.0]]) / math.sqrt(half)
-        return GroupElement(m)
-    flipped = _real_pair_transporter(v, u)
-    return flipped @ k_theta(math.pi / 2.0)
+    if v > u:
+        return _real_pair_transporter(v, u) @ k_theta(math.pi / 2.0)
+    if not u > v:
+        raise DomainError(f"({u}, {v}) is not a pair of distinct reals")
+    half = 0.5 * (u - v)
+    m = np.array([[half, 0.5 * (u + v)], [0.0, 1.0]]) / math.sqrt(half)
+    return GroupElement(m)
 
 
 def boundary_classify(z: PairPoint, tol: float = 1e-8) -> BoundaryClass:
@@ -256,9 +248,13 @@ class QuadricPoint:
         return z0 * z0 - z1 * z1 - z2 * z2
 
 
+def _sym_coords(s: np.ndarray) -> np.ndarray:
+    return np.array([0.5 * (s[0, 0] + s[1, 1]), s[0, 1],
+                     0.5 * (s[0, 0] - s[1, 1])])
+
+
 def quadric_of_sym(s: np.ndarray) -> QuadricPoint:
-    return QuadricPoint(np.array([0.5 * (s[0, 0] + s[1, 1]), s[0, 1],
-                                  0.5 * (s[0, 0] - s[1, 1])]))
+    return QuadricPoint(_sym_coords(s))
 
 
 def to_quadric(z: PairPoint) -> QuadricPoint:
@@ -268,12 +264,7 @@ def to_quadric(z: PairPoint) -> QuadricPoint:
     the boost direction of SO(1,1) in (z0, z1), and K rotating (z1, z2);
     under this isogeny the elliptic angle doubles.
     """
-    dec = complex_na_decompose(z)
-    a = dec.a_part * dec.a_part
-    w = dec.n_part
-    s = np.array([[a + w * w / a, w / a], [w / a, 1.0 / a]])
-    coords = np.array([0.5 * (s[0, 0] + s[1, 1]), s[0, 1],
-                       0.5 * (s[0, 0] - s[1, 1])])
+    coords = _sym_coords(pair_sym(z))
     form = coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2
     scale = max(1.0, float(np.max(np.abs(coords))) ** 2)
     if abs(form - 1.0) > 1e-8 * scale:
@@ -310,4 +301,19 @@ def gindikin_contains(q: QuadricPoint) -> bool:
     """Crown membership read off the quadric coordinates: the real part must
     be a future-pointing timelike vector."""
     x = q.z.real
-    return x[0] > 0.0 and float(x[0] ** 2 - x[1] ** 2 - x[2] ** 2) > 0.0
+    return bool(x[0] > 0.0 and x[0] ** 2 - x[1] ** 2 - x[2] ** 2 > 0.0)
+
+
+def random_real_element(rng, scale: float = 0.8) -> GroupElement:
+    """k_theta a_t n_x with theta uniform on [0, pi), log t and x normal
+    with standard deviation `scale`, drawn in that order from `rng`."""
+    return (k_theta(rng.uniform(0.0, np.pi))
+            @ a_t(float(np.exp(rng.normal(0.0, scale))))
+            @ n_x(float(rng.normal(0.0, scale))))
+
+
+def random_crown_point(rng, scale: float = 0.8) -> PairPoint:
+    """g exp(i phi h) x0 with |phi| <= 0.85 pi/4 drawn first, then g from
+    `random_real_element`."""
+    phi = rng.uniform(-0.85, 0.85) * math.pi / 4.0
+    return elliptic_point(random_real_element(rng, scale), phi)

@@ -24,10 +24,8 @@ import numpy as np
 
 from .crown import crown_contains
 from .errors import BranchCut, DomainError, NotInCrown
-from .liecore import GroupElement
+from .liecore import OMEGA_RADIUS, GroupElement
 from .pairmodel import PairPoint
-
-OMEGA_RADIUS = math.pi / 4.0
 
 
 @dataclass(frozen=True)
@@ -39,11 +37,6 @@ class HoroProjection:
     def torus_parameter(self) -> complex:
         """The A_C/M representative exp(value)."""
         return cmath.exp(self.value)
-
-
-def _log_ac_raw(z1: complex, z2: complex) -> complex:
-    zeta_sq = (z1 - z2) / 2j
-    return 0.5 * cmath.log(zeta_sq)
 
 
 def log_aC(z: PairPoint) -> HoroProjection:
@@ -180,10 +173,6 @@ def trace_domain_contains(spec: TraceDomainSpec, value: complex,
 class EscapeSample:
     g: GroupElement
     sigma: float
-
-    def __iter__(self):
-        yield self.g
-        yield self.sigma
 
 
 def escape_curve(phi: float, s: float) -> EscapeSample:

@@ -28,6 +28,9 @@ from .pairmodel import PairPoint, is_infinity, mobius_apply
 
 _DET_TOL = 1e-12
 
+#: radius of the crown band: |phi| < pi/4 for exp(i phi h) x0
+OMEGA_RADIUS = math.pi / 4.0
+
 H_MAT = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 E_MAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 F_MAT = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -56,9 +59,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         a, b, c, d = self.m.ravel()
         return GroupElement(np.array([[d, -b], [-c, a]]), check=False)
-
-    def transpose(self) -> "GroupElement":
-        return GroupElement(self.m.T, check=False)
 
     def det(self) -> complex:
         return self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0]
@@ -92,18 +92,8 @@ def a_t(t: float) -> GroupElement:
     return GroupElement(np.diag([t, 1.0 / t]), check=False)
 
 
-def a_z(z: complex) -> GroupElement:
-    if z == 0:
-        raise ValueError("a_z needs z != 0")
-    return GroupElement(np.diag([z, 1.0 / z]), check=False)
-
-
 def n_x(x: complex) -> GroupElement:
     return GroupElement(np.array([[1.0, x], [0.0, 1.0]]), check=False)
-
-
-def nbar_x(x: complex) -> GroupElement:
-    return GroupElement(np.array([[1.0, 0.0], [x, 1.0]]), check=False)
 
 
 def k_theta(theta: float) -> GroupElement:
@@ -119,12 +109,6 @@ def b_t(t: float) -> GroupElement:
     return GroupElement(np.diag([1.0 / r, r]), check=False)
 
 
-def a_eps(eps: float) -> GroupElement:
-    """diag(exp(i(pi/4 - eps)), exp(-i(pi/4 - eps))); a_eps -> z_H as eps -> 0."""
-    return a_z(cmath.exp(1j * (math.pi / 4.0 - eps)))
-
-
-Z_H = a_eps(0.0)
 K0 = GroupElement(np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
 
 
@@ -151,7 +135,7 @@ class LieVector:
             return False
         if abs(complex(self.c_h).imag) > 1e-14:
             return False
-        return abs(complex(self.c_h).real) < math.pi / 4.0 - tol
+        return abs(complex(self.c_h).real) < OMEGA_RADIUS - tol
 
     def in_lambda(self, tol: float = 0.0) -> bool:
         """Nilpotent segment: c_h = c_f = 0 and |c_e| < 1."""
@@ -170,7 +154,7 @@ class LieVector:
             return False
         radius = math.sqrt(float(m[0, 0].real) ** 2
                            + float(m[0, 1].real) * float(m[1, 0].real))
-        return radius < math.pi / 4.0 - tol
+        return radius < OMEGA_RADIUS - tol
 
 
 H_VEC = LieVector(c_h=1.0)
@@ -264,13 +248,20 @@ def p_invariant(g: GroupElement) -> complex:
     return s[0, 0] + s[1, 1]
 
 
-def p_of_pair(z: PairPoint) -> complex:
-    """Trace invariant evaluated directly on an affine pair point.
+def pair_sym(z: PairPoint) -> np.ndarray:
+    """Symmetric model of an affine pair point.
 
-    With zeta^2 = (z1-z2)/(2i) and w = (z1+z2)/2 the symmetric model of
-    n_w a_zeta is [[zeta^2 + w^2/zeta^2, w/zeta^2], [w/zeta^2, 1/zeta^2]].
+    With zeta^2 = (z1-z2)/(2i) and w = (z1+z2)/2 the point is n_w a_zeta x0,
+    whose symmetric model is
+    [[zeta^2 + w^2/zeta^2, w/zeta^2], [w/zeta^2, 1/zeta^2]].
     """
     dec = complex_na_decompose(z)
     a = dec.a_part * dec.a_part
     w = dec.n_part
-    return a + (w * w + 1.0) / a
+    return np.array([[a + w * w / a, w / a], [w / a, 1.0 / a]])
+
+
+def p_of_pair(z: PairPoint) -> complex:
+    """Trace invariant evaluated directly on an affine pair point."""
+    s = pair_sym(z)
+    return complex(s[0, 0] + s[1, 1])

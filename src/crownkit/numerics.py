@@ -87,6 +87,19 @@ class IntegralResult:
         return complex(self.value)
 
 
+@dataclass(frozen=True)
+class IdentityCheck:
+    """Two sides of an identity and their relative gap."""
+
+    lhs: complex
+    rhs: complex
+
+    @property
+    def gap(self) -> float:
+        return abs(self.lhs - self.rhs) / max(abs(self.lhs), abs(self.rhs),
+                                              1e-300)
+
+
 def _ensure_finite(vals, where):
     if not np.all(np.isfinite(vals)):
         raise InvalidIntegrand(f"non-finite integrand sample near {where!r}")
@@ -196,18 +209,14 @@ def _integrate_finite(f, a, b, cfg, sqrt_edges=None):
     return IntegralResult(total, total_err, n_panels)
 
 
-def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG, *,
-              vectorized: bool = True) -> IntegralResult:
+def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     """Integrate a complex-valued f over (a, b), either endpoint may be inf.
 
-    `f` is called with a numpy array of sample points (set vectorized=False
-    for scalar callables).  Listed singularities must sit at hinted points
-    or endpoints.  Raises NonConvergence when the subdivision budget is
-    exhausted and InvalidIntegrand on NaN/Inf samples.
+    `f` is called with a numpy array of sample points.  Listed
+    singularities must sit at hinted points or endpoints.  Raises
+    NonConvergence when the subdivision budget is exhausted and
+    InvalidIntegrand on NaN/Inf samples.
     """
-    if not vectorized:
-        fs = f
-        f = lambda x: np.array([fs(t) for t in np.atleast_1d(x)], dtype=complex)
     a = float(a)
     b = float(b)
     if a == b:

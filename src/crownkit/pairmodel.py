@@ -81,10 +81,3 @@ class PairPoint:
 BASE_POINT = PairPoint(1j, -1j)
 #: base point of the distinguished boundary orbit
 BOUNDARY_BASE = PairPoint(1.0 + 0.0j, -1.0 + 0.0j)
-
-
-def from_upper_half_plane(z: complex) -> PairPoint:
-    """Embed a point of X: z |-> (z, conj(z))."""
-    if np.imag(z) <= 0:
-        raise ValueError(f"{z} is not in the upper half plane")
-    return PairPoint(complex(z), complex(np.conj(z)))

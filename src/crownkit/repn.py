@@ -28,15 +28,16 @@ import numpy as np
 
 from .errors import (DomainError, NotInCrown, SampleUnderflow,
                      StepTooSmall)
-from .liecore import GroupElement, LieVector, exp_lie
-from .numerics import (GridFunction, QuadratureConfig,
+from .horo import log_aC_orbit
+from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
+                      LieVector, exp_lie)
+from .numerics import (GridFunction, IdentityCheck, QuadratureConfig,
                        REPRESENTATION_CFG, integrate, integrate_periodic,
                        l2_norm)
 from .pairmodel import PairPoint
 from .vectors import (FlowPulled, MobiusPulled, QuadraticPower, SmoothVector,
                       _leibniz, _poly_jets)
 
-OMEGA_RADIUS = math.pi / 4.0
 SQRT_PI = math.sqrt(math.pi)
 
 
@@ -207,11 +208,23 @@ def d_pi(param: SpectralParam, direction: str, f: SmoothVector) -> DPi:
     return DPi(f, alpha, beta)
 
 
-def _orbit_log_ac(z1: complex, z2: complex, thetas: np.ndarray) -> np.ndarray:
-    zeta0_sq = (z1 - z2) / 2j
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    return 0.5 * np.log(zeta0_sq / ((c - s * z1) * (c - s * z2)))
+#: the derived-action directions as elements of sl(2)
+DIRECTIONS = {"h": H_VEC, "e": E_VEC, "f": F_VEC, "u": U_VEC,
+              "e+f": LieVector(c_e=1.0, c_f=1.0)}
+
+
+def dpi_fd_gap(param: SpectralParam, direction: str, f: SmoothVector,
+               xs: np.ndarray) -> float:
+    """Relative gap at xs between d_pi(direction) f and the central
+    difference, with step 1e-4, of the group action along the direction."""
+    vec = DIRECTIONS[direction]
+    step = 1e-4
+    plus = apply_pi(param, exp_lie(vec, step), f).value(xs)
+    minus = apply_pi(param, exp_lie(vec, -step), f).value(xs)
+    fd = (plus - minus) / (2.0 * step)
+    an = d_pi(param, direction, f).value(xs)
+    scale = max(float(np.max(np.abs(an))), 1e-10)
+    return float(np.max(np.abs(fd - an))) / scale
 
 
 def _boundary_theta_hints(z1, z2):
@@ -241,29 +254,18 @@ def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
 
     if margin > 1e-9:
         res = integrate_periodic(
-            lambda th: np.exp(exponent * _orbit_log_ac(z1, z2, th)))
+            lambda th: np.exp(exponent * log_aC_orbit(z, th)))
         return res.value / (2.0 * math.pi)
 
     hints = _boundary_theta_hints(z1, z2)
     cfg = REPRESENTATION_CFG.with_hints(hints)
-    res = integrate(lambda th: np.exp(exponent * _orbit_log_ac(z1, z2, th)),
+    res = integrate(lambda th: np.exp(exponent * log_aC_orbit(z, th)),
                     0.0, 2.0 * math.pi, cfg)
     return res.value / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class DoublingResult:
-    lhs: complex
-    rhs: complex
-
-    @property
-    def gap(self) -> float:
-        scale = max(abs(self.lhs), abs(self.rhs), 1e-300)
-        return abs(self.lhs - self.rhs) / scale
-
-
 def doubling_check(param: SpectralParam, a: GroupElement,
-                   phi: float) -> DoublingResult:
+                   phi: float) -> IdentityCheck:
     """Spherical function at a exp(2 i phi h) x0 against the split pairing
     < pi(a exp(i phi h)) v_K, pi(exp(i phi h)) v_K >."""
     if abs(phi) >= OMEGA_RADIUS:
@@ -275,7 +277,7 @@ def doubling_check(param: SpectralParam, a: GroupElement,
     lhs = phi_lambda(param, point)
     half = continue_vK(param, OMEGA_RADIUS - abs(phi))
     rhs = rep_pairing(apply_pi(param, a, half), half)
-    return DoublingResult(lhs, rhs)
+    return IdentityCheck(lhs, rhs)
 
 
 # -- H-invariant functionals ------------------------------------------------

@@ -21,14 +21,14 @@ hold exactly on the support of tau_m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridResolution
 from .liecore import GroupElement, K0, b_t
-from .numerics import GridFunction, QuadratureConfig, REPRESENTATION_CFG
+from .numerics import (GridFunction, IdentityCheck, QuadratureConfig,
+                       REPRESENTATION_CFG)
 from .repn import SpectralParam, apply_pi, d_pi, rep_norm
 from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
                       SmoothVector, Sum, WeightedDeriv)
@@ -65,20 +65,10 @@ def _monomials(k: int):
                 yield k1, k2, k3
 
 
-def _grid_derivative_noise(f: GridFunction) -> float:
-    h = np.diff(f.nodes)
-    d1 = np.gradient(f.values, f.nodes)
-    d1_coarse = np.gradient(f.values[::2], f.nodes[::2])
-    return float(np.max(np.abs(d1[::2][: d1_coarse.size] - d1_coarse))
-                 / max(np.max(np.abs(d1)), 1e-300)) if h.size > 4 else math.inf
-
-
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec,
                  cfg: QuadratureConfig = REPRESENTATION_CFG) -> float:
     """Sobolev norm of order spec.k, full or restricted to one subgroup."""
     if isinstance(f, GridFunction):
-        if spec.k >= 1 and _grid_derivative_noise(f) > cfg.rel_tol ** 0.25:
-            raise GridResolution("grid too coarse for stable derivatives")
         raise GridResolution("Sobolev norms need closed-form vectors; "
                              "resample the grid carrier first")
     if spec.subgroup is not None:
@@ -261,21 +251,12 @@ def choose_m(param: SpectralParam, f: SmoothVector, k: int,
     return m_max
 
 
-@dataclass(frozen=True)
-class RotationComparison:
-    lhs: float  # S_{k,A}(pi(k0) f)
-    rhs: float  # S_{k,H}(f)
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs) / max(self.lhs, self.rhs, 1e-300)
-
-
 def rotate_A_to_H(param: SpectralParam, f: SmoothVector, k: int,
                   cfg: QuadratureConfig = REPRESENTATION_CFG
-                  ) -> RotationComparison:
+                  ) -> IdentityCheck:
     """The rotation k0 = (1/sqrt 2)[[1, 1], [-1, 1]] conjugates the torus
-    into the hyperbolic subgroup, so S_{k,A}(pi(k0) f) = S_{k,H}(f)."""
+    into the hyperbolic subgroup, so S_{k,A}(pi(k0) f) = S_{k,H}(f): lhs
+    is the former, rhs the latter."""
     lhs = sobolev_norm(param, apply_pi(param, K0, f), SobolevSpec(k, "A"), cfg)
     rhs = sobolev_norm(param, f, SobolevSpec(k, "H"), cfg)
-    return RotationComparison(lhs, rhs)
+    return IdentityCheck(lhs, rhs)

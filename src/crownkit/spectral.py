@@ -31,11 +31,10 @@ import numpy as np
 
 from .crown import point_to_tangent
 from .errors import AdmissibilityFailure, DomainError
-from .liecore import GroupElement
-from .numerics import gauss_legendre_grid
+from .liecore import OMEGA_RADIUS, GroupElement
+from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import PairPoint
-from .repn import (OMEGA_RADIUS, SpectralParam, apply_pi, continue_vK,
-                   v_K)
+from .repn import SpectralParam, apply_pi, continue_vK, v_K
 
 TWO_PI = 2.0 * math.pi
 
@@ -155,28 +154,6 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_points_matrix(lams: np.ndarray, points: list[PairPoint],
-                      n_theta: int = 128) -> np.ndarray:
-    """phi_lam at arbitrary crown points, (len(lams), len(points))."""
-    lams = np.asarray(lams, dtype=float)
-    theta = (np.arange(n_theta) + 0.5) * (TWO_PI / n_theta)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    z1 = np.array([p.first for p in points], dtype=complex)
-    z2 = np.array([p.second for p in points], dtype=complex)
-    zeta0 = (z1 - z2) / 2j
-    ell = 0.5 * np.log(zeta0[:, None]
-                       / ((c[None, :] - s[None, :] * z1[:, None])
-                          * (c[None, :] - s[None, :] * z2[:, None])))
-    out = np.empty((lams.size, len(points)), dtype=complex)
-    chunk = max(1, int(4e6 / (len(points) * n_theta)))
-    for i in range(0, lams.size, chunk):
-        lam_block = lams[i:i + chunk]
-        expo = (1.0 + 1j * lam_block)[:, None, None] * ell[None, :, :]
-        out[i:i + chunk] = np.exp(expo).mean(axis=2)
-    return out
-
-
 # -- transform, Parseval, calibration ----------------------------------------
 
 @lru_cache(maxsize=4)
@@ -258,28 +235,10 @@ def calibrate_parseval(reference_width: float = 1.0,
     return PlancherelWeight(lhs / raw, form)
 
 
-@lru_cache(maxsize=4)
-def calibrated_weight(form: str = "lambda_tanh_half",
-                      constant: float | None = None) -> PlancherelWeight:
-    if constant is not None:
-        return PlancherelWeight(constant, form)
-    return calibrate_parseval(form=form)
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    lhs: float
-    rhs: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs) / max(abs(self.lhs), abs(self.rhs),
-                                              1e-300)
-
-    def __iter__(self):
-        yield self.lhs
-        yield self.rhs
-        yield self.gap
+@lru_cache(maxsize=1)
+def calibrated_weight() -> PlancherelWeight:
+    """The Plancherel weight calibrated once per process."""
+    return calibrate_parseval()
 
 
 def parseval_check(f_radial, weight: PlancherelWeight | None = None
@@ -350,20 +309,50 @@ def _clustered_edges(center: float, width: float, reach: float):
     return [center - o for o in offs] + [center] + [center + o for o in offs]
 
 
+def _psi_factor(r: float) -> complex:
+    """w in the quadratic 1 + w x^2 of Psi_r, the spherical vector
+    continued to torus angle r."""
+    if r > 0:
+        return np.exp(-1j * (math.pi - 4.0 * (OMEGA_RADIUS - r)))
+    return 1.0 + 0.0j
+
+
+def _pairing_row(lams: np.ndarray, ginv, r: float, xs: np.ndarray,
+                 ws: np.ndarray, reach: float) -> np.ndarray:
+    """phi_lam(g exp(i r h) x0) for all lams on one x-grid (xs, ws) ending
+    at +-reach; ginv = (a, b, c, d) are the entries of g^{-1}.
+
+    The integrand is kappa exp(A0(x) + lam A1(x)) with pointwise principal
+    logarithms that cannot alias; beyond the reach it decays like 1/x^2,
+    and that tail is added in closed form.
+    """
+    a, b, c, d = ginv
+    w_r = _psi_factor(r)
+    u = c * xs + d
+    m = (a * xs + b) / u
+    qm = 1.0 + w_r * m * m
+    log_u = np.log(np.abs(u))
+    log_qm = np.log(qm)         # principal; Im qm <= 0 always
+    log_v = np.log1p(xs * xs)   # conj v_K factor, positive base
+    a0 = -log_u - 0.5 * log_qm - 0.5 * log_v
+    a1 = 1j * (log_u + 0.5 * log_qm - 0.5 * log_v)
+    kappa = np.exp((-1.0 + 1j * lams) * (1j * r)) / math.pi
+    mat = np.exp(a0[None, :] + lams[:, None] * a1[None, :])
+    amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
+    return kappa * (mat @ ws + 2.0 * amp / reach)
+
+
 def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float,
                     n_per_panel: int = 16) -> np.ndarray:
     """phi_lam(g exp(i r h) x0) for all lams, by the matrix-coefficient
     pairing <pi(g) Psi_r, v_K> with Psi_r the continued spherical vector.
 
-    The integrand is exp(A0(x) + lam A1(x)) up to the lam-affine constant,
-    with pointwise principal logarithms that cannot alias; panel edges
-    cluster geometrically around the complex roots of the pulled-back
-    quadratic, which carry the only near-singular structure.
+    Panel edges cluster geometrically around the complex roots of the
+    pulled-back quadratic, which carry the only near-singular structure.
     """
     lams = np.asarray(lams, dtype=float)
-    eps = OMEGA_RADIUS - r
     a, b, c, d = g.inverse().m.real.ravel()
-    w_r = np.exp(-1j * (math.pi - 4.0 * eps)) if r > 0 else 1.0
+    w_r = _psi_factor(r)
     # pulled quadratic P(x) = (c x + d)^2 + w_r (a x + b)^2, ascending coeffs
     p0 = d * d + w_r * b * b
     p1 = 2.0 * (c * d + w_r * a * b)
@@ -384,20 +373,7 @@ def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float,
         edges.add(-d / c)
     xs, ws = gauss_legendre_grid(sorted(e for e in edges if abs(e) <= reach),
                                  n_per_panel)
-    u = c * xs + d
-    m = (a * xs + b) / u
-    qm = 1.0 + w_r * m * m
-    log_u = np.log(np.abs(u))
-    log_qm = np.log(qm)         # principal; Im qm <= 0 always
-    log_v = np.log1p(xs * xs)   # conj v_K factor, positive base
-    a0 = -log_u - 0.5 * log_qm - 0.5 * log_v
-    a1 = 1j * (log_u + 0.5 * log_qm - 0.5 * log_v)
-    kappa = np.exp((-1.0 + 1j * lams) * (1j * (OMEGA_RADIUS - eps))) / math.pi
-    core = np.exp(a0[None, :] + lams[:, None] * a1[None, :]) @ ws
-    # tail: integrand ~ alpha / x^2 beyond the reach
-    amp = 0.5 * (np.exp(a0[-1] + lams * a1[-1]) * xs[-1] ** 2
-                 + np.exp(a0[0] + lams * a1[0]) * xs[0] ** 2)
-    return kappa * (core + 2.0 * amp / reach)
+    return _pairing_row(lams, (a, b, c, d), r, xs, ws, reach)
 
 
 def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight,
@@ -423,8 +399,6 @@ def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas, theta_w,
     fixed fraction of their modulus, so per-octave panels resolve them
     uniformly in s.
     """
-    eps = OMEGA_RADIUS - r
-    w_r = np.exp(-1j * (math.pi - 4.0 * eps)) if r > 0 else 1.0 + 0.0j
     reach = 64.0 * max(1.0, s * s)
     edges = [0.0]
     e = 1.0 / 16.0
@@ -436,25 +410,12 @@ def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas, theta_w,
     xs = np.concatenate([-half_x[::-1], half_x])
     ws = np.concatenate([half_w[::-1], half_w])
 
-    kappa = np.exp((-1.0 + 1j * nodes) * (1j * r)) / math.pi
-    log_v = np.log1p(xs * xs)
     total = 0.0
     for th, wt in zip(thetas, theta_w):
         ct, st = math.cos(th), math.sin(th)
         # inverse of a_s k_theta
-        a, b = ct / s, -s * st
-        c, d = st / s, s * ct
-        u = c * xs + d
-        m = (a * xs + b) / u
-        qm = 1.0 + w_r * m * m
-        log_u = np.log(np.abs(u))
-        log_qm = np.log(qm)
-        a0 = -log_u - 0.5 * log_qm - 0.5 * log_v
-        a1 = 1j * (log_u + 0.5 * log_qm - 0.5 * log_v)
-        mat = np.exp(a0[None, :] + nodes[:, None] * a1[None, :])
-        phi_vals = mat @ ws
-        amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
-        phi_vals = kappa * (phi_vals + 2.0 * amp / reach)
+        ginv = (ct / s, -s * st, st / s, s * ct)
+        phi_vals = _pairing_row(nodes, ginv, r, xs, ws, reach)
         total += wt * abs(np.sum(coeff * phi_vals)) ** 2
     return total
 

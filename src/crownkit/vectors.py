@@ -25,8 +25,6 @@ from numpy.polynomial import polynomial as P
 
 from .errors import BranchCut
 
-_MAX_ORDER = 5
-
 
 def _binom(n, k):
     return math.comb(n, k)
@@ -72,9 +70,10 @@ def _poly_jets(coeffs, x: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _offcut_ok(q, allow_touch: bool = False) -> bool:
-    """True when the quadratic's values on R avoid the cut (-inf, 0]."""
-    q2, q1, q0 = complex(q[2]), complex(q[1]), complex(q[0])
+def _offcut_ok(q) -> bool:
+    """True when the values on R of the quadratic with ascending
+    coefficients q = (q0, q1, q2) avoid the cut (-inf, 0]."""
+    q0, q1, q2 = (complex(c) for c in q)
     # real zeros of Im q(x); there Re q must be positive
     candidates = []
     a, b, c = q2.imag, q1.imag, q0.imag
@@ -88,17 +87,19 @@ def _offcut_ok(q, allow_touch: bool = False) -> bool:
     else:
         if abs(c) > 1e-300:
             return True  # Im q is a nonzero constant: never on the real cut
-        # q is real: need q(x) > 0 (or >= 0 when touching is allowed)
+        # q is real: need q(x) > 0
         ar, br, cr = q2.real, q1.real, q0.real
         if abs(ar) < 1e-300:
-            if abs(br) < 1e-300:
-                return cr > 0 or (allow_touch and cr >= 0)
+            return abs(br) < 1e-300 and cr > 0
+        if ar < 0:
             return False
-        mn = cr - br * br / (4.0 * ar) if ar > 0 else -math.inf
-        return mn > 0 or (allow_touch and mn >= -1e-300)
+        shift = br * br / (4.0 * ar)
+        return cr - shift > 1e-12 * (abs(cr) + shift)
     for x in candidates:
         val = (q2 * x + q1) * x + q0
-        if val.real <= 0 and not (allow_touch and abs(val) < 1e-300):
+        # q(x) is real here; a zero lost to rounding still touches the cut
+        scale = abs(q2) * x * x + abs(q1) * abs(x) + abs(q0)
+        if val.real <= 1e-12 * scale:
             return False
     return True
 
@@ -129,12 +130,11 @@ class SmoothVector:
 class QuadraticPower(SmoothVector):
     """kappa * (q2 x^2 + q1 x + q0)^sigma with the principal branch."""
 
-    def __init__(self, kappa: complex, q, sigma: complex, *,
-                 allow_touch_zero: bool = False, hints=()):
+    def __init__(self, kappa: complex, q, sigma: complex, *, hints=()):
         q = np.asarray(q, dtype=complex)  # ascending: (q0, q1, q2)
         if q.shape != (3,):
             raise ValueError("quadratic needs three ascending coefficients")
-        if not _offcut_ok((q[2], q[1], q[0]), allow_touch_zero):
+        if not _offcut_ok(q):
             raise BranchCut(f"quadratic {q} meets the cut (-inf, 0] on R")
         self.kappa = complex(kappa)
         self.q = q
@@ -162,13 +162,6 @@ class QuadraticPower(SmoothVector):
             rn = P.polyval(x, self._r_poly(n))
             out[n] = self.kappa * rn * np.exp((self.sigma - n) * logq)
         return out
-
-    def value_complex(self, z: np.ndarray) -> np.ndarray:
-        """Value at complex arguments; caller owns branch validity."""
-        qv = P.polyval(np.asarray(z, dtype=complex), self.q)
-        if np.any((qv.real <= 0) & (np.abs(qv.imag) < 1e-300)):
-            raise BranchCut("complex argument drove the quadratic to the cut")
-        return self.kappa * np.exp(self.sigma * np.log(qv))
 
 
 class PolyVector(SmoothVector):

@@ -1,21 +1,9 @@
 import numpy as np
 import pytest
 
-from crownkit import crown
-from crownkit.liecore import GroupElement, a_t, k_theta, n_x
+from crownkit.crown import random_crown_point, random_real_element  # noqa: F401
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20090)
-
-
-def random_real_element(rng, scale=0.8) -> GroupElement:
-    return (k_theta(rng.uniform(0.0, np.pi))
-            @ a_t(float(np.exp(rng.normal(0.0, scale))))
-            @ n_x(float(rng.normal(0.0, scale))))
-
-
-def random_crown_point(rng, scale=0.8):
-    phi = rng.uniform(-0.85, 0.85) * np.pi / 4.0
-    return crown.elliptic_point(random_real_element(rng, scale), phi)

@@ -101,34 +101,98 @@ def test_doubling_command(capsys):
     assert code == 0 and doc["outputs"]["gap"] < 1e-5
 
 
-def test_config_file_roundtrip(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "crownkit.cfg"
-    cfg.write_text("representation_abs_tol = 1e-6\n# comment\nseed = 7\n")
-    monkeypatch.setenv("CROWNKIT_CONFIG", str(cfg))
-    from crownkit.config import load_config
-    loaded = load_config()
-    assert loaded["representation_abs_tol"] == 1e-6
-    assert loaded["seed"] == 7
-    code = main(["crown-check", "--z1", "0+1i", "--z2", "0-1i"])
-    assert code == 0
-    capsys.readouterr()
+def test_hardy_kernel_point_form(capsys):
+    code = main(["hardy-kernel", "--z1=0.3+1.2i", "--z2=-0.4-0.8i"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["status"] == "pass"
+    value = doc["outputs"]["value"]
+    assert value["re"] > 0
+    assert abs(value["im"]) < 1e-10 * value["re"]
 
 
-def test_quadrature_config_from_file(tmp_path):
-    from crownkit.config import load_config, quadrature_configs
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("geometry_abs_tol = 1e-9\nmax_subdivisions = 100\n")
-    geo, rep = quadrature_configs(load_config(cfg))
-    assert geo.abs_tol == 1e-9
-    assert geo.max_subdivisions == 100
-    assert rep.max_subdivisions == 100
+# well-typed but out-of-range arguments, each rejected before any
+# phi-matrix or calibration work; the value is the exit code when the
+# case pins one (bad argument values exit 1)
+FUZZ = {
+    ("crown-check", "--z1=nan", "--z2=0-1i"): None,
+    ("crown-check", "--z1=0", "--z2=1e300"): None,
+    ("param", "--t", "0"): 1,
+    ("param", "--t", "-1"): 1,
+    ("param", "--phi", "nan"): None,
+    ("param", "--phi", "1e300"): None,
+    ("param", "--kind", "unipotent", "--x", "-1"): None,
+    ("match", "--phi", "nan"): 1,
+    ("match", "--phi", "-1"): None,
+    ("match", "--phi", "1e300"): None,
+    ("boundary", "--z1=nan", "--z2=-1"): None,
+    ("boundary", "--z1=1", "--z2=-1", "--tol", "-1"): None,
+    ("boundary", "--z1=1e300", "--z2=-1"): None,
+    ("quadric", "--z1=0", "--z2=0-1i"): None,
+    ("quadric", "--z1=nan", "--z2=0-1i"): None,
+    ("quadric", "--z1=1e300", "--z2=0-1i"): None,
+    ("aproj", "--z1=1e300", "--z2=0-1i"): None,
+    ("aproj", "--z1=-1", "--z2=0-1i"): None,
+    ("convexity", "--phi", "0.3", "--samples", "1"): 1,
+    ("convexity", "--phi", "0.3", "--samples", "0"): 1,
+    ("convexity", "--phi", "nan"): None,
+    ("convexity", "--phi", "1e300"): None,
+    ("trace-domain", "--value=2", "--bound", "0"): None,
+    ("trace-domain", "--value=nan", "--bound", "-1"): None,
+    ("trace-domain", "--value=1e300", "--bound", "1e300"): None,
+    ("escape", "--phi", "1.1", "--grid", "0"): 1,
+    ("escape", "--phi", "1.1", "--grid", "-1"): 1,
+    ("escape", "--phi", "1.1", "--grid", "1"): 1,
+    ("escape", "--phi", "nan"): None,
+    ("escape", "--phi", "1e300"): None,
+    ("phi", "--lam", "nan", "--z1=0+1i", "--z2=0-1i"): None,
+    ("phi", "--lam", "1.0", "--z1=0", "--z2=0-1i"): None,
+    ("phi", "--lam", "1e300", "--z1=1e300", "--z2=0-1i"): None,
+    ("doubling", "--t", "-1"): 1,
+    ("doubling", "--t", "0"): 1,
+    ("doubling", "--t", "nan"): None,
+    ("doubling", "--phi", "1e300"): None,
+    ("norm-growth", "--eps", "0"): None,
+    ("norm-growth", "--eps", "-1"): None,
+    ("norm-growth", "--eps", "nan"): None,
+    ("norm-growth", "--eps", "1e300"): None,
+    ("dpi-check", "--seed", "-1"): None,
+    ("dpi-check", "--lam", "nan"): None,
+    ("sobolev", "--k", "9"): 1,
+    ("sobolev", "--k", "-1"): None,
+    ("sobolev", "--eps", "0"): None,
+    ("sobolev", "--eps", "nan"): None,
+    ("invariant-bound", "--k", "5"): 1,
+    ("invariant-bound", "--eps", "-1"): None,
+    ("invariant-bound", "--eps", "1e300"): None,
+    ("transform", "--width", "0"): 1,
+    ("transform", "--width", "-1"): 1,
+    ("transform", "--width", "nan"): 1,
+    ("parseval", "--width", "0"): 1,
+    ("parseval", "--width", "nan"): 1,
+    ("gutzmer", "--width", "0"): 1,
+    ("gutzmer", "--width", "-1"): 1,
+    ("gutzmer", "--width", "nan"): 1,
+    ("hardy-kernel", "--z1=0", "--z2=0-1i"): None,
+    ("hardy-kernel", "--z1=nan", "--z2=0-1i"): None,
+    ("hardy-kernel", "--z1=1e300", "--z2=0-1i"): None,
+    ("hardy-kernel", "--gram", "-1"): None,
+    ("kernel", "--width", "0"): 1,
+    ("kernel", "--width", "-1"): 1,
+    ("kernel", "--width", "nan"): 1,
+    ("maass", "--y", "0"): None,
+    ("maass", "--y", "-1"): None,
+    ("maass", "--y", "nan"): None,
+    ("maass", "--y", "1e300"): None,
+    ("maass", "--nmax", "99"): None,
+    ("suite", "--seed", "-1"): None,
+}
 
 
-def test_calibration_persistence(tmp_path):
-    from crownkit.config import load_config, write_calibration
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("seed = 3\n")
-    write_calibration(cfg, 0.0397887, "reference oracle run")
-    loaded = load_config(cfg)
-    assert abs(loaded["plancherel_constant"] - 0.0397887) < 1e-12
-    assert "reference oracle run" in cfg.read_text()
+@pytest.mark.parametrize("argv", list(FUZZ), ids=" ".join)
+def test_out_of_range_arguments_give_one_json_document(argv, capsys):
+    code = main(list(argv))
+    doc = json.loads(capsys.readouterr().out)  # raises unless one document
+    assert isinstance(doc, dict) and doc["command"] == argv[0]
+    assert code in (0, 1, 2)
+    if FUZZ[argv] is not None:
+        assert code == FUZZ[argv] and doc["status"] == "fail"

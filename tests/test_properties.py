@@ -1,0 +1,80 @@
+"""Property tests on generated inputs: the symmetric model of pair points,
+the coordinate round trips, and the off-cut invariant of quadratic powers.
+
+Examples are derandomized, so every run draws the same inputs."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crownkit import crown
+from crownkit.errors import BranchCut
+from crownkit.liecore import (H_VEC, a_t, exp_lie, k_theta, n_x, p_invariant,
+                              p_of_pair, pair_sym, sym_model)
+from crownkit.vectors import QuadraticPower
+
+GEOMETRY = settings(derandomize=True, max_examples=40, deadline=None)
+
+real_elements = st.builds(
+    lambda theta, log_t, x: k_theta(theta) @ a_t(math.exp(log_t)) @ n_x(x),
+    st.floats(0.0, math.pi), st.floats(-1.5, 1.5), st.floats(-2.0, 2.0))
+angles = st.floats(-0.95 * math.pi / 4.0, 0.95 * math.pi / 4.0)
+
+
+def _close(a, b, tol):
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) <= tol * scale
+
+
+@GEOMETRY
+@given(real_elements, angles)
+def test_pair_sym_matches_group_sym_model(g, phi):
+    z = crown.elliptic_point(g, phi)
+    assert _close(pair_sym(z), sym_model(g @ exp_lie(H_VEC, 1j * phi)), 1e-9)
+
+
+@GEOMETRY
+@given(real_elements, angles)
+def test_p_of_pair_is_trace_of_pair_sym(g, phi):
+    z = crown.elliptic_point(g, phi)
+    s = pair_sym(z)
+    assert p_of_pair(z) == s[0, 0] + s[1, 1]
+    assert _close(p_of_pair(z), p_invariant(g @ exp_lie(H_VEC, 1j * phi)),
+                  1e-9)
+
+
+@GEOMETRY
+@given(real_elements, angles)
+def test_tangent_and_quadric_round_trips(g, phi):
+    z = crown.elliptic_point(g, phi)
+    back = crown.tangent_to_point(crown.point_to_tangent(z))
+    assert crown.pair_distance(back, z) < 1e-9
+    assert crown.pair_distance(crown.from_quadric(crown.to_quadric(z)), z) < 1e-9
+
+
+# coefficients on a lattice of quarters: exact zeros and exact touching
+# of the cut come up often, which is where the off-cut test can go wrong
+quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+coefficients = st.builds(complex, quarters, quarters)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.tuples(coefficients, coefficients, coefficients))
+def test_accepted_quadratics_avoid_the_cut(q):
+    try:
+        QuadraticPower(1.0, q, -0.5)
+    except BranchCut:
+        return
+    q0, q1, q2 = q
+    # real zeros of Im q and of Re q, plus a dense grid
+    xs = [np.linspace(-20.0, 20.0, 4001)]
+    for part in ((q2.imag, q1.imag, q0.imag), (q2.real, q1.real, q0.real)):
+        if any(part):
+            xs.append(np.roots(part).real)
+    x = np.concatenate(xs)
+    qv = (q2 * x + q1) * x + q0
+    on_cut = (np.abs(qv.imag) <= 1e-12 * np.maximum(1.0, np.abs(qv))) & (
+        qv.real <= 0.0)
+    assert not np.any(on_cut), x[on_cut]

@@ -11,8 +11,8 @@ summary line instead.
 Exit codes:
     0  the command ran and its status is not `fail`;
     1  usage error: the arguments do not parse (argparse prints the usage
-       to stderr, nothing to stdout), or an argument value is out of range
-       (a JSON document with status `fail` and the error);
+       to stderr, nothing to stdout), or an argument value is non-finite
+       or out of range (a JSON document with status `fail` and the error);
     2  numerical or domain failure: the status is `fail`, or a crownkit
        error or an arithmetic error (overflow, division by zero) was
        raised (a JSON document with the error).
@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -508,6 +509,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        for name, value in vars(args).items():
+            numeric = isinstance(value, (float, complex))
+            if numeric and not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         result = args.func(args)
     except (CrownkitError, ArithmeticError, ValueError) as exc:
         print(json.dumps({"command": args.command, "status": "fail",

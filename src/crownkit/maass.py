@@ -18,6 +18,7 @@ functions; it does not compute cusp forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,12 @@ def pipeline_demo(F: PeriodicStripFunction, y: float, B: SupBoundModel,
     if not y > 2.0:
         raise DomainError("the demo needs y > 2")
     eps = 1.0 / y
+    # beyond this |n| the bound e^{-2 pi |n| y (1 - eps)} leaves the normal
+    # double range: the ratios lose their precision, then divide by zero
+    usable = int(-math.log(sys.float_info.min) / (TWO_PI * y * (1.0 - eps)))
+    if n_max > usable:
+        raise ValueError(f"n_max = {n_max} exceeds {usable}, the largest "
+                         f"with a representable coefficient bound at y = {y}")
     rows = []
     fit = 0.0
     recon = 0.0

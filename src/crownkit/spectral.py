@@ -19,6 +19,11 @@ split pairing of half-continued vectors.  Together with admissible
 measures on the tempered ray this yields invariant reproducing kernels,
 of which the one weighted by lam tanh(pi lam/2)/cosh(pi lam) is the
 Hardy-space kernel of the most-continuous spectrum of the hyperboloid.
+
+Off the real form, the pairing rows, the doubled torus values and the
+kernel slices are all matrix coefficients <pi(g1) Psi_r1, pi(g2) Psi_r2>
+of continued spherical vectors, computed by one pairing for all lam at
+once on an x-grid clustered around the roots of the pulled quadratics.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .errors import AdmissibilityFailure, DomainError
 from .liecore import OMEGA_RADIUS, GroupElement
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import PairPoint
-from .repn import SpectralParam, apply_pi, continue_vK, v_K
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,46 +272,7 @@ def plancherel_verdict() -> dict:
     return out
 
 
-# -- the orbital identity ----------------------------------------------------
-
-def doubled_torus_values(lams: np.ndarray, r: float,
-                         x_max: float = 2048.0) -> np.ndarray:
-    """phi_lam(exp(2 i r h) x0) for all lams at once.
-
-    By the split pairing this equals ||pi(a_eps) v_K||^2 at eps = pi/4 - r,
-    whose integrand depends on lam only through one exponential, so a
-    single x-grid serves every spectral node.
-    """
-    if not 0.0 <= r < OMEGA_RADIUS:
-        raise DomainError(f"r = {r} outside [0, pi/4)")
-    lams = np.asarray(lams, dtype=float)
-    if r == 0.0:
-        return np.ones(lams.size)
-    eps = OMEGA_RADIUS - r
-    edges = [0.0, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 1.5, 2.0, 4.0, 16.0,
-             64.0, 256.0, x_max]
-    x, w = gauss_legendre_grid(edges, 32)
-    big_w = np.exp(-1j * (math.pi - 4.0 * eps))
-    qv = 1.0 + big_w * x * x
-    log_abs = np.log(np.abs(qv))
-    arg = np.angle(qv)
-    # |pi(a_eps)v_K|^2 = (1/pi) e^{-lam(pi/2 - 2 eps)} |q|^{-1} e^{-lam arg q}
-    base = np.exp(-log_abs) / math.pi
-    inner = 2.0 * np.sum((w * base)[None, :]
-                         * np.exp(-np.outer(lams, arg)), axis=1)
-    # algebraic tail: |q|^{-1} ~ 1/x^2 with the limiting argument
-    arg_inf = -(math.pi - 4.0 * eps)
-    tail = 2.0 / (math.pi * x_max) * np.exp(-lams * arg_inf)
-    return np.exp(-lams * (0.5 * math.pi - 2.0 * eps)) * (inner + tail)
-
-
-def _clustered_edges(center: float, width: float, reach: float):
-    """Geometric panel edges resolving a feature of given width and center."""
-    width = max(width, 1e-12)
-    stop = min(reach, 8.0 * max(abs(center), 1.0))
-    offs = [width * 2.0 ** k for k in range(0, 48) if width * 2.0 ** k < stop]
-    return [center - o for o in offs] + [center] + [center + o for o in offs]
-
+# -- matrix coefficients of continued spherical vectors ---------------------
 
 def _psi_factor(r: float) -> complex:
     """w in the quadratic 1 + w x^2 of Psi_r, the spherical vector
@@ -317,63 +282,111 @@ def _psi_factor(r: float) -> complex:
     return 1.0 + 0.0j
 
 
-def _pairing_row(lams: np.ndarray, ginv, r: float, xs: np.ndarray,
-                 ws: np.ndarray, reach: float) -> np.ndarray:
-    """phi_lam(g exp(i r h) x0) for all lams on one x-grid (xs, ws) ending
-    at +-reach; ginv = (a, b, c, d) are the entries of g^{-1}.
+#: a frame (g^{-1} entries (a, b, c, d), r) stands for the vector
+#: pi(g) Psi_r; this one is v_K itself
+_V_K = ((1.0, 0.0, 0.0, 1.0), 0.0)
 
-    The integrand is kappa exp(A0(x) + lam A1(x)) with pointwise principal
-    logarithms that cannot alias; beyond the reach it decays like 1/x^2,
-    and that tail is added in closed form.
+
+def _frame_logs(frame, xs: np.ndarray):
+    """B0, B1 with pi(g) Psi_r = kappa_r exp(B0 + lam B1) on the nodes xs,
+    kappa_r = e^{(-1 + i lam) i r} / sqrt(pi).
+
+    The vector is kappa_r |u|^{-1 + i lam} q^{-(1 - i lam)/2}, u = c x + d,
+    q = 1 + w_r ((a x + b)/u)^2; Im q <= 0, so the principal logarithm is
+    the continuation from the real group and cannot alias.
     """
-    a, b, c, d = ginv
-    w_r = _psi_factor(r)
+    (a, b, c, d), r = frame
     u = c * xs + d
     m = (a * xs + b) / u
-    qm = 1.0 + w_r * m * m
     log_u = np.log(np.abs(u))
-    log_qm = np.log(qm)         # principal; Im qm <= 0 always
-    log_v = np.log1p(xs * xs)   # conj v_K factor, positive base
-    a0 = -log_u - 0.5 * log_qm - 0.5 * log_v
-    a1 = 1j * (log_u + 0.5 * log_qm - 0.5 * log_v)
-    kappa = np.exp((-1.0 + 1j * lams) * (1j * r)) / math.pi
-    mat = np.exp(a0[None, :] + lams[:, None] * a1[None, :])
+    half_log_q = 0.5 * np.log(1.0 + _psi_factor(r) * m * m)
+    return -log_u - half_log_q, 1j * (log_u + half_log_q)
+
+
+def _pairing_row(lams: np.ndarray, f1, f2, xs: np.ndarray, ws: np.ndarray,
+                 reach: float) -> np.ndarray:
+    """<pi(g1) Psi_r1, pi(g2) Psi_r2> for all lams on one x-grid (xs, ws)
+    ending at +-reach, for the frames f1 = (g1^{-1}, r1), f2 = (g2^{-1}, r2).
+
+    The integrand is kappa_r1 conj(kappa_r2) exp(A0(x) + lam A1(x)), so one
+    lam-by-x exponential, built and exponentiated in place, serves every
+    spectral node; beyond the reach it decays like 1/x^2, and that tail is
+    added in closed form.
+    """
+    b0, b1 = _frame_logs(f1, xs)
+    c0, c1 = _frame_logs(f2, xs)
+    mat = np.multiply.outer(lams, b1 + np.conj(c1))
+    mat += b0 + np.conj(c0)
+    np.exp(mat, out=mat)
     amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
+    (_, r1), (_, r2) = f1, f2
+    kappa = np.exp(-lams * (r1 + r2) - 1j * (r1 - r2)) / math.pi
     return kappa * (mat @ ws + 2.0 * amp / reach)
 
 
-def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float,
-                    n_per_panel: int = 16) -> np.ndarray:
-    """phi_lam(g exp(i r h) x0) for all lams, by the matrix-coefficient
-    pairing <pi(g) Psi_r, v_K> with Psi_r the continued spherical vector.
+def _pairing(lams: np.ndarray, f1, f2) -> np.ndarray:
+    """`_pairing_row` on a grid built from the unordered pair of frames.
 
-    Panel edges cluster geometrically around the complex roots of the
-    pulled-back quadratic, which carry the only near-singular structure.
+    Panel edges are octaves out to the reach, geometric clusters around
+    the complex roots of each pulled quadratic (c x + d)^2 + w_r (a x + b)^2,
+    which carry the only near-singular structure, and each Mobius pole
+    -d/c.  The reach is 2048 times the largest root modulus (at least 1):
+    at 256 times, the closed-form 1/x^2 tail alone put the doubled torus
+    values 5e-7 off their norm oracle.  Swapping f1 and f2 gives the same
+    grid, so the result conjugates to rounding.
     """
-    lams = np.asarray(lams, dtype=float)
-    a, b, c, d = g.inverse().m.real.ravel()
-    w_r = _psi_factor(r)
-    # pulled quadratic P(x) = (c x + d)^2 + w_r (a x + b)^2, ascending coeffs
-    p0 = d * d + w_r * b * b
-    p1 = 2.0 * (c * d + w_r * a * b)
-    p2 = c * c + w_r * a * a
-    roots = np.roots([p2, p1, p0]) if abs(p2) > 1e-300 else (
-        np.array([-p0 / p1]) if abs(p1) > 1e-300 else np.array([]))
-    scale = max(1.0, *(abs(rt) for rt in roots)) if roots.size else 1.0
-    reach = 256.0 * scale
-    edges = {-reach, reach, -1.0, 1.0, 0.0}
+    roots, poles = [], []
+    for (a, b, c, d), r in (f1, f2):
+        w_r = _psi_factor(r)
+        roots.extend(np.roots([c * c + w_r * a * a,
+                               2.0 * (c * d + w_r * a * b),
+                               d * d + w_r * b * b]))
+        if abs(c) > 1e-300:
+            poles.append(-d / c)
+    reach = 2048.0 * max([1.0] + [abs(rt) for rt in roots])
+    edges = {-reach, reach, -1.0, 1.0, 0.0, *poles}
     base = 0.125
     while base < reach:
         edges.update((-base, base))
         base *= 2.0
     for rt in roots:
-        edges.update(_clustered_edges(float(rt.real),
-                                      max(abs(rt.imag), 1e-9), reach))
-    if abs(c) > 1e-300:
-        edges.add(-d / c)
+        width = max(abs(rt.imag), 1e-9)
+        stop = min(reach, 8.0 * max(abs(rt.real), 1.0))
+        offs = [width * 2.0 ** k for k in range(48) if width * 2.0 ** k < stop]
+        edges.update(rt.real + o for o in (0.0, *offs, *(-o for o in offs)))
     xs, ws = gauss_legendre_grid(sorted(e for e in edges if abs(e) <= reach),
-                                 n_per_panel)
-    return _pairing_row(lams, (a, b, c, d), r, xs, ws, reach)
+                                 16)
+    return _pairing_row(lams, f1, f2, xs, ws, reach)
+
+
+def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float
+                    ) -> np.ndarray:
+    """phi_lam(g exp(i r h) x0) for all lams, by the matrix-coefficient
+    pairing <pi(g) Psi_r, v_K> with Psi_r the continued spherical vector."""
+    frame = tuple(g.inverse().m.real.ravel()), r
+    return _pairing(np.asarray(lams, dtype=float), frame, _V_K)
+
+
+# -- the orbital identity ----------------------------------------------------
+
+def _check_torus_angle(r: float) -> None:
+    if not 0.0 <= r < OMEGA_RADIUS:
+        raise DomainError(f"r = {r} outside [0, pi/4)")
+
+
+def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
+    """phi_lam(exp(2 i r h) x0) for all lams at once.
+
+    By the split pairing this equals ||Psi_r||^2, the matrix coefficient of
+    the continued spherical vector with itself, on the grid clustered
+    around the roots of 1 + w_r x^2 near +-1.
+    """
+    _check_torus_angle(r)
+    lams = np.asarray(lams, dtype=float)
+    if r == 0.0:
+        return np.ones(lams.size)
+    frame = (_V_K[0], r)
+    return _pairing(lams, frame, frame).real
 
 
 def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight,
@@ -415,7 +428,7 @@ def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas, theta_w,
         ct, st = math.cos(th), math.sin(th)
         # inverse of a_s k_theta
         ginv = (ct / s, -s * st, st / s, s * ct)
-        phi_vals = _pairing_row(nodes, ginv, r, xs, ws, reach)
+        phi_vals = _pairing_row(nodes, (ginv, r), _V_K, xs, ws, reach)
         total += wt * abs(np.sum(coeff * phi_vals)) ** 2
     return total
 
@@ -433,10 +446,9 @@ def orbital_mass(density: SpectralDensity, r: float,
     points are a_{e^{rho/2}} k_theta exp(i r h) x0, and the spherical
     values come from the alias-free matrix-coefficient pairing.
     """
+    _check_torus_angle(r)
     if weight is None:
         weight = calibrated_weight()
-    if not 0.0 <= r < OMEGA_RADIUS:
-        raise DomainError(f"r = {r} outside [0, pi/4)")
     nodes, lam_w = _adapted_lambda_quad(density, weight)
     coeff = lam_w * density(nodes) * weight.density(nodes)
 
@@ -465,6 +477,7 @@ def gutzmer_check(density: SpectralDensity, r: float,
                   weight: PlancherelWeight | None = None) -> IdentityCheck:
     """Orbital mass at torus angle r against the spectral integral weighted
     by the doubled torus value."""
+    _check_torus_angle(r)
     if weight is None:
         weight = calibrated_weight()
     lhs = orbital_mass(density, r, weight)
@@ -490,10 +503,10 @@ def eR_membership(density: SpectralDensity, big_r: float,
                   weight: PlancherelWeight | None = None) -> bool:
     """Finiteness of the spectral mass weighted by the doubled torus values
     up to angle R, decided from the decay tag plus a tail fit."""
-    if weight is None:
-        weight = calibrated_weight()
     if not 0.0 < big_r <= OMEGA_RADIUS:
         raise DomainError("R must lie in (0, pi/4]")
+    if weight is None:
+        weight = calibrated_weight()
     if density.decay_tag == "polynomial":
         return False
     if density.decay_tag == "exponential":
@@ -544,50 +557,26 @@ class KernelMeasure:
         return True
 
 
-def _kernel_x_grid():
-    edges = [0.0, 0.25, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 4.0, 8.0, 32.0, 128.0,
-             512.0, 2048.0, 8192.0]
-    x, w = gauss_legendre_grid(edges, 24)
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-
-
-def _continued_vector_at(param: SpectralParam, z: PairPoint):
-    """pi(z) v_K as a closed-form vector: split z = g exp(i psi h) x0."""
+def _tangent_frame(z: PairPoint):
+    """The frame of pi(z) v_K: z = g exp(i psi h) x0 gives pi(g) Psi_psi."""
     tb = point_to_tangent(z)
-    psi = abs(float(tb.y.c_h))
-    half = continue_vK(param, OMEGA_RADIUS - psi) if psi > 0 else v_K(param)
-    return apply_pi(param, tb.g, half)
+    return tuple(tb.g.inverse().m.real.ravel()), abs(float(tb.y.c_h))
 
 
 def invariant_kernel(measure: KernelMeasure, z: PairPoint, w: PairPoint,
                      lam_max: float = 16.0) -> complex:
     """K(z, w) = Int <pi(z)v, pi(w)v> d mu(lam); Hermitian and G-invariant.
 
-    Each spectral slice is the L^2 pairing of the two continued vectors;
-    the pairing integrand is evaluated on one shared graded grid with an
-    algebraic tail correction.
+    Splitting z = g exp(i psi h) x0 makes pi(z)v_K = pi(g) Psi_psi, so every
+    spectral slice is one matrix coefficient of two continued spherical
+    vectors; a single pairing row over the lam nodes gives all of them, on
+    the x-grid clustered around both vectors' near-singular points.
     """
     if not measure.admissible():
         raise AdmissibilityFailure("kernel measure fails the e^{c lam} test")
     nodes, lam_w = _lambda_quad(lam_max)
-    mu = measure.density(nodes)
-    xs, xw = _kernel_x_grid()
-    total = 0.0 + 0.0j
-    x_edge = xs[-1]
-    for lam, wl, m in zip(nodes, lam_w, mu):
-        if abs(m) < 1e-300:
-            continue
-        param = SpectralParam(float(lam))
-        vz = _continued_vector_at(param, z).value(xs)
-        vw = _continued_vector_at(param, w).value(xs)
-        integrand = vz * np.conj(vw)
-        slice_val = np.sum(xw * integrand)
-        # both vectors decay like 1/|x|: add the 1/x^2 tail analytically
-        amp = 0.5 * (integrand[-1] * xs[-1] ** 2
-                     + integrand[0] * xs[0] ** 2)
-        slice_val += 2.0 * amp / x_edge
-        total += wl * m * slice_val
-    return complex(total)
+    row = _pairing(nodes, _tangent_frame(z), _tangent_frame(w))
+    return complex(np.sum(lam_w * measure.density(nodes) * row))
 
 
 def hardy_density(lam_max: float = 16.0) -> SpectralDensity:

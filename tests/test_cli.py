@@ -112,55 +112,58 @@ def test_hardy_kernel_point_form(capsys):
 
 # well-typed but out-of-range arguments, each rejected before any
 # phi-matrix or calibration work; the value is the exit code when the
-# case pins one (bad argument values exit 1)
+# case pins one (bad argument values exit 1, domain failures 2)
 FUZZ = {
-    ("crown-check", "--z1=nan", "--z2=0-1i"): None,
+    ("crown-check", "--z1=nan", "--z2=0-1i"): 1,
+    ("crown-check", "--z1=inf", "--z2=0-1i"): 1,
     ("crown-check", "--z1=0", "--z2=1e300"): None,
     ("param", "--t", "0"): 1,
     ("param", "--t", "-1"): 1,
-    ("param", "--phi", "nan"): None,
+    ("param", "--phi", "nan"): 1,
     ("param", "--phi", "1e300"): None,
     ("param", "--kind", "unipotent", "--x", "-1"): None,
     ("match", "--phi", "nan"): 1,
     ("match", "--phi", "-1"): None,
     ("match", "--phi", "1e300"): None,
-    ("boundary", "--z1=nan", "--z2=-1"): None,
+    ("boundary", "--z1=nan", "--z2=-1"): 1,
     ("boundary", "--z1=1", "--z2=-1", "--tol", "-1"): None,
     ("boundary", "--z1=1e300", "--z2=-1"): None,
+    ("boundary", "--z1=1", "--z2=-1", "--tol", "nan"): 1,
     ("quadric", "--z1=0", "--z2=0-1i"): None,
-    ("quadric", "--z1=nan", "--z2=0-1i"): None,
+    ("quadric", "--z1=nan", "--z2=0-1i"): 1,
     ("quadric", "--z1=1e300", "--z2=0-1i"): None,
     ("aproj", "--z1=1e300", "--z2=0-1i"): None,
     ("aproj", "--z1=-1", "--z2=0-1i"): None,
+    ("aproj", "--z1=nan", "--z2=0-1i"): 1,
     ("convexity", "--phi", "0.3", "--samples", "1"): 1,
     ("convexity", "--phi", "0.3", "--samples", "0"): 1,
-    ("convexity", "--phi", "nan"): None,
+    ("convexity", "--phi", "nan"): 1,
     ("convexity", "--phi", "1e300"): None,
     ("trace-domain", "--value=2", "--bound", "0"): None,
-    ("trace-domain", "--value=nan", "--bound", "-1"): None,
+    ("trace-domain", "--value=nan", "--bound", "-1"): 1,
     ("trace-domain", "--value=1e300", "--bound", "1e300"): None,
     ("escape", "--phi", "1.1", "--grid", "0"): 1,
     ("escape", "--phi", "1.1", "--grid", "-1"): 1,
     ("escape", "--phi", "1.1", "--grid", "1"): 1,
-    ("escape", "--phi", "nan"): None,
+    ("escape", "--phi", "nan"): 1,
     ("escape", "--phi", "1e300"): None,
-    ("phi", "--lam", "nan", "--z1=0+1i", "--z2=0-1i"): None,
+    ("phi", "--lam", "nan", "--z1=0+1i", "--z2=0-1i"): 1,
     ("phi", "--lam", "1.0", "--z1=0", "--z2=0-1i"): None,
     ("phi", "--lam", "1e300", "--z1=1e300", "--z2=0-1i"): None,
     ("doubling", "--t", "-1"): 1,
     ("doubling", "--t", "0"): 1,
-    ("doubling", "--t", "nan"): None,
+    ("doubling", "--t", "nan"): 1,
     ("doubling", "--phi", "1e300"): None,
     ("norm-growth", "--eps", "0"): None,
     ("norm-growth", "--eps", "-1"): None,
-    ("norm-growth", "--eps", "nan"): None,
+    ("norm-growth", "--eps", "nan"): 2,
     ("norm-growth", "--eps", "1e300"): None,
     ("dpi-check", "--seed", "-1"): None,
-    ("dpi-check", "--lam", "nan"): None,
+    ("dpi-check", "--lam", "nan"): 1,
     ("sobolev", "--k", "9"): 1,
     ("sobolev", "--k", "-1"): None,
     ("sobolev", "--eps", "0"): None,
-    ("sobolev", "--eps", "nan"): None,
+    ("sobolev", "--eps", "nan"): 1,
     ("invariant-bound", "--k", "5"): 1,
     ("invariant-bound", "--eps", "-1"): None,
     ("invariant-bound", "--eps", "1e300"): None,
@@ -172,8 +175,10 @@ FUZZ = {
     ("gutzmer", "--width", "0"): 1,
     ("gutzmer", "--width", "-1"): 1,
     ("gutzmer", "--width", "nan"): 1,
+    ("gutzmer", "--r", "-1"): 2,
+    ("gutzmer", "--r", "0.7854"): 2,
     ("hardy-kernel", "--z1=0", "--z2=0-1i"): None,
-    ("hardy-kernel", "--z1=nan", "--z2=0-1i"): None,
+    ("hardy-kernel", "--z1=nan", "--z2=0-1i"): 1,
     ("hardy-kernel", "--z1=1e300", "--z2=0-1i"): None,
     ("hardy-kernel", "--gram", "-1"): None,
     ("kernel", "--width", "0"): 1,
@@ -181,9 +186,9 @@ FUZZ = {
     ("kernel", "--width", "nan"): 1,
     ("maass", "--y", "0"): None,
     ("maass", "--y", "-1"): None,
-    ("maass", "--y", "nan"): None,
+    ("maass", "--y", "nan"): 1,
     ("maass", "--y", "1e300"): None,
-    ("maass", "--nmax", "99"): None,
+    ("maass", "--nmax", "99"): 1,
     ("suite", "--seed", "-1"): None,
 }
 

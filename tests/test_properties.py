@@ -1,5 +1,6 @@
 """Property tests on generated inputs: the symmetric model of pair points,
-the coordinate round trips, and the off-cut invariant of quadratic powers.
+the coordinate round trips, the off-cut invariant of quadratic powers, and
+the invariance and Hermitian symmetry of the Hardy kernel.
 
 Examples are derandomized, so every run draws the same inputs."""
 
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crownkit import crown
+from crownkit import crown, spectral
 from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, exp_lie, k_theta, n_x, p_invariant,
                               p_of_pair, pair_sym, sym_model)
@@ -78,3 +79,14 @@ def test_accepted_quadratics_avoid_the_cut(q):
     on_cut = (np.abs(qv.imag) <= 1e-12 * np.maximum(1.0, np.abs(qv))) & (
         qv.real <= 0.0)
     assert not np.any(on_cut), x[on_cut]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(real_elements, angles, real_elements, angles, real_elements)
+def test_hardy_kernel_is_invariant_and_hermitian(gz, phi_z, gw, phi_w, g):
+    z = crown.elliptic_point(gz, phi_z)
+    w = crown.elliptic_point(gw, phi_w)
+    k = spectral.hardy_kernel(z, w)
+    assert abs(spectral.hardy_kernel(z.apply(g.m), w.apply(g.m)) - k) < (
+        1e-6 * abs(k))
+    assert abs(spectral.hardy_kernel(w, z) - np.conj(k)) <= 1e-15 * abs(k)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import random_crown_point, random_real_element
-from crownkit import spectral
+from crownkit import crown, spectral
 from crownkit.errors import AdmissibilityFailure, DomainError
-from crownkit.liecore import a_t, k_theta
+from crownkit.liecore import a_t, k_theta, n_x
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import SpectralParam, continue_vK, phi_lambda, rep_norm
 
@@ -191,6 +191,19 @@ def test_kernel_g_invariance(rng):
         k1 = spectral.hardy_kernel(z, w)
         k2 = spectral.hardy_kernel(z.apply(g.m), w.apply(g.m))
         assert abs(k1 - k2) < 1e-6 * max(abs(k1), 1e-12)
+
+
+def test_kernel_g_invariance_on_a_pinned_pair():
+    # a fixed x-grid that ignored the pulled vectors' roots missed this
+    # pair by 3.8e-5
+    z = crown.elliptic_point(k_theta(0.9586) @ a_t(0.7061) @ n_x(-0.482),
+                             -0.5492)
+    w = crown.elliptic_point(k_theta(0.0029) @ a_t(3.9107) @ n_x(0.6111),
+                             0.4399)
+    g = k_theta(2.5314) @ a_t(1.3998) @ n_x(0.2008)
+    k1 = spectral.hardy_kernel(z, w)
+    k2 = spectral.hardy_kernel(z.apply(g.m), w.apply(g.m))
+    assert abs(k1 - k2) < 1e-6 * abs(k1)
 
 
 def test_poisson_kernel_polarization(rng):

@@ -207,6 +207,8 @@ def cmd_doubling(args):
 
 def cmd_norm_growth(args):
     eps_list = [float(e) for e in args.eps.split(",")]
+    if not all(math.isfinite(e) for e in eps_list):
+        raise ValueError(f"eps must be finite, got {args.eps}")
     samples = norm_growth(SpectralParam(args.lam), eps_list)
     ratios = [s.log_ratio_sq for s in samples]
     out = {"samples": [{"eps": s.eps, "norm": s.norm} for s in samples],

@@ -1,19 +1,23 @@
 """Shared numeric substrate: adaptive quadrature, grid functions, finite differences.
 
-The quadrature engine is an adaptive Gauss-Kronrod (G7,K15) scheme on panels.
-Initial panel edges are seeded from singularity hints so that adaptive
-bisection clusters dyadically toward algebraic/logarithmic endpoint
-singularities; Kronrod nodes are interior, so hinted singular points are
-never sampled.  Semi-infinite and doubly infinite ranges are mapped to
-finite panels with the rational substitution x = c + t/(1-t).
+The quadrature engine is a globally adaptive Gauss-Kronrod (G7, K15)
+scheme on one pool of panels.  The range is cut at the singularity hints
+into pieces, each integrated under a square-root substitution at its
+hinted or finite end, so bisection clusters dyadically toward algebraic
+and logarithmic singularities; Kronrod nodes are interior, so hinted
+singular points are never sampled.  Infinite ends are mapped to finite
+pieces with the rational substitution x = c + t/(1-t).  Each round
+bisects the panels that carry most of the error and evaluates all new
+panels in a single vectorized integrand call; the loop stops when the
+summed error of all panels meets the request (Shampine, J. Comput. Appl.
+Math. 211, 2008; QUADPACK's global strategy, Piessens et al., 1983).
 
-Everything here is pure and deterministic: panels are processed worst-error
-first and the final reduction is an ordered sum over the panel list.
+Everything here is pure and deterministic: the final reduction is an
+ordered sum over the panels.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -50,8 +54,9 @@ _G7_SLICE = slice(1, 15, 2)  # Gauss nodes sit at the odd Kronrod positions
 class QuadratureConfig:
     """Tolerance policy for adaptive integration.
 
-    abs_tol/rel_tol are the absolute and relative error targets;
-    max_subdivisions caps the number of panel bisections; singularity_hints
+    abs_tol/rel_tol are the absolute and relative targets for the total
+    error; max_subdivisions caps the panel bisections over the whole
+    range; singularity_hints
     lists interior points where the integrand (or a derivative) is singular.
     """
 
@@ -83,9 +88,6 @@ class IntegralResult:
     error: float
     n_panels: int
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 @dataclass(frozen=True)
 class IdentityCheck:
@@ -105,184 +107,170 @@ def _ensure_finite(vals, where):
         raise InvalidIntegrand(f"non-finite integrand sample near {where!r}")
 
 
-def _panel_gk(f, a, b):
-    """One G7/K15 evaluation on [a, b]; returns (integral, error, samples)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _K15_NODES
-    with np.errstate(all="ignore"):  # non-finite samples are policed upstream
-        y = np.asarray(f(x), dtype=complex)
-        k15 = half * np.sum(_K15_WEIGHTS * y)
-        g7 = half * np.sum(_G7_WEIGHTS * y[_G7_SLICE])
+def _panel_gk(y, half):
+    """G7/K15 on a stack of panels: row i of y holds the 15 Kronrod samples
+    of a panel of half-width half[i]; returns (integrals, errors)."""
+    with np.errstate(all="ignore"):
+        k15 = half * (y @ _K15_WEIGHTS)
+        g7 = half * (y[:, _G7_SLICE] @ _G7_WEIGHTS)
         # standard QUADPACK-style sharpened error estimate
-        resasc = half * np.sum(_K15_WEIGHTS * np.abs(y - k15 / (b - a)))
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0 and np.isfinite(resasc):
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return k15, err, y
+        resasc = half * (np.abs(y - (0.5 * k15 / half)[:, None])
+                         @ _K15_WEIGHTS)
+        err = np.abs(k15 - g7)
+        sharp = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    use = (resasc != 0.0) & (err != 0.0) & np.isfinite(resasc)
+    return k15, np.where(use, sharp, err)
 
 
-def _initial_edges(a, b, hints):
-    pts = [a, b]
-    for h in sorted(set(float(h) for h in hints)):
-        if a < h < b:
-            pts.append(h)
-    return sorted(set(pts))
+def _cut(lo, hi, cuts, c, d):
+    """Pieces of [lo, hi] cut at `cuts`, as rows (t0, sign, width, c, d).
 
-
-def _adaptive(f, a, b, cfg):
-    heap = []
-    val, err, y = _panel_gk(f, a, b)
-    _ensure_finite(y, (a, b))
-    heap.append((-err, 0, a, b, val))
-    total, total_err, count = val, err, 1
-
-    subdivisions = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if subdivisions >= cfg.max_subdivisions:
-            raise NonConvergence(
-                f"quadrature error {total_err:.3e} above tolerance after "
-                f"{subdivisions} subdivisions",
-                estimate=total, error=total_err)
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1, y1 = _panel_gk(f, lo, mid)
-        v2, e2, y2 = _panel_gk(f, mid, hi)
-        _ensure_finite(y1, (lo, mid))
-        _ensure_finite(y2, (mid, hi))
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, count, lo, mid, v1))
-        count += 1
-        heapq.heappush(heap, (-e2, count, mid, hi, v2))
-        count += 1
-        subdivisions += 1
-
-    # ordered re-sum for a deterministic, heap-independent reduction
-    panels = sorted((lo, hi, val) for _, _, lo, hi, val in heap)
-    total = sum(p[2] for p in panels)
-    return IntegralResult(total, total_err, len(panels))
-
-
-def _integrate_finite(f, a, b, cfg, sqrt_edges=None):
-    """Split at hints; sides touching a hinted singularity or an interval
-    endpoint are integrated under the square-root substitution, which
-    regularizes algebraic (power < 1) and logarithmic singularities.
-    `sqrt_edges` overrides the substituted edge set (used by the mapped
-    infinite ranges, whose rational transform already tames the far end)."""
-    if sqrt_edges is None:
-        sqrt_edges = {a, b}
-    hint_set = {float(h) for h in cfg.singularity_hints} | set(sqrt_edges)
-    edges = _initial_edges(a, b, hint_set)
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        left = lo in hint_set
-        right = hi in hint_set
-        if left and right:
-            mid = 0.5 * (lo + hi)
-            pieces.append((lo, mid, "left"))
-            pieces.append((mid, hi, "right"))
+    Each side of an edge is integrated in u on [0, width] under the
+    square-root substitution t = t0 + sign u^2, which regularizes
+    algebraic (power < 1) and logarithmic singularities there.  On a
+    mapped infinite range (d != 0) the far edge t = 1 is left regular:
+    decaying integrands need no substitution there."""
+    edges = sorted({lo, hi} | {t for t in cuts if lo < t < hi})
+    rows = []
+    for e0, e1 in zip(edges[:-1], edges[1:]):
+        if d and e1 == hi:
+            rows.append((e0, 1.0, math.sqrt(e1 - e0), c, d))
         else:
-            pieces.append((lo, hi, "left" if left else
-                           ("right" if right else "none")))
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    n_panels = 0
-    for lo, hi, side in pieces:
-        width = hi - lo
-        if side == "none":
-            res = _adaptive(f, lo, hi, cfg)
-        elif side == "left":
-            # x = lo + u^2: du-integrand 2 u f(lo + u^2)
-            res = _adaptive(
-                lambda u, lo=lo: 2.0 * u * np.asarray(
-                    f(lo + u * u), dtype=complex),
-                0.0, math.sqrt(width), cfg)
-        else:
-            res = _adaptive(
-                lambda u, hi=hi: 2.0 * u * np.asarray(
-                    f(hi - u * u), dtype=complex),
-                0.0, math.sqrt(width), cfg)
-        total += res.value
-        total_err += res.error
-        n_panels += res.n_panels
-    return IntegralResult(total, total_err, n_panels)
+            mid = 0.5 * (e0 + e1)
+            rows += [(e0, 1.0, math.sqrt(mid - e0), c, d),
+                     (e1, -1.0, math.sqrt(e1 - mid), c, d)]
+    return rows
+
+
+def _pieces(a, b, hints):
+    """Cut a < b into pieces, each a map u -> x on [0, width]: x = t on a
+    finite range; an infinite end is reached by x = c + d t/(1 - t) on
+    t in [0, 1), mirrored (d = -1) for -inf.  A doubly infinite range
+    is split at the midpoint of its hints."""
+    if math.isfinite(a) and math.isfinite(b):
+        return _cut(a, b, hints, 0.0, 0.0)
+    if math.isinf(a) and math.isinf(b):
+        split = 0.5 * (min(hints) + max(hints)) if hints else 0.0
+        ends = [(split, -1.0), (split, 1.0)]
+    else:
+        ends = [(a, 1.0)] if math.isinf(b) else [(b, -1.0)]
+    rows = []
+    for c, d in ends:
+        cuts = [d * (h - c) / (1.0 + d * (h - c)) for h in hints
+                if d * (h - c) > 0.0]
+        rows += _cut(0.0, 1.0, cuts, c, d)
+    return rows
 
 
 def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     """Integrate a complex-valued f over (a, b), either endpoint may be inf.
 
-    `f` is called with a numpy array of sample points.  Listed
-    singularities must sit at hinted points or endpoints.  Raises
-    NonConvergence when the subdivision budget is exhausted and
+    `f` is called with a 1-d numpy array of sample points, once per
+    round.  Listed singularities must sit at hinted points or endpoints.
+    The reported error bounds the total over all panels and is within
+    max(abs_tol, rel_tol |value|).  Raises NonConvergence when
+    cfg.max_subdivisions bisections do not meet that request and
     InvalidIntegrand on NaN/Inf samples.
     """
     a = float(a)
     b = float(b)
     if a == b:
         return IntegralResult(0.0 + 0.0j, 0.0, 0)
+    sign = 1.0
     if a > b:
-        res = integrate(f, b, a, cfg)
-        return IntegralResult(-res.value, res.error, res.n_panels)
+        a, b, sign = b, a, -1.0
+    hints = [float(h) for h in cfg.singularity_hints]
+    t0, tsign, width, c, d = map(np.array, zip(*_pieces(a, b, hints)))
 
-    if math.isinf(a) and math.isinf(b):
-        hints = list(cfg.singularity_hints) or [0.0]
-        split = 0.5 * (min(hints) + max(hints))
-        left = integrate(f, a, split, cfg)
-        right = integrate(f, split, b, cfg)
-        return IntegralResult(left.value + right.value,
-                              left.error + right.error,
-                              left.n_panels + right.n_panels)
+    def evaluate(piece, lo, hi):
+        half = 0.5 * (hi - lo)
+        u = (lo + half)[:, None] + half[:, None] * _K15_NODES
+        x = t0[piece, None] + tsign[piece, None] * u * u
+        jac = 2.0 * u
+        # t is kept below 1 so the map stays finite under deep bisection
+        far = d[piece] != 0.0
+        t = np.minimum(x[far], 1.0 - 1e-14)
+        x[far] = c[piece[far], None] + d[piece[far], None] * t / (1.0 - t)
+        jac[far] /= (1.0 - t) ** 2
+        with np.errstate(all="ignore"):  # non-finite samples are policed below
+            y = jac * np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+        _ensure_finite(y, (float(x.min()), float(x.max())))
+        return _panel_gk(y, half)
 
-    if math.isinf(b):
-        # x = a + t/(1-t) maps [0,1) to [a, inf); the far end needs no
-        # substitution (decaying integrands are regular at t = 1), and t
-        # is kept below 1 so the map stays finite under deep bisection
-        hints = [h - a for h in cfg.singularity_hints if h > a]
-        tcfg = cfg.with_hints([h / (1.0 + h) for h in hints])
+    piece = np.arange(width.size)
+    lo = np.zeros(width.size)
+    hi = width
+    val, err = evaluate(piece, lo, hi)
+    subdivisions = 0
+    while True:
+        total, total_err = val.sum(), err.sum()
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if total_err <= tol:
+            break
+        if subdivisions >= cfg.max_subdivisions:
+            raise NonConvergence(
+                f"quadrature error {total_err:.3e} above tolerance after "
+                f"{subdivisions} subdivisions",
+                estimate=sign * total, error=total_err)
+        # bisect the fewest worst panels that carry all but tol/2 of the
+        # error, leaving out those below 1% of the worst
+        order = np.argsort(-err, kind="stable")
+        n = int(np.searchsorted(np.cumsum(err[order]), total_err - 0.5 * tol))
+        pick = order[:n + 1]
+        pick = pick[err[pick] >= 0.01 * err[pick[0]]]
+        pick = pick[:cfg.max_subdivisions - subdivisions]
+        subdivisions += pick.size
+        mid = 0.5 * (lo[pick] + hi[pick])
+        new = (np.tile(piece[pick], 2), np.concatenate([lo[pick], mid]),
+               np.concatenate([mid, hi[pick]]))
+        new += evaluate(*new)
+        piece, lo, hi, val, err = (
+            np.concatenate([np.delete(old, pick), part])
+            for old, part in zip((piece, lo, hi, val, err), new))
 
-        def g(t):
-            t = np.minimum(np.asarray(t), 1.0 - 1e-14)
-            x = a + t / (1.0 - t)
-            return np.asarray(f(x), dtype=complex) / (1.0 - t) ** 2
-
-        return _integrate_finite(g, 0.0, 1.0, tcfg, sqrt_edges={0.0})
-
-    if math.isinf(a):
-        res = integrate(lambda x: np.asarray(f(-np.asarray(x)), dtype=complex),
-                        -b, math.inf, cfg.with_hints(
-                            [-h for h in cfg.singularity_hints]))
-        return res
-
-    return _integrate_finite(f, a, b, cfg)
+    # ordered sum for a deterministic, refinement-independent reduction
+    order = np.lexsort((lo, piece))
+    return IntegralResult(sign * val[order].sum(), total_err, val.size)
 
 
-def integrate_periodic(f, period: float = 2.0 * np.pi, *,
-                       abs_tol: float = 1e-12, rel_tol: float = 1e-11,
-                       n_start: int = 32, n_max: int = 1 << 16) -> IntegralResult:
-    """Trapezoidal integration of a smooth periodic function over one period.
+#: integrate_periodic's period, tolerances, node counts and block size
+_PERIOD = 2.0 * np.pi
+_PERIODIC_ABS_TOL = 1e-12
+_PERIODIC_REL_TOL = 1e-11
+_PERIODIC_N_START = 32
+_PERIODIC_N_MAX = 1 << 16
+_PERIODIC_BLOCK = 4096
+
+
+def _periodic_sum(f, n, offset):
+    """Sum of f at the nodes (k + offset) period/n, k < n, in blocks."""
+    total = 0.0 + 0.0j
+    for start in range(0, n, _PERIODIC_BLOCK):
+        k = np.arange(start, min(n, start + _PERIODIC_BLOCK))
+        vals = np.asarray(f((k + offset) * (_PERIOD / n)), dtype=complex)
+        _ensure_finite(vals, "periodic grid")
+        total += np.sum(vals)
+    return total
+
+
+def integrate_periodic(f) -> IntegralResult:
+    """Trapezoidal integration of a smooth 2 pi-periodic function over one
+    period.
 
     Doubles the node count until two successive levels agree; spectrally
-    accurate for analytic integrands.
+    accurate for analytic integrands.  Only the running sum is kept, and
+    the integrand sees at most _PERIODIC_BLOCK nodes per call.
     """
-    n = n_start
-    x = np.arange(n) * (period / n)
-    vals = np.asarray(f(x), dtype=complex)
-    _ensure_finite(vals, "periodic grid")
-    prev = np.mean(vals) * period
-    while n <= n_max:
+    n = _PERIODIC_N_START
+    prev = _periodic_sum(f, n, 0.0) * (_PERIOD / n)
+    while n <= _PERIODIC_N_MAX:
         # new nodes are the midpoints of the current grid
-        xm = x + period / (2 * n)
-        vm = np.asarray(f(xm), dtype=complex)
-        _ensure_finite(vm, "periodic grid")
-        cur = 0.5 * prev + np.sum(vm) * period / (2 * n)
+        cur = 0.5 * prev + _periodic_sum(f, n, 0.5) * (_PERIOD / (2 * n))
         n *= 2
-        x = np.sort(np.concatenate([x, xm]))
         diff = abs(cur - prev)
         prev = cur
-        if diff <= max(abs_tol, rel_tol * abs(cur)):
+        if diff <= max(_PERIODIC_ABS_TOL, _PERIODIC_REL_TOL * abs(cur)):
             return IntegralResult(cur, diff, n)
-        vals = None  # values are folded into `prev`; only nodes are kept
     raise NonConvergence("periodic rule did not stabilize", estimate=prev,
                          error=diff)
 

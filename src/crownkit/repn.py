@@ -31,9 +31,8 @@ from .errors import (DomainError, NotInCrown, SampleUnderflow,
 from .horo import log_aC_orbit
 from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
                       LieVector, exp_lie)
-from .numerics import (GridFunction, IdentityCheck, QuadratureConfig,
-                       REPRESENTATION_CFG, integrate, integrate_periodic,
-                       l2_norm)
+from .numerics import (GridFunction, IdentityCheck, REPRESENTATION_CFG,
+                       integrate, integrate_periodic, l2_norm)
 from .pairmodel import PairPoint
 from .vectors import (FlowPulled, MobiusPulled, QuadraticPower, SmoothVector,
                       _leibniz, _poly_jets)
@@ -114,17 +113,17 @@ def _apply_pi_grid(param, g, f: GridFunction) -> GridFunction:
     return GridFunction(x, vals, f.tail_exponent)
 
 
-def rep_norm(vec, cfg: QuadratureConfig = REPRESENTATION_CFG) -> float:
+def rep_norm(vec) -> float:
     """L^2 norm of a representation vector."""
     if isinstance(vec, GridFunction):
         return l2_norm(vec)
     lo, hi = vec.support if vec.support is not None else (-math.inf, math.inf)
     res = integrate(lambda x: np.abs(vec.value(x)) ** 2, lo, hi,
-                    cfg.with_hints(vec.hints))
+                    REPRESENTATION_CFG.with_hints(vec.hints))
     return math.sqrt(max(res.value.real, 0.0))
 
 
-def rep_pairing(u, v, cfg: QuadratureConfig = REPRESENTATION_CFG) -> complex:
+def rep_pairing(u, v) -> complex:
     """Hermitian pairing <u, v> = int u(x) conj(v(x)) dx."""
     sup_u = u.support if u.support is not None else (-math.inf, math.inf)
     sup_v = v.support if v.support is not None else (-math.inf, math.inf)
@@ -133,7 +132,7 @@ def rep_pairing(u, v, cfg: QuadratureConfig = REPRESENTATION_CFG) -> complex:
         return 0.0 + 0.0j
     hints = tuple(sorted(set(u.hints) | set(v.hints)))
     res = integrate(lambda x: u.value(x) * np.conj(v.value(x)), lo, hi,
-                    cfg.with_hints(hints))
+                    REPRESENTATION_CFG.with_hints(hints))
     return res.value
 
 
@@ -227,24 +226,18 @@ def dpi_fd_gap(param: SpectralParam, direction: str, f: SmoothVector,
     return float(np.max(np.abs(fd - an))) / scale
 
 
-def _boundary_theta_hints(z1, z2):
-    """Angles where a real coordinate is rotated through infinity."""
-    hints = []
-    for w in (z1, z2):
-        if abs(w.imag) < 1e-9:
-            t = math.atan2(1.0, w.real) % math.pi
-            hints += [t, t + math.pi]
-    return hints
-
-
 def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
     """Holomorphically extended spherical function at a crown point.
 
     Real points of X are the degenerate case, where the value is real and
     positive.  Points on the closed crown whose trace stays off the slit
-    (-inf, -2] are admitted too: the rotation integrand then acquires
-    integrable inverse-square-root spikes, handled by hinted adaptive
-    quadrature.
+    (-inf, -2] are admitted too.  There the factor cos theta - z_j sin theta
+    = rho_j sin(t_j - theta) - i y_j sin theta of each real coordinate
+    (t_j = atan2(1, x_j), rho_j = |x_j + i|) gives the pi-periodic rotation
+    integrand an inverse-square-root spike at t_j.  Each arc between spikes
+    is integrated as two halves in the offset s >= 0 from an end spike,
+    with sine arguments (t_j - t_anchor) -+ s, so a spike sits exactly at
+    the quadrature endpoint s = 0.
     """
     z1, z2 = z.finite()
     margin = min(z1.imag, -z2.imag)
@@ -257,11 +250,33 @@ def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
             lambda th: np.exp(exponent * log_aC_orbit(z, th)))
         return res.value / (2.0 * math.pi)
 
-    hints = _boundary_theta_hints(z1, z2)
-    cfg = REPRESENTATION_CFG.with_hints(hints)
-    res = integrate(lambda th: np.exp(exponent * log_aC_orbit(z, th)),
-                    0.0, 2.0 * math.pi, cfg)
-    return res.value / (2.0 * math.pi)
+    zeta0_sq = (z1 - z2) / 2j
+    coords = [(math.atan2(1.0, w.real), math.hypot(1.0, w.real), w.imag)
+              for w in (z1, z2)]
+    spikes = sorted(t for t, _, y in coords if abs(y) <= 1e-9)
+    ends = spikes + [spikes[0] + math.pi]
+    # (anchor spike, signed half-length) of each half arc, all integrated
+    # at once over the offset scaled to [0, 1]; moving a half by pi flips
+    # the sign of both factors, which cancels
+    halves = []
+    for i, t in enumerate(spikes):
+        half = 0.5 * (ends[i + 1] - t)
+        halves += [(t, half), (spikes[(i + 1) % len(spikes)], -half)]
+
+    def integrand(v):
+        total = 0.0
+        for anchor, step in halves:
+            s = step * v
+            denom = 1.0
+            for t, rho, y in coords:
+                denom = denom * (rho * np.sin((t - anchor) - s)
+                                 - 1j * y * np.sin(anchor + s))
+            total = total + abs(step) * np.exp(
+                exponent * (0.5 * np.log(zeta0_sq / denom)))
+        return total
+
+    res = integrate(integrand, 0.0, 1.0, REPRESENTATION_CFG)
+    return res.value / math.pi
 
 
 def doubling_check(param: SpectralParam, a: GroupElement,
@@ -332,14 +347,13 @@ class HFunctional:
         return out
 
 
-def h_functional_eval(hf: HFunctional, psi: SmoothVector,
-                      cfg: QuadratureConfig = REPRESENTATION_CFG) -> complex:
+def h_functional_eval(hf: HFunctional, psi: SmoothVector) -> complex:
     """<psi, hf>: regularized pairing with hints at the endpoint
     singularities x = +-1 (integrable, of inverse-square-root modulus)."""
     hints = tuple(sorted(set(hf.hints) | set(psi.hints)))
     lo, hi = psi.support if psi.support is not None else (-math.inf, math.inf)
     res = integrate(lambda x: psi.value(x) * np.conj(hf.value(x)), lo, hi,
-                    cfg.with_hints(hints))
+                    REPRESENTATION_CFG.with_hints(hints))
     return res.value
 
 

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import GridResolution
 from .liecore import GroupElement, K0, b_t
-from .numerics import (GridFunction, IdentityCheck, QuadratureConfig,
-                       REPRESENTATION_CFG)
+from .numerics import GridFunction, IdentityCheck
 from .repn import SpectralParam, apply_pi, d_pi, rep_norm
 from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
                       SmoothVector, Sum, WeightedDeriv)
@@ -42,6 +41,7 @@ _SUBGROUP_DIRECTION = {
 }
 
 MAX_ORDER = 4  # jet composition depth bounds the usable derivative order
+_M_MAX = 64    # deepest dyadic depth choose_m tries
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def _monomials(k: int):
                 yield k1, k2, k3
 
 
-def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec,
-                 cfg: QuadratureConfig = REPRESENTATION_CFG) -> float:
+def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     """Sobolev norm of order spec.k, full or restricted to one subgroup."""
     if isinstance(f, GridFunction):
         raise GridResolution("Sobolev norms need closed-form vectors; "
@@ -76,7 +75,7 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec,
         total = 0.0
         vec: SmoothVector = f
         for _ in range(spec.k + 1):
-            total += rep_norm(vec, cfg)
+            total += rep_norm(vec)
             vec = d_pi(param, direction, vec)
         return total
     total = 0.0
@@ -88,12 +87,11 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec,
             vec = d_pi(param, "e", vec)
         for _ in range(k1):
             vec = d_pi(param, "h", vec)
-        total += rep_norm(vec, cfg)
+        total += rep_norm(vec)
     return total
 
 
-def radial_norm(f: SmoothVector, k: int,
-                cfg: QuadratureConfig = REPRESENTATION_CFG) -> float:
+def radial_norm(f: SmoothVector, k: int) -> float:
     """Sum of the norms of the radial operators x^j d^j/dx^j, j = 0..k."""
     if k > MAX_ORDER:
         raise ValueError(f"radial order {k} above {MAX_ORDER}")
@@ -101,7 +99,7 @@ def radial_norm(f: SmoothVector, k: int,
     for j in range(k + 1):
         weight = np.zeros(j + 1, dtype=complex)
         weight[j] = 1.0
-        total += rep_norm(WeightedDeriv(f, weight, j), cfg)
+        total += rep_norm(WeightedDeriv(f, weight, j))
     return total
 
 
@@ -163,32 +161,30 @@ class InvariantBound:
     m: int
 
 
-def _dyadic_rhs(param, f, k, m, cfg):
+def _dyadic_rhs(param, f, k, m):
     dec = build_dyadic(m)
     psi2 = DilatedArg(RadialStep(1.0, 2.0), 2.0)  # tau + phi = 1 - psi(2x)
     one = PolyVector([1.0])
     outer_cut = Sum([(1.0, one), (-1.0, psi2)])
-    outer = sobolev_norm(param, Product(outer_cut, f), SobolevSpec(k), cfg)
+    outer = sobolev_norm(param, Product(outer_cut, f), SobolevSpec(k))
     inner_vec = apply_pi(param, dec.inner_element, Product(dec.tau_m, f))
-    inner = sobolev_norm(param, inner_vec, SobolevSpec(k), cfg)
+    inner = sobolev_norm(param, inner_vec, SobolevSpec(k))
     blocks = []
     for j in range(1, m + 1):
         piece = apply_pi(param, dec.block_elements[j - 1],
                          Product(dec.phis[j], f))
-        blocks.append(sobolev_norm(param, piece, SobolevSpec(k), cfg))
+        blocks.append(sobolev_norm(param, piece, SobolevSpec(k)))
     return outer, inner, tuple(blocks)
 
 
-def _display(param, h, k, cfg):
-    return (sobolev_norm(param, h, SobolevSpec(k, "Nbar"), cfg)
-            + rep_norm(h, cfg)
-            + sobolev_norm(param, h, SobolevSpec(k, "A"), cfg))
+def _display(param, h, k):
+    return (sobolev_norm(param, h, SobolevSpec(k, "Nbar"))
+            + rep_norm(h)
+            + sobolev_norm(param, h, SobolevSpec(k, "A")))
 
 
 def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
-                          m: int,
-                          cfg: QuadratureConfig = REPRESENTATION_CFG
-                          ) -> InvariantBound:
+                          m: int) -> InvariantBound:
     """Computable upper bound on the G-invariant Sobolev norm of f.
 
     `dyadic_rhs` is the literal dyadic estimate with the canonical
@@ -204,19 +200,19 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     smallest display value over this canonical move family, each member
     of which dominates the invariant norm up to the same uniform constant.
     """
-    outer, inner, blocks = _dyadic_rhs(param, f, k, m, cfg)
+    outer, inner, blocks = _dyadic_rhs(param, f, k, m)
     dyadic_rhs = outer + inner + sum(blocks)
-    comparison = _display(param, f, k, cfg)
+    comparison = _display(param, f, k)
 
     # rotate so the singular circle points land on the contraction fixed
     # points, then push with a_t until the Nbar block collapses to ~||f||
-    norm_f = rep_norm(f, cfg)
+    norm_f = rep_norm(f)
     rotated = apply_pi(param, K0, f)
-    s_a_rot = sobolev_norm(param, rotated, SobolevSpec(k, "A"), cfg)
+    s_a_rot = sobolev_norm(param, rotated, SobolevSpec(k, "A"))
     nbar_norms = []
     vec = rotated
     for _ in range(k + 1):
-        nbar_norms.append(rep_norm(vec, cfg))
+        nbar_norms.append(rep_norm(vec))
         vec = d_pi(param, "f", vec)
     t = 1.0
     for _ in range(64):
@@ -235,28 +231,25 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
                           push_scale=t, m=m)
 
 
-def choose_m(param: SpectralParam, f: SmoothVector, k: int,
-             m_max: int = 64,
-             cfg: QuadratureConfig = REPRESENTATION_CFG) -> int:
+def choose_m(param: SpectralParam, f: SmoothVector, k: int) -> int:
     """Smallest dyadic depth (by doubling search) whose innermost block is
     dominated by ||f||; the localized low-frequency mass is then absorbed."""
-    target = rep_norm(f, cfg)
+    target = rep_norm(f)
     m = 1
-    while m <= m_max:
+    while m <= _M_MAX:
         dec = build_dyadic(m)
         inner_vec = apply_pi(param, dec.inner_element, Product(dec.tau_m, f))
-        if sobolev_norm(param, inner_vec, SobolevSpec(k), cfg) <= target:
+        if sobolev_norm(param, inner_vec, SobolevSpec(k)) <= target:
             return m
         m *= 2
-    return m_max
+    return _M_MAX
 
 
-def rotate_A_to_H(param: SpectralParam, f: SmoothVector, k: int,
-                  cfg: QuadratureConfig = REPRESENTATION_CFG
-                  ) -> IdentityCheck:
+def rotate_A_to_H(param: SpectralParam, f: SmoothVector,
+                  k: int) -> IdentityCheck:
     """The rotation k0 = (1/sqrt 2)[[1, 1], [-1, 1]] conjugates the torus
     into the hyperbolic subgroup, so S_{k,A}(pi(k0) f) = S_{k,H}(f): lhs
     is the former, rhs the latter."""
-    lhs = sobolev_norm(param, apply_pi(param, K0, f), SobolevSpec(k, "A"), cfg)
-    rhs = sobolev_norm(param, f, SobolevSpec(k, "H"), cfg)
+    lhs = sobolev_norm(param, apply_pi(param, K0, f), SobolevSpec(k, "A"))
+    rhs = sobolev_norm(param, f, SobolevSpec(k, "H"))
     return IdentityCheck(lhs, rhs)

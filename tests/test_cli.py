@@ -156,7 +156,8 @@ FUZZ = {
     ("doubling", "--phi", "1e300"): None,
     ("norm-growth", "--eps", "0"): None,
     ("norm-growth", "--eps", "-1"): None,
-    ("norm-growth", "--eps", "nan"): 2,
+    ("norm-growth", "--eps", "nan"): 1,
+    ("norm-growth", "--eps", "1e-2,inf"): 1,
     ("norm-growth", "--eps", "1e300"): None,
     ("dpi-check", "--seed", "-1"): None,
     ("dpi-check", "--lam", "nan"): 1,

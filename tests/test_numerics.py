@@ -7,9 +7,10 @@ import pytest
 from scipy import integrate as sci
 
 from crownkit.errors import InvalidIntegrand, NonConvergence, NonIntegrableTail
-from crownkit.numerics import (GEOMETRY_CFG, GridFunction, QuadratureConfig,
-                               finite_diff, integrate, integrate_periodic,
-                               l2_norm)
+from crownkit.numerics import (GEOMETRY_CFG, REPRESENTATION_CFG,
+                               GridFunction, QuadratureConfig, finite_diff,
+                               integrate, integrate_periodic, l2_norm)
+from crownkit.repn import SpectralParam, continue_vK
 
 
 def test_zero_integrand():
@@ -67,6 +68,18 @@ def test_linearity(rng):
 def test_complex_values():
     res = integrate(lambda x: np.exp(1j * x), 0.0, math.pi)
     assert abs(res.value - 2j) < 1e-10
+
+
+def test_reported_error_within_request():
+    # the norm integrals of the continued spherical vector: hinted, doubly
+    # infinite, with logarithmic mass gathering at x = +-1 as eps falls
+    cfg = REPRESENTATION_CFG
+    param = SpectralParam(1.0)
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        vec = continue_vK(param, eps)
+        res = integrate(lambda x: np.abs(vec.value(x)) ** 2, -math.inf,
+                        math.inf, cfg.with_hints(vec.hints))
+        assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
 def test_invalid_integrand_raises():

@@ -1,6 +1,7 @@
 """Property tests on generated inputs: the symmetric model of pair points,
-the coordinate round trips, the off-cut invariant of quadratic powers, and
-the invariance and Hermitian symmetry of the Hardy kernel.
+the coordinate round trips, the off-cut invariant of quadratic powers, the
+rotation invariance of the spherical function, and the invariance and
+Hermitian symmetry of the Hardy kernel.
 
 Examples are derandomized, so every run draws the same inputs."""
 
@@ -10,10 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crownkit import crown, spectral
+from crownkit import crown, repn, spectral
 from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, exp_lie, k_theta, n_x, p_invariant,
                               p_of_pair, pair_sym, sym_model)
+from crownkit.pairmodel import PairPoint
 from crownkit.vectors import QuadraticPower
 
 GEOMETRY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -79,6 +81,23 @@ def test_accepted_quadratics_avoid_the_cut(q):
     on_cut = (np.abs(qv.imag) <= 1e-12 * np.maximum(1.0, np.abs(qv))) & (
         qv.real <= 0.0)
     assert not np.any(on_cut), x[on_cut]
+
+
+# interior points of the crown, and points (-1, 1) g of the distinguished
+# boundary orbit, where the rotation integrand has inverse-square-root spikes
+crown_and_boundary_points = st.one_of(
+    st.builds(crown.elliptic_point, real_elements, angles),
+    real_elements.map(lambda g: PairPoint(-1.0, 1.0).apply(g.m)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.floats(0.25, 2.5), crown_and_boundary_points,
+       st.floats(0.0, math.pi))
+def test_phi_lambda_is_rotation_invariant(lam, z, theta):
+    param = repn.SpectralParam(lam)
+    value = repn.phi_lambda(param, z)
+    rotated = repn.phi_lambda(param, z.apply(k_theta(theta).m))
+    assert _close(rotated, value, 1e-9)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -147,6 +147,16 @@ def test_phi_lambda_real_points_match_conical_oracle():
                 assert mine.real > 0
 
 
+def test_phi_lambda_on_the_boundary_matches_norm_oracle():
+    # (-1, 1) = exp(i pi/4 h) x0 doubles exp(i pi/8 h) x0, so phi there is
+    # the squared norm of the vector continued to eps = pi/8; the rotation
+    # integrand has an inverse-square-root spike at each coordinate
+    param = SpectralParam(1.0)
+    lhs = phi_lambda(param, PairPoint(-1.0, 1.0))
+    rhs = rep_norm(continue_vK(param, math.pi / 8.0)) ** 2
+    assert abs(lhs - rhs) <= 1e-9 * rhs
+
+
 def test_phi_lambda_rejects_outside():
     with pytest.raises(NotInCrown):
         phi_lambda(SpectralParam(1.0), PairPoint(2j, 3j))

@@ -295,7 +295,8 @@ def cmd_gutzmer(args):
     status = "pass" if check.gap < 1e-2 else "fail"
     return emit("gutzmer",
                 {"r": args.r, "center": args.center, "width": args.width},
-                {"lhs": check.lhs, "rhs": check.rhs, "gap": check.gap},
+                {"lhs": check.lhs, "rhs": check.rhs, "gap": check.gap,
+                 "orbit_grid": spectral.orbit_quadrature(density).summary()},
                 status, provenance="orbital mass vs spectral integral")
 
 

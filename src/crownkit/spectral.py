@@ -160,27 +160,24 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 # -- transform, Parseval, calibration ----------------------------------------
 
-@lru_cache(maxsize=4)
-def _radial_quad(r_max: float = 36.0, n_per_panel: int = 48):
-    edges = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    return gauss_legendre_grid([e for e in edges if e < r_max] + [r_max],
-                               n_per_panel)
+@lru_cache(maxsize=1)
+def _radial_quad():
+    """Graded Gauss-Legendre rule on the radial range [0, 36]."""
+    return gauss_legendre_grid([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 36.0], 48)
 
 
-@lru_cache(maxsize=4)
-def _default_phi_matrix(lam_max: float = 32.0, r_max: float = 36.0):
-    nodes, _ = _lambda_quad(lam_max)
-    r, _ = _radial_quad(r_max)
-    return phi_radial_matrix(nodes, r)
+@lru_cache(maxsize=1)
+def _default_phi_matrix():
+    """phi on the default lam grid by the radial grid, built once."""
+    return phi_radial_matrix(_lambda_quad()[0], _radial_quad()[0])
 
 
 def spherical_transform(f_radial, lam_grid: np.ndarray | None = None,
-                        r_max: float = 36.0,
                         decay_tag: str = "super-exponential"
                         ) -> SpectralDensity:
     """Transform of a radial function given as a vectorized callable of the
     geodesic radius: F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr."""
-    r, w = _radial_quad(r_max)
+    r, w = _radial_quad()
     fr = np.asarray(f_radial(r), dtype=complex)
     if not np.all(np.isfinite(fr)):
         raise ValueError("radial profile produced non-finite samples")
@@ -188,16 +185,16 @@ def spherical_transform(f_radial, lam_grid: np.ndarray | None = None,
     if lam_grid is None or (np.asarray(lam_grid).shape == default_nodes.shape
                             and np.allclose(lam_grid, default_nodes)):
         lam_grid = default_nodes
-        phi = _default_phi_matrix(r_max=r_max)
+        phi = _default_phi_matrix()
     else:
         phi = phi_radial_matrix(np.asarray(lam_grid, dtype=float), r)
     vals = TWO_PI * phi @ (w * fr * np.sinh(r))
     return SpectralDensity(np.asarray(lam_grid, dtype=float), vals, decay_tag)
 
 
-def radial_l2_mass(f_radial, r_max: float = 36.0) -> float:
+def radial_l2_mass(f_radial) -> float:
     """Int_X |f|^2 = 2 pi Int |f(r)|^2 sinh(r) dr for radial f."""
-    r, w = _radial_quad(r_max)
+    r, w = _radial_quad()
     fr = np.asarray(f_radial(r), dtype=complex)
     return float(TWO_PI * np.sum(w * np.abs(fr) ** 2 * np.sinh(r)))
 
@@ -389,8 +386,7 @@ def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
     return _pairing(lams, frame, frame).real
 
 
-def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight,
-                         n_per_panel: int = 16):
+def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
     """GL rule concentrated where the weighted density actually lives."""
     grid = density.lambda_grid
     mass = np.abs(density.values) * np.maximum(weight.density(grid), 0.0)
@@ -400,17 +396,17 @@ def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight,
     lo = max(0.0, lo - 0.25)
     hi = min(float(grid[-1]), hi + 0.25)
     edges = np.linspace(lo, hi, 5)
-    return gauss_legendre_grid(edges, n_per_panel)
+    return gauss_legendre_grid(edges, 16)
 
 
-def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas, theta_w,
-                    n_per_octave: int = 12) -> float:
+def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas,
+                    theta_w) -> float:
     """Theta-average of |f|^2 over a_s k_theta exp(irh) x0, vectorized.
 
     One geometric x-grid serves the whole rotation orbit: the pulled
     quadratic's complex roots sit at |x| ~ s^2 with imaginary parts a
-    fixed fraction of their modulus, so per-octave panels resolve them
-    uniformly in s.
+    fixed fraction of their modulus, so per-octave panels of 8 nodes
+    resolve them uniformly in s.
     """
     reach = 64.0 * max(1.0, s * s)
     edges = [0.0]
@@ -419,7 +415,7 @@ def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas, theta_w,
         edges.append(e)
         e *= 2.0
     edges.append(reach)
-    half_x, half_w = gauss_legendre_grid(edges, n_per_octave)
+    half_x, half_w = gauss_legendre_grid(edges, 8)
     xs = np.concatenate([-half_x[::-1], half_x])
     ws = np.concatenate([half_w[::-1], half_w])
 
@@ -433,6 +429,69 @@ def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas, theta_w,
     return total
 
 
+#: the orbital mass drops the radial tail of |f|^2 beyond this fraction
+RHO_TAIL_TOL = 1e-7
+
+
+@dataclass(frozen=True)
+class OrbitQuadrature:
+    """The grids of one orbital mass: lam nodes with the inverse-transform
+    coefficients of f, and the rho and theta rules of the Cartan
+    coordinates, truncated at rho_max, which drops the fraction
+    tail_fraction of the radial mass of |f|^2."""
+
+    lam_nodes: np.ndarray
+    coeff: np.ndarray
+    rho_nodes: np.ndarray
+    rho_weights: np.ndarray
+    theta_nodes: np.ndarray
+    theta_weights: np.ndarray
+    rho_max: float
+    tail_fraction: float
+
+    def summary(self) -> dict:
+        return {"rho_max": self.rho_max, "tail_fraction": self.tail_fraction,
+                "n_rho": self.rho_nodes.size, "n_theta": self.theta_nodes.size,
+                "n_lambda": self.lam_nodes.size}
+
+
+def orbit_quadrature(density: SpectralDensity,
+                     weight: PlancherelWeight | None = None,
+                     rho_max: float | None = None) -> OrbitQuadrature:
+    """The grids `orbital_mass` integrates on.
+
+    The radial cut reads the profile f(r) = c Int d(lam) phi_lam(r) w(lam)
+    d lam off the default phi matrix, which calibration has built, and
+    ends the rho range one unit past the last radius at which the radial
+    mass of |f|^2 still left beyond it exceeds RHO_TAIL_TOL of the total
+    (rho_max = 8 for a zero profile).  An explicit rho_max overrides the
+    cut; tail_fraction is the profile mass beyond rho_max either way.
+    """
+    if weight is None:
+        weight = calibrated_weight()
+    nodes, lam_w = _adapted_lambda_quad(density, weight)
+    coeff = lam_w * density(nodes) * weight.density(nodes)
+
+    grid, grid_w = _lambda_quad()
+    r_nodes, r_w = _radial_quad()
+    prof = ((grid_w * density(grid) * weight.density(grid))
+            @ _default_phi_matrix())
+    prof = np.abs(prof) ** 2 * np.sinh(r_nodes) * r_w
+    total = float(prof.sum())
+    if rho_max is None:
+        beyond = np.cumsum(prof[::-1])[::-1]
+        keep = r_nodes[beyond > RHO_TAIL_TOL * total]
+        rho_max = float(keep.max()) + 1.0 if keep.size else 8.0
+    tail = float(prof[r_nodes > rho_max].sum()) / total if total > 0 else 0.0
+
+    rho_nodes, rho_w = gauss_legendre_grid(
+        np.linspace(0.0, rho_max, max(5, int(rho_max * 0.75))), 6)
+    theta_nodes, theta_w = gauss_legendre_grid(
+        np.linspace(0.0, math.pi, 7), 4)
+    return OrbitQuadrature(nodes, coeff, rho_nodes, rho_w, theta_nodes,
+                           theta_w, rho_max, tail)
+
+
 def orbital_mass(density: SpectralDensity, r: float,
                  weight: PlancherelWeight | None = None,
                  rho_max: float | None = None) -> float:
@@ -444,31 +503,28 @@ def orbital_mass(density: SpectralDensity, r: float,
     (unit-mass rotation factors; the constant is pinned by the r = 0
     radial reduction).  Left K-invariance of f removes dk1, so the sample
     points are a_{e^{rho/2}} k_theta exp(i r h) x0, and the spherical
-    values come from the alias-free matrix-coefficient pairing.
+    values come from the alias-free matrix-coefficient pairing on 8
+    Gauss-Legendre x-nodes per octave (12 moved the mass by at most 8.4e-9
+    relative on four test densities).
+
+    The rho range ends where the radial mass of |f|^2 left beyond it is at
+    most RHO_TAIL_TOL = 1e-7 of the total (`orbit_quadrature`), below
+    every Gutzmer gap measured (2.9e-7 and up).  The cut is read off the
+    default grid, and the tolerance is not smaller, because of noise: on
+    the 64-node adapted lam rule the profile aliases e^{i lam r/2} at
+    large r (|f| of the (3, 1) Gaussian rises from 5e-13 at r = 30 to
+    2e-11 at r = 35, while phi_lam decays like e^{-r/2}), and a 1e-9
+    tolerance lies below that floor: it ran the rho range to 30-37 for
+    every density tried and integrated the noise, at a cost in both time
+    and accuracy.
     """
     _check_torus_angle(r)
-    if weight is None:
-        weight = calibrated_weight()
-    nodes, lam_w = _adapted_lambda_quad(density, weight)
-    coeff = lam_w * density(nodes) * weight.density(nodes)
-
-    if rho_max is None:
-        # truncate where the remaining radial mass of |f|^2 is negligible
-        r_probe, w_probe = _radial_quad()
-        prof = np.abs(coeff @ phi_radial_matrix(nodes, r_probe)) ** 2
-        prof *= np.sinh(np.maximum(r_probe, 1e-12)) * w_probe
-        cum = np.cumsum(prof[::-1])[::-1]
-        keep = r_probe[cum > 1e-9 * cum[0]]
-        rho_max = float(keep.max()) + 1.0 if keep.size else 8.0
-    rho_nodes, rho_w = gauss_legendre_grid(
-        np.linspace(0.0, rho_max, max(5, int(rho_max * 0.75))), 6)
-    theta_nodes, theta_w = gauss_legendre_grid(
-        np.linspace(0.0, math.pi, 7), 4)
-
+    quad = orbit_quadrature(density, weight, rho_max)
     total = 0.0
-    for rho, wr in zip(rho_nodes, rho_w):
+    for rho, wr in zip(quad.rho_nodes, quad.rho_weights):
         s = math.exp(0.5 * rho)
-        row = _orbit_row_mass(nodes, coeff, s, r, theta_nodes, theta_w)
+        row = _orbit_row_mass(quad.lam_nodes, quad.coeff, s, r,
+                              quad.theta_nodes, quad.theta_weights)
         total += wr * math.sinh(rho) * row / math.pi
     return TWO_PI * total
 

@@ -101,6 +101,17 @@ def test_doubling_command(capsys):
     assert code == 0 and doc["outputs"]["gap"] < 1e-5
 
 
+def test_gutzmer_reports_its_orbit_grid(capsys):
+    code = main(["gutzmer", "--r", "0.3", "--center", "3.0",
+                 "--width", "1.0"])
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert code == 0 and out["gap"] < 1e-5
+    grid = out["orbit_grid"]
+    assert 0.0 <= grid["tail_fraction"] <= 1e-7
+    assert 0.0 < grid["rho_max"] < 36.0
+    assert grid["n_rho"] > 0 and grid["n_theta"] > 0 and grid["n_lambda"] > 0
+
+
 def test_hardy_kernel_point_form(capsys):
     code = main(["hardy-kernel", "--z1=0.3+1.2i", "--z2=-0.4-0.8i"])
     doc = json.loads(capsys.readouterr().out)

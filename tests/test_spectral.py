@@ -130,6 +130,36 @@ def test_strip_norm_at_small_r_is_l2_mass(weight):
     assert abs(norm - mass) / mass < 1e-2
 
 
+def test_gutzmer_gap_with_the_radial_cut_above_the_noise_floor(weight):
+    # a tail tolerance of 1e-9 read the cut off aliasing noise and ran
+    # the rho range to 30-37, integrating that noise: gap 3.6e-5
+    chk = spectral.gutzmer_check(spectral.gaussian_density(3.0, 1.0), 0.3,
+                                 weight)
+    assert chk.gap < 5e-6
+
+
+def test_orbital_mass_reuses_the_calibrated_phi_matrix(monkeypatch):
+    weight = spectral.calibrate_parseval()
+
+    def fresh_matrix(*args):
+        raise AssertionError("orbital_mass built a phi matrix")
+
+    monkeypatch.setattr(spectral, "phi_radial_matrix", fresh_matrix)
+    mass = spectral.orbital_mass(spectral.gaussian_density(3.0, 1.0), 0.3,
+                                 weight)
+    assert mass > 0
+
+
+def test_automatic_radial_cut_matches_a_long_range(weight):
+    dens = spectral.gaussian_density(2.0, 0.7)
+    quad = spectral.orbit_quadrature(dens, weight)
+    assert quad.tail_fraction <= spectral.RHO_TAIL_TOL
+    assert quad.rho_max < 30.0
+    auto = spectral.orbital_mass(dens, 0.3927, weight)
+    long = spectral.orbital_mass(dens, 0.3927, weight, rho_max=30.0)
+    assert abs(auto - long) / long < 1e-6
+
+
 def test_eR_membership():
     dens = spectral.gaussian_density(2.0, 0.7)
     assert spectral.eR_membership(dens, 0.9 * math.pi / 4)

@@ -263,6 +263,12 @@ def cmd_invariant_bound(args):
 
 def cmd_transform(args):
     _check_width(args.width)
+    if args.csv:
+        try:  # before the phi matrix is built
+            open(args.csv, "a").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write --csv {args.csv!r}: "
+                             f"{exc.strerror}") from exc
     density = spectral.spherical_transform(
         lambda r: np.exp(-0.5 * (r / args.width) ** 2))
     out = {"lambda_max": float(density.lambda_grid[-1]),
@@ -326,10 +332,9 @@ def cmd_hardy_kernel(args):
 
 def cmd_kernel(args):
     _check_width(args.width)
+    grid = spectral.default_lambda_grid(spectral.KERNEL_LAM_MAX)
     density = spectral.SpectralDensity(
-        spectral.default_lambda_grid(16.0),
-        np.exp(-0.5 * ((spectral.default_lambda_grid(16.0) - args.center)
-                       / args.width) ** 2),
+        grid, np.exp(-0.5 * ((grid - args.center) / args.width) ** 2),
         "super-exponential")
     measure = spectral.KernelMeasure(density)
     out = {"admissible": measure.admissible()}

@@ -18,10 +18,6 @@ class InvalidIntegrand(CrownkitError):
     """Integrand produced NaN or Inf at a sample point."""
 
 
-class NonIntegrableTail(CrownkitError):
-    """Tail decay exponent too small for a finite L2 norm."""
-
-
 class PointAtInfinity(CrownkitError):
     """Operation requires the affine chart but a coordinate is infinite."""
 
@@ -58,13 +54,5 @@ class AdmissibilityFailure(CrownkitError):
     """Kernel measure fails the exponential admissibility test."""
 
 
-class GridResolution(CrownkitError):
-    """Grid too coarse for the requested derivative order."""
-
-
 class StepTooSmall(CrownkitError):
     """Finite-difference step so small that cancellation dominates."""
-
-
-class SampleUnderflow(CrownkitError):
-    """Group action pushed grid samples outside the representable range."""

@@ -69,9 +69,6 @@ class GroupElement:
         """Fractional linear action on a point of P1(C)."""
         return mobius_apply(self.m, z)
 
-    def act_pair(self, p: PairPoint) -> PairPoint:
-        return p.apply(self.m)
-
     def pair_point(self) -> PairPoint:
         """Image of the base point: g |-> (g(i), g(-i))."""
         return PairPoint(self.act(1j), self.act(-1j))

@@ -1,4 +1,5 @@
-"""Shared numeric substrate: adaptive quadrature, grid functions, finite differences.
+"""Shared numeric substrate: adaptive quadrature, the periodic trapezoidal
+rule, composite Gauss-Legendre grids and the identity-check record.
 
 The quadrature engine is a globally adaptive Gauss-Kronrod (G7, K15)
 scheme on one pool of panels.  The range is cut at the singularity hints
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidIntegrand, NonConvergence, NonIntegrableTail
+from .errors import InvalidIntegrand, NonConvergence
 
 # Nodes/weights of the 15-point Kronrod extension of 7-point Gauss, on [-1, 1].
 _K15_NODES = np.array([
@@ -273,64 +274,6 @@ def integrate_periodic(f) -> IntegralResult:
             return IntegralResult(cur, diff, n)
     raise NonConvergence("periodic rule did not stabilize", estimate=prev,
                          error=diff)
-
-
-def finite_diff(f, x: float, order: int, step: float) -> float:
-    """Central finite difference of first or second order, O(step^2) error."""
-    if order == 1:
-        return (f(x + step) - f(x - step)) / (2.0 * step)
-    if order == 2:
-        return (f(x + step) - 2.0 * f(x) + f(x - step)) / step ** 2
-    raise ValueError("order must be 1 or 2")
-
-
-@dataclass
-class GridFunction:
-    """Sampled function on a strictly increasing real grid.
-
-    tail_exponent models |f(x)| ~ A |x|^(-p) beyond the grid; p must exceed
-    1/2 for L2 norms.  tail_exponent=None marks compact support.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    tail_exponent: float | None = None
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.nodes.ndim != 1 or self.nodes.shape != self.values.shape:
-            raise ValueError("nodes and values must be matching 1-d arrays")
-        if not np.all(np.diff(self.nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-        if not (np.all(np.isfinite(self.nodes)) and
-                np.all(np.isfinite(self.values))):
-            raise ValueError("nodes and values must be finite")
-
-    def __call__(self, x):
-        re = np.interp(x, self.nodes, self.values.real)
-        im = np.interp(x, self.nodes, self.values.imag)
-        return re + 1j * im
-
-
-def _tail_mass(x_edge: float, amplitude: float, p: float) -> float:
-    # integral of A^2 |x|^(-2p) beyond |x| = x_edge
-    return amplitude ** 2 * abs(x_edge) ** (1.0 - 2.0 * p) / (2.0 * p - 1.0)
-
-
-def l2_norm(f: GridFunction) -> float:
-    """sqrt of the integral of |f|^2: trapezoid on the grid plus closed-form
-    power-law tails from the tail model."""
-    mass = float(np.trapezoid(np.abs(f.values) ** 2, f.nodes))
-    if f.tail_exponent is not None:
-        p = float(f.tail_exponent)
-        if p <= 0.5:
-            raise NonIntegrableTail(f"tail exponent {p} <= 1/2")
-        right_amp = abs(f.values[-1]) * abs(f.nodes[-1]) ** p
-        left_amp = abs(f.values[0]) * abs(f.nodes[0]) ** p
-        mass += _tail_mass(f.nodes[-1], right_amp, p)
-        mass += _tail_mass(f.nodes[0], left_amp, p)
-    return math.sqrt(mass)
 
 
 def gauss_legendre_grid(edges, n_per_panel: int):

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NotInCrown, SampleUnderflow,
-                     StepTooSmall)
+from .errors import DomainError, NotInCrown, StepTooSmall
 from .horo import log_aC_orbit
 from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
                       LieVector, exp_lie)
-from .numerics import (GridFunction, IdentityCheck, REPRESENTATION_CFG,
-                       integrate, integrate_periodic, l2_norm)
+from .numerics import (IdentityCheck, REPRESENTATION_CFG, integrate,
+                       integrate_periodic)
 from .pairmodel import PairPoint
 from .vectors import (FlowPulled, MobiusPulled, QuadraticPower, SmoothVector,
                       _leibniz, _poly_jets)
@@ -84,8 +83,6 @@ def apply_pi(param: SpectralParam, g: GroupElement, f):
     if not g.is_real:
         raise ValueError("apply_pi handles real group elements; use "
                          "apply_pi_complex for continued ones")
-    if isinstance(f, GridFunction):
-        return _apply_pi_grid(param, g, f)
     return MobiusPulled(f, g.inverse().m, param.lam)
 
 
@@ -102,21 +99,8 @@ def apply_pi_flow(param: SpectralParam, direction: LieVector, w: complex,
     return FlowPulled(f, flow, param.lam)
 
 
-def _apply_pi_grid(param, g, f: GridFunction) -> GridFunction:
-    a, b, c, d = g.inverse().m.real.ravel()
-    x = f.nodes
-    pulled = (a * x + b) / (c * x + d)
-    inside = (pulled >= x[0]) & (pulled <= x[-1])
-    if f.tail_exponent is None and np.count_nonzero(inside) < x.size // 2:
-        raise SampleUnderflow("pullback left the sampled range; rebuild grid")
-    vals = np.abs(c * x + d) ** complex(-1.0, param.lam) * f(pulled)
-    return GridFunction(x, vals, f.tail_exponent)
-
-
 def rep_norm(vec) -> float:
     """L^2 norm of a representation vector."""
-    if isinstance(vec, GridFunction):
-        return l2_norm(vec)
     lo, hi = vec.support if vec.support is not None else (-math.inf, math.inf)
     res = integrate(lambda x: np.abs(vec.value(x)) ** 2, lo, hi,
                     REPRESENTATION_CFG.with_hints(vec.hints))
@@ -185,7 +169,6 @@ class DPi(SmoothVector):
         self.beta = np.asarray(beta_poly, dtype=complex)
         self.support = child.support
         self.hints = child.hints
-        self.decay_power = child.decay_power
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))

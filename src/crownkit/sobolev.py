@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridResolution
 from .liecore import GroupElement, K0, b_t
-from .numerics import GridFunction, IdentityCheck
+from .numerics import IdentityCheck
 from .repn import SpectralParam, apply_pi, d_pi, rep_norm
 from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
                       SmoothVector, Sum, WeightedDeriv)
@@ -67,9 +66,6 @@ def _monomials(k: int):
 
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     """Sobolev norm of order spec.k, full or restricted to one subgroup."""
-    if isinstance(f, GridFunction):
-        raise GridResolution("Sobolev norms need closed-form vectors; "
-                             "resample the grid carrier first")
     if spec.subgroup is not None:
         direction = _SUBGROUP_DIRECTION[spec.subgroup]
         total = 0.0

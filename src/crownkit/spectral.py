@@ -12,6 +12,13 @@ direct Parseval computation on a reference Gaussian and then validated on
 held-out profiles.  (Written with tanh(pi lam), no constant fits two
 different reference widths at once; the calibration harness reports this.)
 
+The lam, r and v quadrature rules, the phi matrix on them and the
+calibrated Plancherel constant live in one `SpectralGrid`, built once per
+process on first use (`spectral_grid`).  The transform, Parseval and the
+orbital mass read the phi matrix, so the first of them (or
+`calibrate_parseval`) builds it; the kernels, the doubled torus values and
+the pairing rows never do.
+
 The orbital identity moves the group integral of |f|^2 over a shifted
 copy of X inside the crown to the spectral side, weighted by the doubled
 torus value phi_lam(exp(2ir h)), the positive quantity supplied by the
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,19 +50,61 @@ from .pairmodel import PairPoint
 TWO_PI = 2.0 * math.pi
 
 
-# -- lambda grids ------------------------------------------------------------
+# -- the spectral grid -------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _lambda_quad(lam_max: float = 32.0, n_per_panel: int = 40):
-    """Graded Gauss-Legendre grid for spectral integrals; dense near 0 where
-    the tempered weight vanishes linearly."""
-    edges = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-    edges = [e for e in edges if e < lam_max] + [lam_max]
-    return gauss_legendre_grid(edges, n_per_panel)
+#: the lam range of the invariant kernels; the grid's lam rule restricted
+#: to its first seven panels
+KERNEL_LAM_MAX = 16.0
+
+
+class SpectralGrid:
+    """The fixed rules of the spectral side, the phi matrix on them and the
+    Plancherel weight calibrated there.
+
+    - lam: graded Gauss-Legendre rule on [0, 32], 40 nodes on each panel
+      of [0, 1/4, 1/2, 1, 2, 4, 8, 16, 32], dense near 0 where the tempered
+      weight vanishes linearly; its first seven panels are the rule of the
+      kernels on [0, KERNEL_LAM_MAX];
+    - r: graded rule on the radial range [0, 36], 48 nodes per panel;
+    - v: the rule of the phi integral in v = log tan(theta/2), 32 nodes on
+      each panel of length 2 of [-16, 54].
+
+    The phi matrix and the weight are built on first access; through
+    `spectral_grid` that is at most once per process.
+    """
+
+    def __init__(self):
+        self.lam_nodes, self.lam_weights = gauss_legendre_grid(
+            [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], 40)
+        self.r_nodes, self.r_weights = gauss_legendre_grid(
+            [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 36.0], 48)
+        self.v_nodes, self.v_weights = gauss_legendre_grid(
+            np.arange(-16.0, 55.0, 2.0), 32)
+
+    def lam_rule(self, lam_max: float):
+        """Nodes and weights of the lam rule's panels below lam_max."""
+        n = int(np.searchsorted(self.lam_nodes, lam_max))
+        return self.lam_nodes[:n], self.lam_weights[:n]
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """phi_lam(r) on the lam nodes by the r nodes."""
+        return phi_radial_matrix(self.lam_nodes, self.r_nodes)
+
+    @cached_property
+    def weight(self) -> PlancherelWeight:
+        """The Plancherel weight calibrated on this grid."""
+        return calibrate_parseval()
+
+
+@lru_cache(maxsize=1)
+def spectral_grid() -> SpectralGrid:
+    """The process's one spectral grid."""
+    return SpectralGrid()
 
 
 def default_lambda_grid(lam_max: float = 32.0) -> np.ndarray:
-    return _lambda_quad(lam_max)[0]
+    return spectral_grid().lam_rule(lam_max)[0]
 
 
 @dataclass
@@ -106,10 +155,9 @@ class SpectralDensity:
                    decay_rate)
 
 
-def gaussian_density(center: float, width: float,
-                     lam_max: float = 32.0) -> SpectralDensity:
+def gaussian_density(center: float, width: float) -> SpectralDensity:
     """Smooth test density exp(-(lam-center)^2 / (2 width^2))."""
-    grid = default_lambda_grid(lam_max)
+    grid = default_lambda_grid()
     vals = np.exp(-0.5 * ((grid - center) / width) ** 2)
     return SpectralDensity(grid, vals, "super-exponential")
 
@@ -118,13 +166,6 @@ def gaussian_density(center: float, width: float,
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-@lru_cache(maxsize=4)
-def _log_tau_grid(v_min: float = -16.0, v_max: float = 54.0,
-                  nodes_per_unit: int = 16):
-    edges = list(np.arange(v_min, v_max, 2.0)) + [v_max]
-    return gauss_legendre_grid(edges, 2 * nodes_per_unit)
 
 
 def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -143,7 +184,8 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.size and radii.max() > 36.0:
         raise ValueError("radial grid exceeds the supported range r <= 36")
-    v, wv = _log_tau_grid()
+    grid = spectral_grid()
+    v, wv = grid.v_nodes, grid.v_weights
     out = np.empty((lams.size, radii.size), dtype=complex)
     s_all = 0.5 * (1.0 + 1j * lams)
     sp2v = _softplus(2.0 * v)
@@ -160,43 +202,26 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 # -- transform, Parseval, calibration ----------------------------------------
 
-@lru_cache(maxsize=1)
-def _radial_quad():
-    """Graded Gauss-Legendre rule on the radial range [0, 36]."""
-    return gauss_legendre_grid([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 36.0], 48)
-
-
-@lru_cache(maxsize=1)
-def _default_phi_matrix():
-    """phi on the default lam grid by the radial grid, built once."""
-    return phi_radial_matrix(_lambda_quad()[0], _radial_quad()[0])
-
-
-def spherical_transform(f_radial, lam_grid: np.ndarray | None = None,
-                        decay_tag: str = "super-exponential"
-                        ) -> SpectralDensity:
+def spherical_transform(f_radial) -> SpectralDensity:
     """Transform of a radial function given as a vectorized callable of the
-    geodesic radius: F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr."""
-    r, w = _radial_quad()
+    geodesic radius: F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr, on the
+    grid's lam nodes."""
+    grid = spectral_grid()
+    r = grid.r_nodes
     fr = np.asarray(f_radial(r), dtype=complex)
     if not np.all(np.isfinite(fr)):
         raise ValueError("radial profile produced non-finite samples")
-    default_nodes = default_lambda_grid()
-    if lam_grid is None or (np.asarray(lam_grid).shape == default_nodes.shape
-                            and np.allclose(lam_grid, default_nodes)):
-        lam_grid = default_nodes
-        phi = _default_phi_matrix()
-    else:
-        phi = phi_radial_matrix(np.asarray(lam_grid, dtype=float), r)
-    vals = TWO_PI * phi @ (w * fr * np.sinh(r))
-    return SpectralDensity(np.asarray(lam_grid, dtype=float), vals, decay_tag)
+    vals = TWO_PI * grid.phi @ (grid.r_weights * fr * np.sinh(r))
+    return SpectralDensity(grid.lam_nodes, vals)
 
 
 def radial_l2_mass(f_radial) -> float:
     """Int_X |f|^2 = 2 pi Int |f(r)|^2 sinh(r) dr for radial f."""
-    r, w = _radial_quad()
+    grid = spectral_grid()
+    r = grid.r_nodes
     fr = np.asarray(f_radial(r), dtype=complex)
-    return float(TWO_PI * np.sum(w * np.abs(fr) ** 2 * np.sinh(r)))
+    return float(TWO_PI * np.sum(grid.r_weights * np.abs(fr) ** 2
+                                 * np.sinh(r)))
 
 
 @dataclass(frozen=True)
@@ -228,29 +253,24 @@ def calibrate_parseval(reference_width: float = 1.0,
     and is validated on held-out profiles by `parseval_check`.
     """
     f_ref = lambda r: np.exp(-0.5 * (r / reference_width) ** 2)
+    grid = spectral_grid()
     lhs = radial_l2_mass(f_ref)
-    nodes, weights = _lambda_quad()
-    dens = spherical_transform(f_ref, nodes)
-    raw = _spectral_mass(dens.values, nodes, weights,
+    dens = spherical_transform(f_ref)
+    raw = _spectral_mass(dens.values, grid.lam_nodes, grid.lam_weights,
                          PlancherelWeight(1.0, form))
     return PlancherelWeight(lhs / raw, form)
-
-
-@lru_cache(maxsize=1)
-def calibrated_weight() -> PlancherelWeight:
-    """The Plancherel weight calibrated once per process."""
-    return calibrate_parseval()
 
 
 def parseval_check(f_radial, weight: PlancherelWeight | None = None
                    ) -> IdentityCheck:
     """Direct X-side mass of a radial function against its spectral mass."""
+    grid = spectral_grid()
     if weight is None:
-        weight = calibrated_weight()
+        weight = grid.weight
     lhs = radial_l2_mass(f_radial)
-    nodes, weights = _lambda_quad()
-    dens = spherical_transform(f_radial, nodes)
-    rhs = _spectral_mass(dens.values, nodes, weights, weight)
+    dens = spherical_transform(f_radial)
+    rhs = _spectral_mass(dens.values, grid.lam_nodes, grid.lam_weights,
+                         weight)
     return IdentityCheck(lhs, rhs)
 
 
@@ -467,16 +487,16 @@ def orbit_quadrature(density: SpectralDensity,
     (rho_max = 8 for a zero profile).  An explicit rho_max overrides the
     cut; tail_fraction is the profile mass beyond rho_max either way.
     """
+    grid = spectral_grid()
     if weight is None:
-        weight = calibrated_weight()
+        weight = grid.weight
     nodes, lam_w = _adapted_lambda_quad(density, weight)
     coeff = lam_w * density(nodes) * weight.density(nodes)
 
-    grid, grid_w = _lambda_quad()
-    r_nodes, r_w = _radial_quad()
-    prof = ((grid_w * density(grid) * weight.density(grid))
-            @ _default_phi_matrix())
-    prof = np.abs(prof) ** 2 * np.sinh(r_nodes) * r_w
+    lams, r_nodes = grid.lam_nodes, grid.r_nodes
+    prof = ((grid.lam_weights * density(lams) * weight.density(lams))
+            @ grid.phi)
+    prof = np.abs(prof) ** 2 * np.sinh(r_nodes) * grid.r_weights
     total = float(prof.sum())
     if rho_max is None:
         beyond = np.cumsum(prof[::-1])[::-1]
@@ -535,7 +555,7 @@ def gutzmer_check(density: SpectralDensity, r: float,
     by the doubled torus value."""
     _check_torus_angle(r)
     if weight is None:
-        weight = calibrated_weight()
+        weight = spectral_grid().weight
     lhs = orbital_mass(density, r, weight)
     nodes, lam_w = _adapted_lambda_quad(density, weight)
     dvals = density(nodes)
@@ -562,7 +582,7 @@ def eR_membership(density: SpectralDensity, big_r: float,
     if not 0.0 < big_r <= OMEGA_RADIUS:
         raise DomainError("R must lie in (0, pi/4]")
     if weight is None:
-        weight = calibrated_weight()
+        weight = spectral_grid().weight
     if density.decay_tag == "polynomial":
         return False
     if density.decay_tag == "exponential":
@@ -570,7 +590,7 @@ def eR_membership(density: SpectralDensity, big_r: float,
         if rate is None or rate <= big_r:
             return False
     # numeric confirmation: the integrand must decay on the grid tail
-    nodes, _ = _lambda_quad()
+    nodes = spectral_grid().lam_nodes
     r_eff = min(big_r * 0.999, OMEGA_RADIUS - 1e-6)
     integrand = (np.abs(density(nodes)) ** 2 * doubled_torus_values(nodes, r_eff)
                  * np.maximum(weight.density(nodes), 1e-300))
@@ -619,8 +639,8 @@ def _tangent_frame(z: PairPoint):
     return tuple(tb.g.inverse().m.real.ravel()), abs(float(tb.y.c_h))
 
 
-def invariant_kernel(measure: KernelMeasure, z: PairPoint, w: PairPoint,
-                     lam_max: float = 16.0) -> complex:
+def invariant_kernel(measure: KernelMeasure, z: PairPoint,
+                     w: PairPoint) -> complex:
     """K(z, w) = Int <pi(z)v, pi(w)v> d mu(lam); Hermitian and G-invariant.
 
     Splitting z = g exp(i psi h) x0 makes pi(z)v_K = pi(g) Psi_psi, so every
@@ -630,14 +650,15 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint, w: PairPoint,
     """
     if not measure.admissible():
         raise AdmissibilityFailure("kernel measure fails the e^{c lam} test")
-    nodes, lam_w = _lambda_quad(lam_max)
+    nodes, lam_w = spectral_grid().lam_rule(KERNEL_LAM_MAX)
     row = _pairing(nodes, _tangent_frame(z), _tangent_frame(w))
     return complex(np.sum(lam_w * measure.density(nodes) * row))
 
 
-def hardy_density(lam_max: float = 16.0) -> SpectralDensity:
-    """lam tanh(pi lam/2)/cosh(pi lam) on the default grid (positive scale)."""
-    grid = default_lambda_grid(lam_max)
+def hardy_density() -> SpectralDensity:
+    """lam tanh(pi lam/2)/cosh(pi lam) on the kernels' lam nodes (positive
+    scale)."""
+    grid = default_lambda_grid(KERNEL_LAM_MAX)
     vals = grid * np.tanh(0.5 * math.pi * grid) / np.cosh(math.pi * grid)
     return SpectralDensity(grid, vals, "exponential", decay_rate=math.pi)
 

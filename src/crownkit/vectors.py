@@ -107,13 +107,11 @@ def _offcut_ok(q) -> bool:
 class SmoothVector:
     """Base class: complex-valued function on R with jets up to order 4.
 
-    support None means the whole line; decay_power p models |f| ~ |x|^-p
-    at infinity and is None for compactly supported vectors.
+    support None means the whole line.
     """
 
     support: tuple[float, float] | None = None
     hints: tuple[float, ...] = ()
-    decay_power: float | None = None
 
     def jet(self, x: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
@@ -140,8 +138,6 @@ class QuadraticPower(SmoothVector):
         self.q = q
         self.sigma = complex(sigma)
         self.hints = tuple(hints)
-        self.decay_power = -2.0 * self.sigma.real if q[2] != 0 else (
-            -self.sigma.real if q[1] != 0 else 0.0)
         self._r_polys = [np.array([1.0 + 0.0j])]
 
     def _r_poly(self, n: int) -> np.ndarray:
@@ -168,7 +164,6 @@ class PolyVector(SmoothVector):
     def __init__(self, coeffs, hints=()):
         self.coeffs = np.asarray(coeffs, dtype=complex)
         self.hints = tuple(hints)
-        self.decay_power = float(-(self.coeffs.size - 1))
 
     def jet(self, x, order):
         return _poly_jets(self.coeffs, np.atleast_1d(np.asarray(x)), order)
@@ -184,7 +179,6 @@ class ExpPoly(SmoothVector):
         self.kappa = complex(kappa)
         self.quad = quad
         self._polys = [np.asarray(poly, dtype=complex)]
-        self.decay_power = math.inf
 
     def _p(self, n):
         dq = P.polyder(self.quad)
@@ -212,8 +206,6 @@ class Sum(SmoothVector):
         else:
             self.support = (min(s[0] for s in sups), max(s[1] for s in sups))
         self.hints = tuple(sorted({h for _, v in self.terms for h in v.hints}))
-        decays = [v.decay_power for _, v in self.terms]
-        self.decay_power = None if any(d is None for d in decays) else min(decays)
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x))
@@ -233,10 +225,6 @@ class Product(SmoothVector):
         else:
             self.support = u.support if u.support is not None else v.support
         self.hints = tuple(sorted(set(u.hints) | set(v.hints)))
-        if u.decay_power is None or v.decay_power is None:
-            self.decay_power = None
-        else:
-            self.decay_power = u.decay_power + v.decay_power
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x))
@@ -259,7 +247,6 @@ class DilatedArg(SmoothVector):
             b = (child.support[1] - beta) / alpha
             self.support = (min(a, b), max(a, b))
         self.hints = tuple(sorted((h - beta) / alpha for h in child.hints))
-        self.decay_power = child.decay_power
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x))
@@ -314,10 +301,6 @@ class MobiusPulled(SmoothVector):
         if c != 0:
             hints.append(-d / c)
         self.hints = tuple(sorted(hints))
-        if c == 0:
-            self.decay_power = child.decay_power
-        else:
-            self.decay_power = 1.0  # modulus factor decay; child tends to f(a/c)
 
     def _mobius_jets(self, x, order):
         a, b, c, d = self.gi.ravel()
@@ -375,7 +358,6 @@ class FlowPulled(SmoothVector):
         self.child = child
         self.flow = flow_matrix_fn  # sigma in [0,1] -> inverse group matrix
         self.n_steps = int(n_steps)
-        self.decay_power = 1.0
         self.hints = ()
 
     def _carrier(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -421,7 +403,6 @@ class WeightedDeriv(SmoothVector):
         self.shift = int(order_shift)
         self.support = child.support
         self.hints = child.hints
-        self.decay_power = child.decay_power
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -465,7 +446,6 @@ class RadialStep(SmoothVector):
         self.b = float(b)
         self.support = (-b, b)
         self.hints = (-b, -a, a, b)
-        self.decay_power = None
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))

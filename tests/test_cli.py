@@ -182,6 +182,7 @@ FUZZ = {
     ("transform", "--width", "0"): 1,
     ("transform", "--width", "-1"): 1,
     ("transform", "--width", "nan"): 1,
+    ("transform", "--csv", "/dev/null/density.csv"): 1,
     ("parseval", "--width", "0"): 1,
     ("parseval", "--width", "nan"): 1,
     ("gutzmer", "--width", "0"): 1,

@@ -149,7 +149,7 @@ def test_distinguished_cone_data(rng):
         assert cls.stratum == "distinguished"
         g, cone_vec = cls.cone_data
         assert g.is_real
-        assert crown.pair_distance(g.act_pair(BOUNDARY_BASE), z) < 1e-9
+        assert crown.pair_distance(BOUNDARY_BASE.apply(g.m), z) < 1e-9
 
 
 def test_quadric_base_and_boundary_points():

@@ -1,4 +1,4 @@
-"""Quadrature engine against scipy/QUADPACK oracles, grid norms, stencils."""
+"""Quadrature engine against scipy/QUADPACK oracles."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from crownkit.errors import InvalidIntegrand, NonConvergence, NonIntegrableTail
+from crownkit.errors import InvalidIntegrand, NonConvergence
 from crownkit.numerics import (GEOMETRY_CFG, REPRESENTATION_CFG,
-                               GridFunction, QuadratureConfig, finite_diff,
-                               integrate, integrate_periodic, l2_norm)
+                               QuadratureConfig, integrate, integrate_periodic)
 from crownkit.repn import SpectralParam, continue_vK
 
 
@@ -99,48 +98,6 @@ def test_periodic_rule_spectral():
     res = integrate_periodic(lambda t: np.exp(np.cos(t)))
     oracle, _ = sci.quad(lambda t: math.exp(math.cos(t)), 0, 2 * math.pi)
     assert abs(res.value - oracle) < 1e-11
-
-
-def test_finite_diff_polynomials():
-    assert finite_diff(lambda x: 5.0, 1.3, 1, 1e-3) == 0.0
-    assert abs(finite_diff(lambda x: x * x, 3.0, 1, 1e-4) - 6.0) < 1e-7
-    assert abs(finite_diff(math.sin, 0.0, 2, 1e-4)) < 1e-8
-    # the central stencils are exact on quadratics (order 1) and cubics
-    # (order 2) up to cancellation noise
-    assert abs(finite_diff(lambda x: x * x, 0.7, 1, 1e-2) - 1.4) < 1e-12
-    f = lambda x: 2 * x ** 3 - x
-    assert abs(finite_diff(f, 0.7, 2, 1e-2) - 12 * 0.7) < 1e-9
-
-
-def test_gridfunction_l2_norm_zero_and_bump():
-    nodes = np.linspace(-5, 5, 4001)
-    zero = GridFunction(nodes, np.zeros_like(nodes), tail_exponent=None)
-    assert l2_norm(zero) == 0.0
-    gauss = GridFunction(nodes, np.exp(-nodes ** 2 / 2.0), tail_exponent=None)
-    assert abs(l2_norm(gauss) - math.pi ** 0.25) < 1e-5
-
-
-def test_gridfunction_tail_model():
-    nodes = np.linspace(-40.0, 40.0, 8001)
-    vals = 1.0 / (1.0 + nodes ** 2) ** 0.5  # |f| ~ |x|^-1, L2 with tails
-    f = GridFunction(nodes, vals, tail_exponent=1.0)
-    truth = math.sqrt(sci.quad(lambda x: 1.0 / (1.0 + x * x), -np.inf,
-                               np.inf)[0])
-    assert abs(l2_norm(f) - truth) < 1e-3
-
-
-def test_gridfunction_nonintegrable_tail():
-    nodes = np.linspace(-10, 10, 101)
-    f = GridFunction(nodes, np.ones_like(nodes), tail_exponent=0.4)
-    with pytest.raises(NonIntegrableTail):
-        l2_norm(f)
-
-
-def test_l2_norm_grid_refinement_stability():
-    coarse = np.linspace(-20, 20, 2001)
-    fine = np.linspace(-20, 20, 8001)
-    make = lambda n: GridFunction(n, np.exp(-n ** 2 / 8.0), None)
-    assert abs(l2_norm(make(coarse)) - l2_norm(make(fine))) < 2e-7
 
 
 def test_config_validation():

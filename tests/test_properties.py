@@ -1,7 +1,8 @@
 """Property tests on generated inputs: the symmetric model of pair points,
 the coordinate round trips, the off-cut invariant of quadratic powers, the
-rotation invariance of the spherical function, and the invariance and
-Hermitian symmetry of the Hardy kernel.
+rotation invariance of the spherical function, the invariance and
+Hermitian symmetry of the Hardy kernel, and Parseval for the radial
+spherical transform.
 
 Examples are derandomized, so every run draws the same inputs."""
 
@@ -109,3 +110,15 @@ def test_hardy_kernel_is_invariant_and_hermitian(gz, phi_z, gw, phi_w, g):
     assert abs(spectral.hardy_kernel(z.apply(g.m), w.apply(g.m)) - k) < (
         1e-6 * abs(k))
     assert abs(spectral.hardy_kernel(w, z) - np.conj(k)) <= 1e-15 * abs(k)
+
+
+# symmetric two-bump radial profiles, whose gaps on this box stay near
+# 1e-10; wider profiles crowd their spectral mass below lam = 1/4 and
+# their radial mass outwards, and the gap grows (8e-3 at w = 4, c = 2.5)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.floats(0.3, 2.5), st.floats(0.0, 2.5))
+def test_parseval_holds_on_two_bump_profiles(w, c):
+    def profile(r):
+        return (np.exp(-0.5 * ((r - c) / w) ** 2)
+                + np.exp(-0.5 * ((r + c) / w) ** 2))
+    assert spectral.parseval_check(profile).gap < 1e-3

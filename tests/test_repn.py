@@ -12,14 +12,13 @@ from conftest import random_crown_point, random_real_element
 from crownkit import crown
 from crownkit.errors import NotInCrown
 from crownkit.liecore import (E_VEC, F_VEC, H_VEC, IDENTITY, LieVector,
-                              U_VEC, a_t, exp_lie, n_x)
+                              U_VEC, a_t, exp_lie)
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import (HFunctional, SpectralParam, apply_pi,
                            apply_pi_flow, continue_vK, d_pi, doubling_check,
                            group_disc, h_functional_eval, h_limit_gap,
                            levi_check, norm_growth, phi_lambda, rep_norm,
                            v_K)
-from crownkit.numerics import GridFunction
 from crownkit.vectors import ExpPoly
 
 
@@ -270,22 +269,3 @@ def test_levi_two_discs_through_same_point():
 
 def test_base_norm_is_one():
     assert abs(rep_norm(v_K(SpectralParam(1.0))) - 1.0) < 1e-9
-
-
-def test_apply_pi_grid_carrier(rng):
-    param = SpectralParam(1.0)
-    nodes = np.linspace(-30.0, 30.0, 6001)
-    carrier = GridFunction(nodes, v_K(param).value(nodes), tail_exponent=1.0)
-    moved = apply_pi(param, n_x(0.5) @ a_t(1.2), carrier)
-    closed = apply_pi(param, n_x(0.5) @ a_t(1.2), v_K(param))
-    sample = np.linspace(-3, 3, 11)
-    assert np.max(np.abs(moved(sample) - closed.value(sample))) < 1e-4
-
-
-def test_apply_pi_grid_underflow():
-    from crownkit.errors import SampleUnderflow
-    param = SpectralParam(1.0)
-    nodes = np.linspace(-1.0, 1.0, 101)
-    carrier = GridFunction(nodes, np.exp(-nodes ** 2), tail_exponent=None)
-    with pytest.raises(SampleUnderflow):
-        apply_pi(param, a_t(0.025), carrier)  # expands the grid 1600-fold

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from crownkit.errors import GridResolution
 from crownkit.liecore import a_t
-from crownkit.numerics import GridFunction
 from crownkit.repn import SpectralParam, apply_pi, continue_vK, \
     rep_norm, v_K
 from crownkit.sobolev import (SobolevSpec, build_dyadic, choose_m,
@@ -140,10 +138,3 @@ def test_rotation_identity_exact():
     g = ExpPoly(1.0, [0.5, 1.0], (0.0, 0.1, 1.0))
     rc2 = rotate_A_to_H(PARAM, g, 2)
     assert rc2.gap < 1e-5
-
-
-def test_grid_carrier_rejected_for_derivatives():
-    nodes = np.linspace(-10, 10, 51)
-    f = GridFunction(nodes, np.exp(-nodes ** 2), tail_exponent=None)
-    with pytest.raises(GridResolution):
-        sobolev_norm(PARAM, f, SobolevSpec(2))

@@ -16,7 +16,7 @@ from crownkit.repn import SpectralParam, continue_vK, phi_lambda, rep_norm
 
 @pytest.fixture(scope="module")
 def weight():
-    return spectral.calibrated_weight()
+    return spectral.spectral_grid().weight
 
 
 def test_phi_radial_matrix_against_conical_oracle():
@@ -68,12 +68,11 @@ def test_parseval_held_out_profiles(weight):
 
 def test_transform_inverse_roundtrip(weight):
     dens = spectral.gaussian_density(2.0, 0.7)
-    nodes, lam_w = spectral._lambda_quad()
-    phi = spectral._default_phi_matrix()
-    r_nodes, r_w = spectral._radial_quad()
-    coeff = lam_w * dens(nodes) * weight.density(nodes)
-    f_vals = coeff @ phi
-    back = 2 * np.pi * phi @ (r_w * f_vals * np.sinh(r_nodes))
+    grid = spectral.spectral_grid()
+    nodes, r_nodes = grid.lam_nodes, grid.r_nodes
+    coeff = grid.lam_weights * dens(nodes) * weight.density(nodes)
+    f_vals = coeff @ grid.phi
+    back = 2 * np.pi * grid.phi @ (grid.r_weights * f_vals * np.sinh(r_nodes))
     peak = np.max(np.abs(dens(nodes)))
     assert np.max(np.abs(back - dens(nodes))) / peak < 1e-2
 
@@ -139,15 +138,21 @@ def test_gutzmer_gap_with_the_radial_cut_above_the_noise_floor(weight):
 
 
 def test_orbital_mass_reuses_the_calibrated_phi_matrix(monkeypatch):
+    # every reader of the phi matrix takes the one built by calibration
     weight = spectral.calibrate_parseval()
 
     def fresh_matrix(*args):
-        raise AssertionError("orbital_mass built a phi matrix")
+        raise AssertionError("a second phi matrix was built")
 
     monkeypatch.setattr(spectral, "phi_radial_matrix", fresh_matrix)
-    mass = spectral.orbital_mass(spectral.gaussian_density(3.0, 1.0), 0.3,
-                                 weight)
-    assert mass > 0
+    dens = spectral.gaussian_density(3.0, 1.0)
+    profile = lambda r: np.exp(-0.5 * (r / 0.7) ** 2)
+    assert np.max(np.abs(spectral.spherical_transform(profile).values)) > 0
+    assert spectral.parseval_check(profile, weight).gap < 1e-3
+    assert spectral.gutzmer_check(dens, 0.3, weight).gap < 5e-6
+    assert spectral.orbit_quadrature(dens, weight).rho_max > 0
+    assert spectral.eR_membership(dens, 0.9 * math.pi / 4, weight)
+    assert spectral.orbital_mass(dens, 0.3, weight) > 0
 
 
 def test_automatic_radial_cut_matches_a_long_range(weight):
@@ -195,7 +200,7 @@ def test_kernel_measure_admissibility():
 
 def test_kernel_base_value_is_total_mass(weight):
     value = spectral.hardy_kernel(BASE_POINT, BASE_POINT)
-    nodes, lam_w = spectral._lambda_quad(16.0)
+    nodes, lam_w = spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)
     direct = float(np.sum(lam_w * spectral.hardy_density()(nodes).real))
     assert abs(value.real - direct) < 1e-6
     assert abs(value.imag) < 1e-10

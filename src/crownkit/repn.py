@@ -79,11 +79,15 @@ def continue_vK(param: SpectralParam, eps: float) -> QuadraticPower:
 
 
 def apply_pi(param: SpectralParam, g: GroupElement, f):
-    """Unitary action of a real group element on a representation vector."""
+    """Unitary action of a real group element on a representation vector;
+    in closed form on a quadratic power of the representation's exponent."""
     if not g.is_real:
         raise ValueError("apply_pi handles real group elements; use "
                          "apply_pi_complex for continued ones")
-    return MobiusPulled(f, g.inverse().m, param.lam)
+    ginv = g.inverse().m.real
+    if isinstance(f, QuadraticPower) and f.sigma == param.vector_exponent:
+        return f.pulled(ginv)
+    return MobiusPulled(f, ginv, param.lam)
 
 
 def apply_pi_flow(param: SpectralParam, direction: LieVector, w: complex,
@@ -300,6 +304,7 @@ class HFunctional:
         self.kind = kind
         self.param = param
         self.convention = convention
+        self.support = None
         self.hints = (-1.0, 1.0)
 
     def coefficients(self) -> tuple[complex, complex]:
@@ -330,23 +335,12 @@ class HFunctional:
         return out
 
 
-def h_functional_eval(hf: HFunctional, psi: SmoothVector) -> complex:
-    """<psi, hf>: regularized pairing with hints at the endpoint
-    singularities x = +-1 (integrable, of inverse-square-root modulus)."""
-    hints = tuple(sorted(set(hf.hints) | set(psi.hints)))
-    lo, hi = psi.support if psi.support is not None else (-math.inf, math.inf)
-    res = integrate(lambda x: psi.value(x) * np.conj(hf.value(x)), lo, hi,
-                    REPRESENTATION_CFG.with_hints(hints))
-    return res.value
-
-
 def h_limit_gap(param: SpectralParam, psi: SmoothVector, eps: float,
                 convention: str = "derived") -> float:
     """| <pi(a_eps) v_K, psi> - <v_H, psi> | at one eps."""
     vec = continue_vK(param, eps)
     lim = rep_pairing(vec, psi)
-    target = np.conj(h_functional_eval(HFunctional("v_H", param, convention),
-                                       psi))
+    target = np.conj(rep_pairing(psi, HFunctional("v_H", param, convention)))
     return abs(lim - complex(target))
 
 

@@ -40,12 +40,14 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots, polyval
 
 from .crown import point_to_tangent
 from .errors import AdmissibilityFailure, DomainError
 from .liecore import OMEGA_RADIUS, GroupElement
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import PairPoint
+from .vectors import pull_quadratic
 
 TWO_PI = 2.0 * math.pi
 
@@ -291,52 +293,36 @@ def plancherel_verdict() -> dict:
 
 # -- matrix coefficients of continued spherical vectors ---------------------
 
-def _psi_factor(r: float) -> complex:
-    """w in the quadratic 1 + w x^2 of Psi_r, the spherical vector
-    continued to torus angle r."""
-    if r > 0:
-        return np.exp(-1j * (math.pi - 4.0 * (OMEGA_RADIUS - r)))
-    return 1.0 + 0.0j
+def _frame(ginv, r: float):
+    """The frame (P, r) of pi(g) Psi_r = kappa_r P^{-(1 - i lam)/2}, Psi_r
+    the spherical vector continued to torus angle r, kappa_r = e^{(-1 + i
+    lam) i r} / sqrt(pi) and P its quadratic 1 + e^{-4ir} x^2 pulled by the
+    real ginv = g^{-1}.  Im P <= 0, so the principal logarithm is the
+    continuation from the real group and cannot alias."""
+    return pull_quadratic((1.0, 0.0, np.exp(-4j * r)), ginv), r
 
 
-#: a frame (g^{-1} entries (a, b, c, d), r) stands for the vector
-#: pi(g) Psi_r; this one is v_K itself
-_V_K = ((1.0, 0.0, 0.0, 1.0), 0.0)
-
-
-def _frame_logs(frame, xs: np.ndarray):
-    """B0, B1 with pi(g) Psi_r = kappa_r exp(B0 + lam B1) on the nodes xs,
-    kappa_r = e^{(-1 + i lam) i r} / sqrt(pi).
-
-    The vector is kappa_r |u|^{-1 + i lam} q^{-(1 - i lam)/2}, u = c x + d,
-    q = 1 + w_r ((a x + b)/u)^2; Im q <= 0, so the principal logarithm is
-    the continuation from the real group and cannot alias.
-    """
-    (a, b, c, d), r = frame
-    u = c * xs + d
-    m = (a * xs + b) / u
-    log_u = np.log(np.abs(u))
-    half_log_q = 0.5 * np.log(1.0 + _psi_factor(r) * m * m)
-    return -log_u - half_log_q, 1j * (log_u + half_log_q)
+#: the frame of v_K itself
+_V_K = _frame(np.eye(2), 0.0)
 
 
 def _pairing_row(lams: np.ndarray, f1, f2, xs: np.ndarray, ws: np.ndarray,
                  reach: float) -> np.ndarray:
     """<pi(g1) Psi_r1, pi(g2) Psi_r2> for all lams on one x-grid (xs, ws)
-    ending at +-reach, for the frames f1 = (g1^{-1}, r1), f2 = (g2^{-1}, r2).
+    ending at +-reach, for the frames f1 = (P1, r1), f2 = (P2, r2).
 
     The integrand is kappa_r1 conj(kappa_r2) exp(A0(x) + lam A1(x)), so one
     lam-by-x exponential, built and exponentiated in place, serves every
     spectral node; beyond the reach it decays like 1/x^2, and that tail is
     added in closed form.
     """
-    b0, b1 = _frame_logs(f1, xs)
-    c0, c1 = _frame_logs(f2, xs)
-    mat = np.multiply.outer(lams, b1 + np.conj(c1))
-    mat += b0 + np.conj(c0)
+    (p1, r1), (p2, r2) = f1, f2
+    half_log1 = 0.5 * np.log(polyval(xs, p1))
+    conj_half_log2 = np.conj(0.5 * np.log(polyval(xs, p2)))
+    mat = np.multiply.outer(lams, 1j * (half_log1 - conj_half_log2))
+    mat -= half_log1 + conj_half_log2
     np.exp(mat, out=mat)
     amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
-    (_, r1), (_, r2) = f1, f2
     kappa = np.exp(-lams * (r1 + r2) - 1j * (r1 - r2)) / math.pi
     return kappa * (mat @ ws + 2.0 * amp / reach)
 
@@ -344,24 +330,17 @@ def _pairing_row(lams: np.ndarray, f1, f2, xs: np.ndarray, ws: np.ndarray,
 def _pairing(lams: np.ndarray, f1, f2) -> np.ndarray:
     """`_pairing_row` on a grid built from the unordered pair of frames.
 
-    Panel edges are octaves out to the reach, geometric clusters around
-    the complex roots of each pulled quadratic (c x + d)^2 + w_r (a x + b)^2,
-    which carry the only near-singular structure, and each Mobius pole
-    -d/c.  The reach is 2048 times the largest root modulus (at least 1):
-    at 256 times, the closed-form 1/x^2 tail alone put the doubled torus
-    values 5e-7 off their norm oracle.  Swapping f1 and f2 gives the same
-    grid, so the result conjugates to rounding.
+    Panel edges are octaves out to the reach and geometric clusters
+    around the complex roots of each frame's pulled quadratic P, which
+    carry the only near-singular structure.  The reach is 2048 times the
+    largest root modulus (at least 1): at 256 times, the closed-form 1/x^2
+    tail alone put the doubled torus values 5e-7 off their norm oracle.
+    Swapping f1 and f2 gives the same grid, so the result conjugates to
+    rounding.
     """
-    roots, poles = [], []
-    for (a, b, c, d), r in (f1, f2):
-        w_r = _psi_factor(r)
-        roots.extend(np.roots([c * c + w_r * a * a,
-                               2.0 * (c * d + w_r * a * b),
-                               d * d + w_r * b * b]))
-        if abs(c) > 1e-300:
-            poles.append(-d / c)
+    roots = np.concatenate([polyroots(p) for p, _ in (f1, f2)])
     reach = 2048.0 * max([1.0] + [abs(rt) for rt in roots])
-    edges = {-reach, reach, -1.0, 1.0, 0.0, *poles}
+    edges = {-reach, reach, -1.0, 1.0, 0.0}
     base = 0.125
     while base < reach:
         edges.update((-base, base))
@@ -380,8 +359,8 @@ def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float
                     ) -> np.ndarray:
     """phi_lam(g exp(i r h) x0) for all lams, by the matrix-coefficient
     pairing <pi(g) Psi_r, v_K> with Psi_r the continued spherical vector."""
-    frame = tuple(g.inverse().m.real.ravel()), r
-    return _pairing(np.asarray(lams, dtype=float), frame, _V_K)
+    return _pairing(np.asarray(lams, dtype=float),
+                    _frame(g.inverse().m.real, r), _V_K)
 
 
 # -- the orbital identity ----------------------------------------------------
@@ -402,7 +381,7 @@ def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     if r == 0.0:
         return np.ones(lams.size)
-    frame = (_V_K[0], r)
+    frame = _frame(np.eye(2), r)
     return _pairing(lams, frame, frame).real
 
 
@@ -444,7 +423,7 @@ def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas,
         ct, st = math.cos(th), math.sin(th)
         # inverse of a_s k_theta
         ginv = (ct / s, -s * st, st / s, s * ct)
-        phi_vals = _pairing_row(nodes, (ginv, r), _V_K, xs, ws, reach)
+        phi_vals = _pairing_row(nodes, _frame(ginv, r), _V_K, xs, ws, reach)
         total += wt * abs(np.sum(coeff * phi_vals)) ** 2
     return total
 
@@ -636,7 +615,7 @@ class KernelMeasure:
 def _tangent_frame(z: PairPoint):
     """The frame of pi(z) v_K: z = g exp(i psi h) x0 gives pi(g) Psi_psi."""
     tb = point_to_tangent(z)
-    return tuple(tb.g.inverse().m.real.ravel()), abs(float(tb.y.c_h))
+    return _frame(tb.g.inverse().m.real, abs(float(tb.y.c_h)))
 
 
 def invariant_kernel(measure: KernelMeasure, z: PairPoint,

@@ -13,7 +13,8 @@ cut (-inf, 0], in which case the principal branch is the continuous one.
 Group translates of continued vectors stay in the algebra because the
 pulled-back quadratic (c x + d)^2 q(m(x)) again avoids the cut and the
 modulus factors of the unitary action cancel the leftover real-linear
-powers exactly.
+powers exactly: `pull_quadratic` is that carrier and
+`QuadraticPower.pulled` the translate, with no Mobius pole.
 """
 
 from __future__ import annotations
@@ -68,6 +69,28 @@ def _poly_jets(coeffs, x: np.ndarray, order: int) -> np.ndarray:
         out[k] = P.polyval(x, c) if c.size else 0.0
         c = P.polyder(c)
     return out
+
+
+def pull_quadratic(q, ginv) -> np.ndarray:
+    """Ascending coefficients of P = (c x + d)^2 q0 + (a x + b)(c x + d) q1
+    + (a x + b)^2 q2, q pulled back by (a, b; c, d) = ginv (a matrix or its
+    entries).  For real ginv, |c x + d|^(2 sigma) q(m(x))^sigma = P^sigma
+    with principal branches, since (c x + d)^2 > 0."""
+    a, b, c, d = np.asarray(ginv, dtype=complex).ravel()
+    q0, q1, q2 = q
+    return np.array([d * d * q0 + b * d * q1 + b * b * q2,
+                     2.0 * c * d * q0 + (a * d + b * c) * q1 + 2.0 * a * b * q2,
+                     c * c * q0 + a * c * q1 + a * a * q2])
+
+
+def pulled_hints(hints, ginv) -> tuple[float, ...]:
+    """Hints of a vector pulled back by the real Mobius map of ginv: the
+    preimages of the child's hints, and the pole -d/c, where the child's
+    behaviour at infinity lands; points sent to infinity are dropped."""
+    a, b, c, d = np.asarray(ginv).real.ravel()
+    with np.errstate(all="ignore"):
+        out = [(d * h - b) / (a - c * h) for h in hints] + [-d / c]
+    return tuple(sorted(h for h in out if np.isfinite(h)))
 
 
 def _offcut_ok(q) -> bool:
@@ -139,6 +162,15 @@ class QuadraticPower(SmoothVector):
         self.sigma = complex(sigma)
         self.hints = tuple(hints)
         self._r_polys = [np.array([1.0 + 0.0j])]
+
+    def pulled(self, ginv) -> "QuadraticPower":
+        """pi(g) of this vector, (a, b; c, d) = ginv = g^{-1} real, at the
+        parameter lam of its exponent sigma = (-1 + i lam)/2: the power
+        kappa * P^sigma of the pulled carrier `pull_quadratic(q, ginv)`."""
+        if abs(self.sigma.real + 0.5) > 1e-12:
+            raise ValueError("the closed-form action needs the unitary exponent")
+        return QuadraticPower(self.kappa, pull_quadratic(self.q, ginv),
+                              self.sigma, hints=pulled_hints(self.hints, ginv))
 
     def _r_poly(self, n: int) -> np.ndarray:
         while len(self._r_polys) <= n:
@@ -290,17 +322,9 @@ class MobiusPulled(SmoothVector):
         self.child = child
         self.gi = ginv.real
         self.nu = complex(-1.0, lam)
-        a, b, c, d = self.gi.ravel()
         if child.support is not None:
             self.support = _interval_preimage(*child.support, self.gi)
-        hints = []
-        for h in child.hints:
-            den = -c * h + a
-            if den != 0:
-                hints.append((d * h - b) / den)
-        if c != 0:
-            hints.append(-d / c)
-        self.hints = tuple(sorted(hints))
+        self.hints = pulled_hints(child.hints, self.gi)
 
     def _mobius_jets(self, x, order):
         a, b, c, d = self.gi.ravel()
@@ -342,11 +366,11 @@ class FlowPulled(SmoothVector):
 
     Because the multiplier exponent of the unitary action equals the
     vector's own exponent, the continued value telescopes to
-    kappa * P(sigma; x)^sigma with the pole-free polynomial carrier
-        P = (c x + d)^2 q0 + (a x + b)(c x + d) q1 + (a x + b)^2 q2,
-    whose argument is accumulated stepwise from the identity; the
-    principal branch is thus corrected by the actual winding instead of
-    being trusted pointwise.  Only the order-zero jet is provided.
+    kappa * P(sigma; x)^sigma with P(sigma) the pole-free carrier
+    `pull_quadratic` of the flow element, whose argument is accumulated
+    stepwise from the identity; the principal branch is thus corrected by
+    the actual winding instead of being trusted pointwise.  Only the
+    order-zero jet is provided.
     """
 
     def __init__(self, child: "QuadraticPower", flow_matrix_fn, lam: float,
@@ -361,11 +385,7 @@ class FlowPulled(SmoothVector):
         self.hints = ()
 
     def _carrier(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        a, b, c, d = np.asarray(self.flow(sigma), dtype=complex).ravel()
-        q0, q1, q2 = self.child.q
-        top = a * x + b
-        bot = c * x + d
-        return bot * bot * q0 + top * bot * q1 + top * top * q2
+        return P.polyval(x, pull_quadratic(self.child.q, self.flow(sigma)))
 
     def jet(self, x, order):
         if order > 0:

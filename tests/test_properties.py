@@ -1,6 +1,6 @@
 """Property tests on generated inputs: the symmetric model of pair points,
 the coordinate round trips, the off-cut invariant of quadratic powers, the
-rotation invariance of the spherical function, the invariance and
+closed-form group action on them, the rotation invariance of the spherical function, the invariance and
 Hermitian symmetry of the Hardy kernel, and Parseval for the radial
 spherical transform.
 
@@ -9,7 +9,7 @@ Examples are derandomized, so every run draws the same inputs."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crownkit import crown, repn, spectral
@@ -17,7 +17,7 @@ from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, exp_lie, k_theta, n_x, p_invariant,
                               p_of_pair, pair_sym, sym_model)
 from crownkit.pairmodel import PairPoint
-from crownkit.vectors import QuadraticPower
+from crownkit.vectors import MobiusPulled, QuadraticPower
 
 GEOMETRY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -82,6 +82,35 @@ def test_accepted_quadratics_avoid_the_cut(q):
     on_cut = (np.abs(qv.imag) <= 1e-12 * np.maximum(1.0, np.abs(qv))) & (
         qv.real <= 0.0)
     assert not np.any(on_cut), x[on_cut]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(real_elements, st.floats(1e-6, math.pi / 4.0), st.floats(0.25, 2.5),
+       real_elements)
+def test_pulled_quadratic_matches_mobius_pulled(g, eps, lam, g2):
+    param = repn.SpectralParam(lam)
+    f = repn.continue_vK(param, eps)
+    ginv = g.inverse().m.real
+    a, b, c, d = ginv.ravel()
+    # against mpmath, the composed jets of MobiusPulled, the reference,
+    # lose up to 1e-3 at order 4 within 1e-2 of the pole -d/c, and the
+    # power's order-3 and 4 jets lose up to 5e-10 to cancellation in its
+    # recurrence polynomials when g's entries reach 8; next to the
+    # power's near-singular points, rounding of its coefficients costs
+    # about 1e-16/eps.  So compare where |c x + d| >= 1/2, to these bounds
+    xs = np.linspace(-3.0, 3.0, 25)
+    xs = xs[np.abs(c * xs + d) >= 0.5]
+    assume(xs.size > 0)
+    new = f.pulled(ginv).jet(xs, 4)
+    ref = MobiusPulled(f, ginv, lam).jet(xs, 4)
+    for n, tol in enumerate((1e-11, 1e-11, 1e-11, 1e-8, 1e-8)):
+        assert np.max(np.abs(new[n] - ref[n])) <= (
+            (tol + 1e-15 / eps) * np.max(np.abs(ref[n])))
+    # pulling by g^{-1}, then by g2^{-1}, is pulling by (g2 g)^{-1}
+    h2 = g2.inverse().m.real
+    twice, once = f.pulled(ginv).pulled(h2), f.pulled(ginv @ h2)
+    assert np.max(np.abs(twice.q - once.q)) <= 1e-12 * np.max(np.abs(once.q))
+    assert (twice.kappa, twice.sigma) == (once.kappa, once.sigma)
 
 
 # interior points of the crown, and points (-1, 1) g of the distinguished

@@ -16,9 +16,8 @@ from crownkit.liecore import (E_VEC, F_VEC, H_VEC, IDENTITY, LieVector,
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import (HFunctional, SpectralParam, apply_pi,
                            apply_pi_flow, continue_vK, d_pi, doubling_check,
-                           group_disc, h_functional_eval, h_limit_gap,
-                           levi_check, norm_growth, phi_lambda, rep_norm,
-                           v_K)
+                           group_disc, h_limit_gap, levi_check, norm_growth,
+                           phi_lambda, rep_norm, rep_pairing, v_K)
 from crownkit.vectors import ExpPoly
 
 
@@ -42,6 +41,31 @@ def test_representation_property(rng):
         lhs = apply_pi(param, g1, apply_pi(param, g2, v_K(param))).value(xs)
         rhs = apply_pi(param, g1 @ g2, v_K(param)).value(xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def test_pulled_jets_are_exact_next_to_the_mobius_pole():
+    # pi(g) f = |cx + d|^(-1 + i lam) f(m(x)) differentiated in mpmath, at
+    # 1e-3 from the pole of m, where the composed jets of MobiusPulled
+    # miss by 1e-3 at order 3 and by a factor 5 at order 4
+    param = SpectralParam(1.3)
+    f = continue_vK(param, 1e-3)
+    g = a_t(1.7) @ exp_lie(U_VEC, 0.9)
+    ginv = g.inverse().m.real
+    a, b, c, d = (mpmath.mpf(float(v)) for v in ginv.ravel())
+    x0 = float(-d / c) + 1e-3
+    q0, q1, q2 = (mpmath.mpc(complex(v)) for v in f.q)
+    sigma = mpmath.mpc(f.sigma)
+
+    def pulled(x):
+        m = (a * x + b) / (c * x + d)
+        return (f.kappa * abs(c * x + d) ** (2 * sigma)
+                * (q0 + q1 * m + q2 * m * m) ** sigma)
+
+    jets = apply_pi(param, g, f).jet(np.array([x0]), 4)[:, 0]
+    with mpmath.workdps(40):
+        for n in range(5):
+            ref = complex(mpmath.diff(pulled, mpmath.mpf(x0), n))
+            assert abs(jets[n] - ref) <= 1e-13 * abs(ref)
 
 
 def test_continuation_endpoint_is_spherical_vector():
@@ -198,7 +222,7 @@ def test_h_functional_disjoint_support_pairing():
     # even Gaussian cut to vanish identically on [-1.1, 1.1]
     cut = Sum([(1.0, PolyVector([1.0])), (-1.0, RadialStep(1.1, 1.5))])
     psi = Product(cut, ExpPoly(1.0, [1.0], (0.0, 0.0, 0.25)))
-    val = h_functional_eval(eta1, psi)
+    val = rep_pairing(psi, eta1)
     assert abs(val) < 1e-12
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crownkit.liecore import a_t
+from crownkit.liecore import K0, a_t
 from crownkit.repn import SpectralParam, apply_pi, continue_vK, \
     rep_norm, v_K
 from crownkit.sobolev import (SobolevSpec, build_dyadic, choose_m,
@@ -138,3 +138,29 @@ def test_rotation_identity_exact():
     g = ExpPoly(1.0, [0.5, 1.0], (0.0, 0.1, 1.0))
     rc2 = rotate_A_to_H(PARAM, g, 2)
     assert rc2.gap < 1e-5
+
+
+def test_k2_rotation_passes_the_mobius_pole():
+    # pi(k0) of a continued vector is a quadratic power in closed form;
+    # composed jets through the Mobius map had a pole at x = -1, where
+    # the k = 2 integrands went non-finite and quadrature raised
+    param = SpectralParam(2.3)
+    rc = rotate_A_to_H(param, continue_vK(param, 1e-4), 2)
+    assert rc.gap < 1e-5
+
+
+def test_k2_invariant_bound_passes_the_mobius_pole():
+    param = SpectralParam(2.3)
+    f = continue_vK(param, 1e-4)
+    bound = invariant_upper_bound(param, f, 2, choose_m(param, f, 2))
+    assert bound.bound >= rep_norm(f)
+
+
+def test_rotation_keeps_the_mobius_pole_as_a_hint():
+    # k0 sends the continued vector's feature at x = 1 to infinity and its
+    # behaviour at infinity to the pole x = -1; without that hint the
+    # quadrature misses the rotated norm by 2e-2
+    param = SpectralParam(0.5)
+    f = continue_vK(param, 1e-6)
+    assert -1.0 in apply_pi(param, K0, f).hints
+    assert rotate_A_to_H(param, f, 1).gap < 1e-9

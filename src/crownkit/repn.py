@@ -73,9 +73,7 @@ def continue_vK(param: SpectralParam, eps: float) -> QuadraticPower:
     zeta_log = 1j * (OMEGA_RADIUS - eps)
     kappa = cmath.exp((-1.0 + 1j * param.lam) * zeta_log) / SQRT_PI
     w = cmath.exp(-1j * (math.pi - 4.0 * eps))
-    hints = (-1.0, 1.0) if eps < 0.1 else ()
-    return QuadraticPower(kappa, (1.0, 0.0, w), param.vector_exponent,
-                          hints=hints)
+    return QuadraticPower(kappa, (1.0, 0.0, w), param.vector_exponent)
 
 
 def apply_pi(param: SpectralParam, g: GroupElement, f):

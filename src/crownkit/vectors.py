@@ -3,10 +3,11 @@
 Everything the representation-theoretic modules integrate is built from a
 small expression algebra whose nodes evaluate Taylor jets (f, f', ...,
 f^(n)) at arrays of real points.  The key node is the complex power of a
-quadratic, kappa * q(x)^sigma, whose derivatives obey the polynomial
-recurrence R_{n+1} = R_n' q + (sigma - n) R_n q'; this covers the
-spherical vector, all of its analytic continuations, and their images
-under the group action, with no finite-difference noise anywhere.
+quadratic, kappa * q(x)^sigma, which its complex roots rho describe: the
+derivatives of log q are (-1)^(k-1) (k-1)! sum_rho (x - rho)^(-k), and
+the roots mark where the power peaks and how wide the peak is.  This
+covers the spherical vector, all of its analytic continuations, and their
+images under the group action, with no finite-difference noise anywhere.
 
 Branch discipline: a quadratic power is only admitted when q(R) avoids the
 cut (-inf, 0], in which case the principal branch is the continuous one.
@@ -83,16 +84,6 @@ def pull_quadratic(q, ginv) -> np.ndarray:
                      c * c * q0 + a * c * q1 + a * a * q2])
 
 
-def pulled_hints(hints, ginv) -> tuple[float, ...]:
-    """Hints of a vector pulled back by the real Mobius map of ginv: the
-    preimages of the child's hints, and the pole -d/c, where the child's
-    behaviour at infinity lands; points sent to infinity are dropped."""
-    a, b, c, d = np.asarray(ginv).real.ravel()
-    with np.errstate(all="ignore"):
-        out = [(d * h - b) / (a - c * h) for h in hints] + [-d / c]
-    return tuple(sorted(h for h in out if np.isfinite(h)))
-
-
 def _offcut_ok(q) -> bool:
     """True when the values on R of the quadratic with ascending
     coefficients q = (q0, q1, q2) avoid the cut (-inf, 0]."""
@@ -149,9 +140,12 @@ class SmoothVector:
 
 
 class QuadraticPower(SmoothVector):
-    """kappa * (q2 x^2 + q1 x + q0)^sigma with the principal branch."""
+    """kappa * (q2 x^2 + q1 x + q0)^sigma with the principal branch.
 
-    def __init__(self, kappa: complex, q, sigma: complex, *, hints=()):
+    Its hints are Re rho and Re rho -+ |Im rho| for each complex root rho
+    of q: where the power peaks and how wide the peak is."""
+
+    def __init__(self, kappa: complex, q, sigma: complex):
         q = np.asarray(q, dtype=complex)  # ascending: (q0, q1, q2)
         if q.shape != (3,):
             raise ValueError("quadratic needs three ascending coefficients")
@@ -160,8 +154,10 @@ class QuadraticPower(SmoothVector):
         self.kappa = complex(kappa)
         self.q = q
         self.sigma = complex(sigma)
-        self.hints = tuple(hints)
-        self._r_polys = [np.array([1.0 + 0.0j])]
+        roots = P.polyroots(np.trim_zeros(q, "b"))
+        self.roots = roots[np.isfinite(roots)]
+        self.hints = tuple(sorted(float(r.real + s * abs(r.imag))
+                                  for r in self.roots for s in (-1, 0, 1)))
 
     def pulled(self, ginv) -> "QuadraticPower":
         """pi(g) of this vector, (a, b; c, d) = ginv = g^{-1} real, at the
@@ -170,32 +166,29 @@ class QuadraticPower(SmoothVector):
         if abs(self.sigma.real + 0.5) > 1e-12:
             raise ValueError("the closed-form action needs the unitary exponent")
         return QuadraticPower(self.kappa, pull_quadratic(self.q, ginv),
-                              self.sigma, hints=pulled_hints(self.hints, ginv))
-
-    def _r_poly(self, n: int) -> np.ndarray:
-        while len(self._r_polys) <= n:
-            k = len(self._r_polys) - 1
-            rk = self._r_polys[-1]
-            nxt = P.polyadd(P.polymul(P.polyder(rk), self.q),
-                            (self.sigma - k) * P.polymul(rk, P.polyder(self.q)))
-            self._r_polys.append(nxt)
-        return self._r_polys[n]
+                              self.sigma)
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x))
-        qv = P.polyval(x, self.q)
-        logq = np.log(qv)  # principal; valid by the off-cut invariant
         out = np.zeros((order + 1, x.size), dtype=complex)
-        for n in range(order + 1):
-            rn = P.polyval(x, self._r_poly(n))
-            out[n] = self.kappa * rn * np.exp((self.sigma - n) * logq)
+        # principal log; valid by the off-cut invariant
+        out[0] = self.kappa * np.exp(self.sigma * np.log(P.polyval(x, self.q)))
+        # dlog[k] = (log q)^(k+1) = (-1)^k k! sum_rho (x - rho)^(-k-1)
+        dlog = []
+        power = 1.0
+        for k in range(order):
+            power = power / (x - self.roots[:, None])
+            dlog.append((-1) ** k * math.factorial(k) * power.sum(axis=0))
+        # f' = sigma (log q)' f, differentiated n times by Leibniz
+        for n in range(order):
+            out[n + 1] = self.sigma * sum(_binom(n, k) * dlog[k] * out[n - k]
+                                          for k in range(n + 1))
         return out
 
 
 class PolyVector(SmoothVector):
-    def __init__(self, coeffs, hints=()):
+    def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.hints = tuple(hints)
 
     def jet(self, x, order):
         return _poly_jets(self.coeffs, np.atleast_1d(np.asarray(x)), order)
@@ -324,7 +317,12 @@ class MobiusPulled(SmoothVector):
         self.nu = complex(-1.0, lam)
         if child.support is not None:
             self.support = _interval_preimage(*child.support, self.gi)
-        self.hints = pulled_hints(child.hints, self.gi)
+        # the preimages of the child's hints, and the pole -d/c, where the
+        # child's behaviour at infinity lands; points sent to infinity drop
+        a, b, c, d = self.gi.ravel()
+        with np.errstate(all="ignore"):
+            pts = [(d * h - b) / (a - c * h) for h in child.hints] + [-d / c]
+        self.hints = tuple(sorted(h for h in pts if np.isfinite(h)))
 
     def _mobius_jets(self, x, order):
         a, b, c, d = self.gi.ravel()
@@ -360,6 +358,10 @@ class MobiusPulled(SmoothVector):
         return _leibniz(self._modulus_jets(x, order), comp)
 
 
+# winding steps of a flow continuation; each failed attempt takes 4x more
+_FLOW_STEPS = 32
+
+
 class FlowPulled(SmoothVector):
     """Value-only analytic continuation of the action along a one-parameter
     flow exp(sigma * W), sigma in [0, 1], applied to a quadratic power.
@@ -373,15 +375,13 @@ class FlowPulled(SmoothVector):
     order-zero jet is provided.
     """
 
-    def __init__(self, child: "QuadraticPower", flow_matrix_fn, lam: float,
-                 n_steps: int = 32):
+    def __init__(self, child: "QuadraticPower", flow_matrix_fn, lam: float):
         if not isinstance(child, QuadraticPower):
             raise TypeError("flow continuation is defined on quadratic powers")
         if abs(child.sigma - 0.5 * complex(-1.0, lam)) > 1e-12:
             raise ValueError("flow continuation needs the unitary exponent")
         self.child = child
         self.flow = flow_matrix_fn  # sigma in [0,1] -> inverse group matrix
-        self.n_steps = int(n_steps)
         self.hints = ()
 
     def _carrier(self, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -391,7 +391,7 @@ class FlowPulled(SmoothVector):
         if order > 0:
             raise ValueError("flow continuation provides values only")
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        n_steps = self.n_steps
+        n_steps = _FLOW_STEPS
         for attempt in range(6):
             carrier = self._carrier(x, 0.0)
             arg = np.angle(carrier)

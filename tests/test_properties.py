@@ -1,8 +1,9 @@
 """Property tests on generated inputs: the symmetric model of pair points,
 the coordinate round trips, the off-cut invariant of quadratic powers, the
-closed-form group action on them, the rotation invariance of the spherical function, the invariance and
-Hermitian symmetry of the Hardy kernel, and Parseval for the radial
-spherical transform.
+closed-form group action on them and the norms it keeps, the rotation
+invariance of the spherical function, the invariance and Hermitian
+symmetry of the Hardy kernel, and Parseval for the radial spherical
+transform.
 
 Examples are derandomized, so every run draws the same inputs."""
 
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crownkit import crown, repn, spectral
+from crownkit import crown, repn, sobolev, spectral
 from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, exp_lie, k_theta, n_x, p_invariant,
                               p_of_pair, pair_sym, sym_model)
@@ -93,11 +94,9 @@ def test_pulled_quadratic_matches_mobius_pulled(g, eps, lam, g2):
     ginv = g.inverse().m.real
     a, b, c, d = ginv.ravel()
     # against mpmath, the composed jets of MobiusPulled, the reference,
-    # lose up to 1e-3 at order 4 within 1e-2 of the pole -d/c, and the
-    # power's order-3 and 4 jets lose up to 5e-10 to cancellation in its
-    # recurrence polynomials when g's entries reach 8; next to the
-    # power's near-singular points, rounding of its coefficients costs
-    # about 1e-16/eps.  So compare where |c x + d| >= 1/2, to these bounds
+    # lose up to 1e-3 at order 4 within 1e-2 of the pole -d/c; next to the
+    # power's roots, rounding of its coefficients costs about 1e-16/eps.
+    # So compare where |c x + d| >= 1/2, to these bounds
     xs = np.linspace(-3.0, 3.0, 25)
     xs = xs[np.abs(c * xs + d) >= 0.5]
     assume(xs.size > 0)
@@ -111,6 +110,17 @@ def test_pulled_quadratic_matches_mobius_pulled(g, eps, lam, g2):
     twice, once = f.pulled(ginv).pulled(h2), f.pulled(ginv @ h2)
     assert np.max(np.abs(twice.q - once.q)) <= 1e-12 * np.max(np.abs(once.q))
     assert (twice.kappa, twice.sigma) == (once.kappa, once.sigma)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(real_elements, st.floats(0.25, 2.5),
+       st.floats(math.log(1e-6), math.log(math.pi / 4.0)).map(math.exp))
+def test_action_keeps_norms_of_continued_vectors(g, lam, eps):
+    param = repn.SpectralParam(lam)
+    f = repn.continue_vK(param, eps)
+    norm = repn.rep_norm(f)
+    assert abs(repn.rep_norm(repn.apply_pi(param, g, f)) - norm) <= 1e-9 * norm
+    assert sobolev.rotate_A_to_H(param, f, 1).gap < 1e-9
 
 
 # interior points of the crown, and points (-1, 1) g of the distinguished

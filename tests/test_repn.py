@@ -12,7 +12,7 @@ from conftest import random_crown_point, random_real_element
 from crownkit import crown
 from crownkit.errors import NotInCrown
 from crownkit.liecore import (E_VEC, F_VEC, H_VEC, IDENTITY, LieVector,
-                              U_VEC, a_t, exp_lie)
+                              U_VEC, a_t, exp_lie, k_theta, n_x)
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import (HFunctional, SpectralParam, apply_pi,
                            apply_pi_flow, continue_vK, d_pi, doubling_check,
@@ -43,16 +43,30 @@ def test_representation_property(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def test_pulled_jets_are_exact_next_to_the_mobius_pole():
-    # pi(g) f = |cx + d|^(-1 + i lam) f(m(x)) differentiated in mpmath, at
+NEAR_POLE = a_t(1.7) @ exp_lie(U_VEC, 0.9)
+LARGE_ENTRIES = k_theta(2.80) @ a_t(math.exp(1.5)) @ n_x(2.0)
+
+
+def _pole(g):
+    ginv = g.inverse().m.real
+    return float(-ginv[1, 1] / ginv[1, 0])
+
+
+@pytest.mark.parametrize("lam, eps, g, x0, tol", [
     # 1e-3 from the pole of m, where the composed jets of MobiusPulled
     # miss by 1e-3 at order 3 and by a factor 5 at order 4
-    param = SpectralParam(1.3)
-    f = continue_vK(param, 1e-3)
-    g = a_t(1.7) @ exp_lie(U_VEC, 0.9)
+    pytest.param(1.3, 1e-3, NEAR_POLE, _pole(NEAR_POLE) + 1e-3, 1e-13,
+                 id="near_pole"),
+    # g^{-1} has entries up to 8.4, against which recurrence polynomials
+    # on the coefficients of q lost 5e-10 at order 4
+    pytest.param(0.25, 0.556, LARGE_ENTRIES, 2.5, 1e-11, id="large_entries"),
+])
+def test_pulled_jets_are_exact_next_to_the_mobius_pole(lam, eps, g, x0, tol):
+    # pi(g) f = |cx + d|^(-1 + i lam) f(m(x)) differentiated in mpmath
+    param = SpectralParam(lam)
+    f = continue_vK(param, eps)
     ginv = g.inverse().m.real
     a, b, c, d = (mpmath.mpf(float(v)) for v in ginv.ravel())
-    x0 = float(-d / c) + 1e-3
     q0, q1, q2 = (mpmath.mpc(complex(v)) for v in f.q)
     sigma = mpmath.mpc(f.sigma)
 
@@ -65,7 +79,7 @@ def test_pulled_jets_are_exact_next_to_the_mobius_pole():
     with mpmath.workdps(40):
         for n in range(5):
             ref = complex(mpmath.diff(pulled, mpmath.mpf(x0), n))
-            assert abs(jets[n] - ref) <= 1e-13 * abs(ref)
+            assert abs(jets[n] - ref) <= tol * abs(ref)
 
 
 def test_continuation_endpoint_is_spherical_vector():

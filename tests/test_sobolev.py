@@ -156,11 +156,13 @@ def test_k2_invariant_bound_passes_the_mobius_pole():
     assert bound.bound >= rep_norm(f)
 
 
-def test_rotation_keeps_the_mobius_pole_as_a_hint():
-    # k0 sends the continued vector's feature at x = 1 to infinity and its
-    # behaviour at infinity to the pole x = -1; without that hint the
-    # quadrature misses the rotated norm by 2e-2
-    param = SpectralParam(0.5)
-    f = continue_vK(param, 1e-6)
-    assert -1.0 in apply_pi(param, K0, f).hints
+@pytest.mark.parametrize("lam, eps", [(0.5, 1e-6), (1.0746, 1.05e-6)])
+def test_rotation_hints_reach_the_far_root(lam, eps):
+    # k0 sends the continued vector's root next to x = 1 out to |x| ~ 1/eps;
+    # the hints of the rotated power are its roots, so they reach the mass
+    # out there.  Hand-placed hints at x = +-1 and the pole x = -1 missed
+    # the rotated norm by 1.25e-2 at the second case
+    param = SpectralParam(lam)
+    f = continue_vK(param, eps)
+    assert max(abs(h) for h in apply_pi(param, K0, f).hints) > 1e5
     assert rotate_A_to_H(param, f, 1).gap < 1e-9

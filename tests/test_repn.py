@@ -57,8 +57,8 @@ def _pole(g):
     # miss by 1e-3 at order 3 and by a factor 5 at order 4
     pytest.param(1.3, 1e-3, NEAR_POLE, _pole(NEAR_POLE) + 1e-3, 1e-13,
                  id="near_pole"),
-    # g^{-1} has entries up to 8.4, against which recurrence polynomials
-    # on the coefficients of q lost 5e-10 at order 4
+    # g^{-1} has entries up to 8.4, so the pulled q has coefficients large
+    # against its values at x0: jets formed from them lose 5e-10 at order 4
     pytest.param(0.25, 0.556, LARGE_ENTRIES, 2.5, 1e-11, id="large_entries"),
 ])
 def test_pulled_jets_are_exact_next_to_the_mobius_pole(lam, eps, g, x0, tol):

@@ -160,8 +160,8 @@ def test_k2_invariant_bound_passes_the_mobius_pole():
 def test_rotation_hints_reach_the_far_root(lam, eps):
     # k0 sends the continued vector's root next to x = 1 out to |x| ~ 1/eps;
     # the hints of the rotated power are its roots, so they reach the mass
-    # out there.  Hand-placed hints at x = +-1 and the pole x = -1 missed
-    # the rotated norm by 1.25e-2 at the second case
+    # out there.  Hints at x = +-1 and the pole x = -1 alone miss the
+    # rotated norm by 1.25e-2 at the second case
     param = SpectralParam(lam)
     f = continue_vK(param, eps)
     assert max(abs(h) for h in apply_pi(param, K0, f).hints) > 1e5

@@ -17,8 +17,7 @@ import numpy as np
 from . import crown, horo, maass, sobolev, spectral
 from .liecore import LieVector, a_t, complex_na_decompose, k_theta, p_of_pair
 from .repn import (DIRECTIONS, SpectralParam, continue_vK, doubling_check,
-                   dpi_fd_gap, group_disc, h_limit_gap, levi_check,
-                   norm_growth, rep_norm)
+                   dpi_fd_gap, h_limit_gap, levi_form, norm_growth, rep_norm)
 from .vectors import ExpPoly
 
 DEFAULT_SEED = 20090
@@ -302,8 +301,7 @@ def criterion_13(quick=False, seed=None):
         c_h = float(rng.normal(0.0, 0.7))
         c_sym = float(rng.normal(0.0, 0.7))
         direction = LieVector(c_h=c_h, c_e=c_sym, c_f=c_sym)
-        curve = group_disc(param, phi0, direction)
-        values.append(levi_check(param, curve, 0.0, 1e-2))
+        values.append(levi_form(param, phi0, direction))
     return {"id": "AC13", "description": "plurisubharmonic norm potential",
             "levi_values": values,
             "passed": bool(all(v > 0 for v in values))}

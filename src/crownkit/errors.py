@@ -53,6 +53,3 @@ class StripExceeded(CrownkitError):
 class AdmissibilityFailure(CrownkitError):
     """Kernel measure fails the exponential admissibility test."""
 
-
-class StepTooSmall(CrownkitError):
-    """Finite-difference step so small that cancellation dominates."""

@@ -147,11 +147,12 @@ def _pieces(a, b, hints):
     """Cut a < b into pieces, each a map u -> x on [0, width]: x = t on a
     finite range; an infinite end is reached by x = c + d t/(1 - t) on
     t in [0, 1), mirrored (d = -1) for -inf.  A doubly infinite range
-    is split at the midpoint of its hints."""
+    is split at the point of the hints' hull nearest 0, so that one far
+    hint on one side cannot move the split away from the mass."""
     if math.isfinite(a) and math.isfinite(b):
         return _cut(a, b, hints, 0.0, 0.0)
     if math.isinf(a) and math.isinf(b):
-        split = 0.5 * (min(hints) + max(hints)) if hints else 0.0
+        split = min(max(0.0, min(hints)), max(hints)) if hints else 0.0
         ends = [(split, -1.0), (split, 1.0)]
     else:
         ends = [(a, 1.0)] if math.isinf(b) else [(b, -1.0)]

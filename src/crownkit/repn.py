@@ -16,6 +16,11 @@ The spherical function is the K-average of the horospherical character,
 phi(z) = (1/2 pi) int exp((1 + i lam) log a_C(k_theta z)) d theta, and on
 doubled torus orbits it factors as a pairing of two half-continued
 vectors, which keeps it positive there.
+
+The derived action of D = c_h h + c_e e + c_f f is one first-order
+operator, linear in D.  Along the holomorphic disc F(w) = pi(exp(w D)) F(0)
+it gives F'(0) = d_pi(D) F(0), so the Levi form of log ||F||^2 takes three
+integrals and no difference quotient.
 """
 
 from __future__ import annotations
@@ -26,15 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotInCrown, StepTooSmall
+from .errors import DomainError, NotInCrown
 from .horo import log_aC_orbit
 from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
                       LieVector, exp_lie)
 from .numerics import (IdentityCheck, REPRESENTATION_CFG, integrate,
                        integrate_periodic)
 from .pairmodel import PairPoint
-from .vectors import (FlowPulled, MobiusPulled, QuadraticPower, SmoothVector,
-                      _leibniz, _poly_jets)
+from .vectors import (MobiusPulled, QuadraticPower, SmoothVector, _leibniz,
+                      _poly_jets)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -88,19 +93,6 @@ def apply_pi(param: SpectralParam, g: GroupElement, f):
     return MobiusPulled(f, ginv, param.lam)
 
 
-def apply_pi_flow(param: SpectralParam, direction: LieVector, w: complex,
-                  f: QuadraticPower) -> SmoothVector:
-    """Value-only action of exp(w * direction) for complex flow time w.
-
-    Branches are continued along the flow from the identity, which corrects
-    the principal branch by the actual winding of the pulled quadratic.
-    """
-    def flow(sigma: float):
-        return exp_lie(direction, sigma * w).inverse().m
-
-    return FlowPulled(f, flow, param.lam)
-
-
 def rep_norm(vec) -> float:
     """L^2 norm of a representation vector."""
     lo, hi = vec.support if vec.support is not None else (-math.inf, math.inf)
@@ -146,29 +138,25 @@ def norm_growth(param: SpectralParam, eps_list) -> list[NormGrowthSample]:
     return out
 
 
-# derived action in the basis h, e, f, u = e - f, and e + f:
-# each direction acts as alpha(x) f + beta(x) f'
-def _direction_polys(param: SpectralParam, direction: str):
-    il = 1j * param.lam
-    table = {
-        "h": ((il - 1.0,), (0.0, -2.0)),
-        "e": ((0.0,), (-1.0,)),
-        "f": ((0.0, 1.0 - il), (0.0, 0.0, 1.0)),
-        "u": ((0.0, il - 1.0), (-1.0, 0.0, -1.0)),
-        "e+f": ((0.0, 1.0 - il), (-1.0, 0.0, 1.0)),
-    }
-    if direction not in table:
-        raise ValueError(f"unknown direction {direction!r}")
-    return table[direction]
+#: the derived-action directions as elements of sl(2)
+DIRECTIONS = {"h": H_VEC, "e": E_VEC, "f": F_VEC, "u": U_VEC,
+              "e+f": LieVector(c_e=1.0, c_f=1.0)}
 
 
 class DPi(SmoothVector):
-    """First-order derived-action operator alpha(x) f + beta(x) f'."""
+    """Derived action of D = c_h h + c_e e + c_f f on a vector, the
+    first-order operator alpha(x) f + beta(x) f' with
+    alpha = c_h (i lam - 1) + c_f (1 - i lam) x and
+    beta = -c_e - 2 c_h x + c_f x^2."""
 
-    def __init__(self, child: SmoothVector, alpha_poly, beta_poly):
+    def __init__(self, param: SpectralParam, direction: LieVector,
+                 child: SmoothVector):
+        il = 1j * param.lam
+        c_h, c_e, c_f = direction.c_h, direction.c_e, direction.c_f
         self.child = child
-        self.alpha = np.asarray(alpha_poly, dtype=complex)
-        self.beta = np.asarray(beta_poly, dtype=complex)
+        self.alpha = np.array([c_h * (il - 1.0), c_f * (1.0 - il)],
+                              dtype=complex)
+        self.beta = np.array([-c_e, -2.0 * c_h, c_f], dtype=complex)
         self.support = child.support
         self.hints = child.hints
 
@@ -188,13 +176,9 @@ def d_pi(param: SpectralParam, direction: str, f: SmoothVector) -> DPi:
     e + f by (1 - i lam)x - (1 - x^2) d/dx.  The rotation and hyperbolic
     directions degenerate at their fixed circles x = 0/inf resp. x = +-1.
     """
-    alpha, beta = _direction_polys(param, direction)
-    return DPi(f, alpha, beta)
-
-
-#: the derived-action directions as elements of sl(2)
-DIRECTIONS = {"h": H_VEC, "e": E_VEC, "f": F_VEC, "u": U_VEC,
-              "e+f": LieVector(c_e=1.0, c_f=1.0)}
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
+    return DPi(param, DIRECTIONS[direction], f)
 
 
 def dpi_fd_gap(param: SpectralParam, direction: str, f: SmoothVector,
@@ -344,35 +328,20 @@ def h_limit_gap(param: SpectralParam, psi: SmoothVector, eps: float,
 
 # -- plurisubharmonicity of the norm ---------------------------------------
 
-def group_disc(param: SpectralParam, phi0: float, direction: LieVector):
-    """Holomorphic disc w |-> pi(exp(w D) exp(i phi0 h)) v_K through the
-    crown point exp(i phi0 h) x0 (real frames drop from norms)."""
-    if not 0.0 <= phi0 < OMEGA_RADIUS:
-        raise DomainError("phi0 must lie in [0, pi/4)")
-    anchor = continue_vK(param, OMEGA_RADIUS - phi0)
+def levi_form(param: SpectralParam, phi0: float,
+              direction: LieVector) -> float:
+    """Laplacian at w = 0 of log ||F(w)||^2 along the holomorphic disc
+    F(w) = pi(exp(w D)) F(0) through the crown point exp(i phi0 h) x0,
+    F(0) = pi(exp(i phi0 h)) v_K.
 
-    def curve(w: complex) -> SmoothVector:
-        if w == 0:
-            return anchor
-        return apply_pi_flow(param, direction, w, anchor)
-
-    return curve
-
-
-def levi_check(param: SpectralParam, curve, w0: complex = 0.0,
-               step: float = 1e-2) -> float:
-    """Discrete Laplacian of w |-> log ||pi(c(w)) v_K||^2 at w0.
-
-    Positive values witness subharmonicity along the disc, the testable
+    With F' = d_pi(D) F(0) it is 4 (||F||^2 ||F'||^2 - |<F', F>|^2) / ||F||^4,
+    positive by Cauchy-Schwarz unless F' is parallel to F: the testable
     form of strict plurisubharmonicity of the squared-norm potential.
     """
-    def F(w):
-        return 2.0 * math.log(rep_norm(curve(w)))
-
-    center = F(w0)
-    stencil = [F(w0 + step), F(w0 - step), F(w0 + 1j * step),
-               F(w0 - 1j * step)]
-    spread = max(abs(v - center) for v in stencil)
-    if spread < 1e-12 * max(1.0, abs(center)):
-        raise StepTooSmall(f"stencil spread {spread:.2e} lost to cancellation")
-    return (sum(stencil) - 4.0 * center) / step ** 2
+    if not 0.0 <= phi0 < OMEGA_RADIUS:
+        raise DomainError("phi0 must lie in [0, pi/4)")
+    f = continue_vK(param, OMEGA_RADIUS - phi0)
+    df = DPi(param, direction, f)
+    norm_sq = rep_norm(f) ** 2
+    return float(4.0 * (norm_sq * rep_norm(df) ** 2
+                        - abs(rep_pairing(df, f)) ** 2) / norm_sq ** 2)

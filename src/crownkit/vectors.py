@@ -358,62 +358,6 @@ class MobiusPulled(SmoothVector):
         return _leibniz(self._modulus_jets(x, order), comp)
 
 
-# winding steps of a flow continuation; each failed attempt takes 4x more
-_FLOW_STEPS = 32
-
-
-class FlowPulled(SmoothVector):
-    """Value-only analytic continuation of the action along a one-parameter
-    flow exp(sigma * W), sigma in [0, 1], applied to a quadratic power.
-
-    Because the multiplier exponent of the unitary action equals the
-    vector's own exponent, the continued value telescopes to
-    kappa * P(sigma; x)^sigma with P(sigma) the pole-free carrier
-    `pull_quadratic` of the flow element, whose argument is accumulated
-    stepwise from the identity; the principal branch is thus corrected by
-    the actual winding instead of being trusted pointwise.  Only the
-    order-zero jet is provided.
-    """
-
-    def __init__(self, child: "QuadraticPower", flow_matrix_fn, lam: float):
-        if not isinstance(child, QuadraticPower):
-            raise TypeError("flow continuation is defined on quadratic powers")
-        if abs(child.sigma - 0.5 * complex(-1.0, lam)) > 1e-12:
-            raise ValueError("flow continuation needs the unitary exponent")
-        self.child = child
-        self.flow = flow_matrix_fn  # sigma in [0,1] -> inverse group matrix
-        self.hints = ()
-
-    def _carrier(self, x: np.ndarray, sigma: float) -> np.ndarray:
-        return P.polyval(x, pull_quadratic(self.child.q, self.flow(sigma)))
-
-    def jet(self, x, order):
-        if order > 0:
-            raise ValueError("flow continuation provides values only")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        n_steps = _FLOW_STEPS
-        for attempt in range(6):
-            carrier = self._carrier(x, 0.0)
-            arg = np.angle(carrier)
-            ok = True
-            for k in range(1, n_steps + 1):
-                nxt = self._carrier(x, k / n_steps)
-                if np.any(np.abs(nxt) < 1e-280):
-                    raise BranchCut("flow continuation met a carrier zero")
-                step = np.angle(nxt / carrier)
-                if np.max(np.abs(step)) > 2.0:
-                    ok = False
-                    break
-                arg += step
-                carrier = nxt
-            if ok:
-                log_p = np.log(np.abs(carrier)) + 1j * arg
-                return (self.child.kappa
-                        * np.exp(self.child.sigma * log_p))[None, :]
-            n_steps *= 4
-        raise BranchCut("flow winding did not resolve under refinement")
-
-
 class WeightedDeriv(SmoothVector):
     """p(x) * child^(order_shift); used for radial operators x^j d^j/dx^j."""
 

@@ -9,7 +9,7 @@ from scipy import integrate as sci
 from crownkit.errors import InvalidIntegrand, NonConvergence
 from crownkit.numerics import (GEOMETRY_CFG, REPRESENTATION_CFG,
                                QuadratureConfig, integrate, integrate_periodic)
-from crownkit.repn import SpectralParam, continue_vK
+from crownkit.repn import SpectralParam, continue_vK, rep_norm
 
 
 def test_zero_integrand():
@@ -79,6 +79,18 @@ def test_reported_error_within_request():
         res = integrate(lambda x: np.abs(vec.value(x)) ** 2, -math.inf,
                         math.inf, cfg.with_hints(vec.hints))
         assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-4, 1e-3])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_one_far_hint_does_not_move_the_split_off_the_mass(eps, delta):
+    # pulled by (1 + delta, delta; 1, 1) the continued vector keeps one
+    # root next to -1/2, where its mass gathers, and as eps falls the other
+    # moves out to about 1/delta: lopsided hints whose midpoint once took
+    # the split of the real line far away from the mass
+    vec = continue_vK(SpectralParam(1.0), eps)
+    pulled = vec.pulled([[1.0 + delta, delta], [1.0, 1.0]])
+    assert abs(rep_norm(pulled) - rep_norm(vec)) <= 1e-10 * rep_norm(vec)
 
 
 def test_invalid_integrand_raises():

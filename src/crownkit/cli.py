@@ -3,7 +3,7 @@
 Complex numbers are written `a+bi` (also `a`, `bi`, `a-bi`).  Output is a
 single JSON document on stdout with the command, its inputs, its outputs
 (values and, for identity checks, both sides and their relative gap), a
-provenance note and a status; no error estimates are reported.  Random
+provenance note and a status; only `gutzmer` reports an error estimate.  Random
 sampling is seeded (seed echoed in the output) so identical invocations
 print identical bytes.  `suite` prints one JSON line per criterion and a
 summary line instead.
@@ -302,7 +302,7 @@ def cmd_gutzmer(args):
     return emit("gutzmer",
                 {"r": args.r, "center": args.center, "width": args.width},
                 {"lhs": check.lhs, "rhs": check.rhs, "gap": check.gap,
-                 "orbit_grid": spectral.orbit_quadrature(density).summary()},
+                 "orbit_grid": check.orbit.summary()},
                 status, provenance="orbital mass vs spectral integral")
 
 

@@ -4,20 +4,22 @@ invariant reproducing kernels on the crown.
 Conventions.  The hyperbolic area element is dx dy / y^2; the geodesic
 radius r relates to the torus by a_t x0 at distance r = 2 log t, so radial
 integrals carry the factor 2 pi sinh(r).  The transform of a radial f is
-    F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr,
-with the spherical function phi evaluated by its rotation-average.  The
-tempered weight is lam * tanh(pi lam / 2) d lam up to one overall
+    F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr.
+The tempered weight is lam * tanh(pi lam / 2) d lam up to one overall
 constant, which is not normalized here but calibrated once against a
 direct Parseval computation on a reference Gaussian and then validated on
 held-out profiles.  (Written with tanh(pi lam), no constant fits two
 different reference widths at once; the calibration harness reports this.)
 
-The lam, r and v quadrature rules, the phi matrix on them and the
-calibrated Plancherel constant live in one `SpectralGrid`, built once per
-process on first use (`spectral_grid`).  The transform, Parseval and the
-orbital mass read the phi matrix, so the first of them (or
-`calibrate_parseval`) builds it; the kernels, the doubled torus values and
-the pairing rows never do.
+On the crown the spherical function is a Legendre function of one
+invariant, phi_lam(z) = P_nu(c), nu = -1/2 + i lam/2, c = p(z)/2 (cosh r
+on the real form; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159 (2004)),
+which the phi matrix, pairing rows and orbital mass read from `_legendre`.
+
+The lam and r rules, the phi matrix on them and the calibrated Plancherel
+constant live in one `SpectralGrid`, built once per process by the first
+reader of the phi matrix: the transform, Parseval, the orbital mass or
+`calibrate_parseval`.
 
 The orbital identity moves the group integral of |f|^2 over a shifted
 copy of X inside the crown to the spectral side, weighted by the doubled
@@ -27,16 +29,16 @@ measures on the tempered ray this yields invariant reproducing kernels,
 of which the one weighted by lam tanh(pi lam/2)/cosh(pi lam) is the
 Hardy-space kernel of the most-continuous spectrum of the hyperboloid.
 
-Off the real form, the pairing rows, the doubled torus values and the
-kernel slices are all matrix coefficients <pi(g1) Psi_r1, pi(g2) Psi_r2>
-of continued spherical vectors, computed by one pairing for all lam at
+The doubled torus values (c = cos 4r) and the kernel slices reach the cut
+c <= -1, where neither series of `_legendre` converges; they are still
+matrix coefficients of continued spherical vectors, paired for all lam at
 once on an x-grid clustered around the roots of the pulled quadratics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -44,7 +46,7 @@ from numpy.polynomial.polynomial import polyroots, polyval
 
 from .crown import point_to_tangent
 from .errors import AdmissibilityFailure, DomainError
-from .liecore import OMEGA_RADIUS, GroupElement
+from .liecore import OMEGA_RADIUS, GroupElement, p_of_pair
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import PairPoint
 from .vectors import pull_quadratic
@@ -67,12 +69,10 @@ class SpectralGrid:
       of [0, 1/4, 1/2, 1, 2, 4, 8, 16, 32], dense near 0 where the tempered
       weight vanishes linearly; its first seven panels are the rule of the
       kernels on [0, KERNEL_LAM_MAX];
-    - r: graded rule on the radial range [0, 36], 48 nodes per panel;
-    - v: the rule of the phi integral in v = log tan(theta/2), 32 nodes on
-      each panel of length 2 of [-16, 54].
+    - r: graded rule on the radial range [0, 36], 48 nodes per panel.
 
-    The phi matrix and the weight are built on first access; through
-    `spectral_grid` that is at most once per process.
+    The phi matrix (`phi_radial_matrix`) and the weight are built on first
+    access; through `spectral_grid` that is at most once per process.
     """
 
     def __init__(self):
@@ -80,8 +80,6 @@ class SpectralGrid:
             [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], 40)
         self.r_nodes, self.r_weights = gauss_legendre_grid(
             [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 36.0], 48)
-        self.v_nodes, self.v_weights = gauss_legendre_grid(
-            np.arange(-16.0, 55.0, 2.0), 32)
 
     def lam_rule(self, lam_max: float):
         """Nodes and weights of the lam rule's panels below lam_max."""
@@ -164,42 +162,96 @@ def gaussian_density(center: float, width: float) -> SpectralDensity:
     return SpectralDensity(grid, vals, "super-exponential")
 
 
-# -- spherical function on grids ---------------------------------------------
+# -- the spherical function in closed form ------------------------------------
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+#: B_2m / (2m (2m - 1)), the coefficients of the Stirling series
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680)
+#: series tails stop below e^-37 (1e-16); the hypergeometric series may lose
+#: e^4 (1.7 digits) to cancellation
+_TAIL_NATS, _LOSS_NATS = 37.0, 4.0
+
+
+def _arg_gamma_over_mu(a: float, mu):
+    """arg Gamma(a + i mu)/mu for mu > 0: the Stirling series at
+    w = a + 30 + i mu and the recurrence, each term divided by mu, so that
+    no digits cancel as mu -> 0."""
+    b, w2 = a + 30.0, (a + 30.0) ** 2 + mu * mu
+    t = np.arctan(mu / b) / mu                      # arg(w)/mu
+    out = (b - 0.5) * t + 0.5 * np.log(w2) - 1.0
+    for m, coef in enumerate(_STIRLING):            # Im w^-n/mu, n = 2m + 1
+        n = 2 * m + 1
+        out -= coef * np.sin(n * mu * t) / mu * w2 ** (-n / 2)
+    return out - sum(np.arctan(mu / (a + k)) / mu for k in range(30))
+
+
+def _power_series(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_k coef[:, k] z^k for real coefficient rows and complex points,
+    as one real matrix product."""
+    pw = np.ones((coef.shape[1], z.size), dtype=complex)
+    pw[1:] = z
+    np.cumprod(pw, axis=0, out=pw)
+    return (coef @ pw.view(float)).view(complex)
+
+
+def _legendre(lams: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """P_nu(c), nu = -1/2 + i lam/2, lams by c (an array, real >= 1 or
+    complex), by one of two series; mu = lam/2, x = (1 - c)/2, rho = arccosh c.
+
+    - 2F1(-nu, nu + 1; 1; x) = sum t_k x^k, t_k/t_{k-1} = ((k - 1/2)^2 +
+      mu^2)/k^2.  Its terms reach about e^{mu (2 asin sqrt|x| - |Im rho|)}
+      |P| before they cancel, so it serves no lam for which that tops e^4.
+    - Harish-Chandra (Koornwinder, 1984): c(mu) Phi_mu + c(-mu) Phi_-mu,
+      c(mu) = Gamma(i mu)/(sqrt(pi) Gamma(1/2 + i mu)), Phi_mu = e^{(i mu
+      - 1/2) rho} sum a_k e^{-2k rho}, a_k/a_{k-1} = (2k - 1)(2k - 1 - 2i
+      mu)/(4k (k - i mu)).  With |i mu c(mu)|^2 = mu coth(pi mu)/pi and the
+      phases divided by mu it is 2|i mu c(mu)| e^{-rho/2} (sin(mu rho)/mu U
+      + cos(mu rho) V), U, V real series in e^{-2 rho}: exact at mu = 0.
+    Otherwise the series with the smaller ratio, |x| or |e^{-2 rho}|, is
+    summed to e^-37 of its term bound.  Off the cut c <= -1 (ValueError) one
+    converges, slowly near the cut; 2F1 terms overflow past lam ~ 450.
+    P is even in mu and every Harish-Chandra term is written divided by mu,
+    so mu is floored at 1e-30: that moves P by O(mu^2), with no mu = 0 case.
+    """
+    mu = np.maximum(0.5 * np.abs(np.asarray(lams, float)), 1e-30)[:, None]
+    x, rho = 0.5 * (1.0 - c), np.arccosh(c)
+    ax, aq = np.abs(x), np.exp(-2.0 * rho.real)
+    arc = 2.0 * np.arcsin(np.sqrt(np.minimum(ax, 1.0))) - np.abs(rho.imag)
+    hyper = (ax < 1) & (mu * arc <= _LOSS_NATS) & ((ax <= aq) | (aq >= 1))
+    if not np.all(hyper | (aq < 1)):
+        raise ValueError("invariant c on the cut c <= -1")
+    out = np.empty((mu.size, c.size), dtype=complex)
+
+    cols = hyper.any(axis=0)
+    if cols.any():
+        need = (math.pi * mu + _TAIL_NATS) / -np.log(ax[cols] + 1e-300)
+        k = np.arange(1, math.ceil(need[hyper[:, cols]].max()) + 1)
+        t = np.cumprod(np.hstack([np.ones_like(mu),
+                                  (np.hypot(k - 0.5, mu) / k) ** 2]), axis=1)
+        out[:, cols] = _power_series(t, x[cols])
+
+    cols = ~hyper.all(axis=0)
+    if cols.any():
+        rho = rho[cols]
+        j = np.arange(1, math.ceil(_TAIL_NATS / -math.log(aq[cols].max())) + 1)
+        mod = np.cumprod(np.hstack([np.ones_like(mu), (j - 0.5) / j * np.hypot(
+            j - 0.5, mu) / np.hypot(j, mu)]), axis=1)
+        d = j * (2 * j - 1) + 2 * mu ** 2   # arg(a_k/a_{k-1}) = -atan(mu/d)
+        phase = (_arg_gamma_over_mu(1.0, mu) - _arg_gamma_over_mu(0.5, mu)
+                 - np.cumsum(np.hstack([np.zeros_like(mu),
+                                        np.arctan(mu / d) / mu]), axis=1))
+        q = np.exp(-2.0 * rho)
+        u = _power_series(mod * np.cos(mu * phase), q)
+        v = _power_series(mod * np.sin(mu * phase) / mu, q)
+        gmod = np.sqrt(mu / np.tanh(math.pi * mu) / math.pi)
+        hc = 2.0 * gmod * np.exp(-0.5 * rho) * (np.sin(mu * rho) / mu * u
+                                               + np.cos(mu * rho) * v)
+        out[:, cols] = np.where(hyper[:, cols], out[:, cols], hc)
+    return out
 
 
 def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """phi_lam(a_{e^{r/2}} x0) as a (len(lams), len(radii)) matrix.
-
-    The rotation average of the horospherical character reduces, by the
-    half-angle substitution tau = tan(theta/2) = e^v, to
-        phi(r) = (2/pi) e^{r(s-1)} Int (1 + e^{2(v-r)})^{s-1}
-                                        (1 + e^{2v})^{-s} e^v dv,
-    s = (1 + i lam)/2.  The bases are strictly positive, so the evaluation
-    is branch-free and uniformly accurate in r; the integrand decays like
-    e^{-|v|} off the plateau [0, r], whose ends are completed in closed
-    form.
-    """
-    lams = np.asarray(lams, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size and radii.max() > 36.0:
-        raise ValueError("radial grid exceeds the supported range r <= 36")
-    grid = spectral_grid()
-    v, wv = grid.v_nodes, grid.v_weights
-    out = np.empty((lams.size, radii.size), dtype=complex)
-    s_all = 0.5 * (1.0 + 1j * lams)
-    sp2v = _softplus(2.0 * v)
-    for j, r in enumerate(radii):
-        sp_shift = _softplus(2.0 * (v - r))
-        expo = ((s_all[:, None] - 1.0) * sp_shift[None, :]
-                - s_all[:, None] * sp2v[None, :] + v[None, :])
-        core = np.exp(expo) @ wv
-        tails = (math.exp(v[0])                                   # left end
-                 + np.exp(-2.0 * r * (s_all - 1.0) - v[-1]))      # right end
-        out[:, j] = (2.0 / math.pi) * np.exp(r * (s_all - 1.0)) * (core + tails)
-    return out
+    """phi_lam(a_{e^{r/2}} x0) = P_nu(cosh r), lams by radii."""
+    return _legendre(lams, np.cosh(np.asarray(radii, dtype=float)))
 
 
 # -- transform, Parseval, calibration ----------------------------------------
@@ -302,43 +354,16 @@ def _frame(ginv, r: float):
     return pull_quadratic((1.0, 0.0, np.exp(-4j * r)), ginv), r
 
 
-#: the frame of v_K itself
-_V_K = _frame(np.eye(2), 0.0)
-
-
-def _pairing_row(lams: np.ndarray, f1, f2, xs: np.ndarray, ws: np.ndarray,
-                 reach: float) -> np.ndarray:
-    """<pi(g1) Psi_r1, pi(g2) Psi_r2> for all lams on one x-grid (xs, ws)
-    ending at +-reach, for the frames f1 = (P1, r1), f2 = (P2, r2).
-
-    The integrand is kappa_r1 conj(kappa_r2) exp(A0(x) + lam A1(x)), so one
-    lam-by-x exponential, built and exponentiated in place, serves every
-    spectral node; beyond the reach it decays like 1/x^2, and that tail is
-    added in closed form.
-    """
-    (p1, r1), (p2, r2) = f1, f2
-    half_log1 = 0.5 * np.log(polyval(xs, p1))
-    conj_half_log2 = np.conj(0.5 * np.log(polyval(xs, p2)))
-    mat = np.multiply.outer(lams, 1j * (half_log1 - conj_half_log2))
-    mat -= half_log1 + conj_half_log2
-    np.exp(mat, out=mat)
-    amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
-    kappa = np.exp(-lams * (r1 + r2) - 1j * (r1 - r2)) / math.pi
-    return kappa * (mat @ ws + 2.0 * amp / reach)
-
-
 def _pairing(lams: np.ndarray, f1, f2) -> np.ndarray:
-    """`_pairing_row` on a grid built from the unordered pair of frames.
-
-    Panel edges are octaves out to the reach and geometric clusters
-    around the complex roots of each frame's pulled quadratic P, which
-    carry the only near-singular structure.  The reach is 2048 times the
-    largest root modulus (at least 1): at 256 times, the closed-form 1/x^2
-    tail alone put the doubled torus values 5e-7 off their norm oracle.
-    Swapping f1 and f2 gives the same grid, so the result conjugates to
-    rounding.
-    """
-    roots = np.concatenate([polyroots(p) for p, _ in (f1, f2)])
+    """<pi(g1) Psi_r1, pi(g2) Psi_r2> for all lams, frames f1 = (P1, r1)
+    and f2 = (P2, r2), from one lam-by-x exponential of the integrand
+    kappa_r1 conj(kappa_r2) exp(A0(x) + lam A1(x)).  The x-grid has octave
+    panels and geometric clusters around the complex roots of each P out to
+    the reach, 2048 times the largest root modulus (at least 1; at 256 the
+    closed-form 1/x^2 tail beyond it put the doubled torus values 5e-7 off
+    their norm oracle).  Swapping f1 and f2 conjugates the result."""
+    (p1, r1), (p2, r2) = f1, f2
+    roots = np.concatenate([polyroots(p1), polyroots(p2)])
     reach = 2048.0 * max([1.0] + [abs(rt) for rt in roots])
     edges = {-reach, reach, -1.0, 1.0, 0.0}
     base = 0.125
@@ -352,15 +377,24 @@ def _pairing(lams: np.ndarray, f1, f2) -> np.ndarray:
         edges.update(rt.real + o for o in (0.0, *offs, *(-o for o in offs)))
     xs, ws = gauss_legendre_grid(sorted(e for e in edges if abs(e) <= reach),
                                  16)
-    return _pairing_row(lams, f1, f2, xs, ws, reach)
+
+    half_log1 = 0.5 * np.log(polyval(xs, p1))
+    conj_half_log2 = np.conj(0.5 * np.log(polyval(xs, p2)))
+    mat = np.multiply.outer(lams, 1j * (half_log1 - conj_half_log2))
+    mat -= half_log1 + conj_half_log2
+    np.exp(mat, out=mat)
+    amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
+    kappa = np.exp(-lams * (r1 + r2) - 1j * (r1 - r2)) / math.pi
+    return kappa * (mat @ ws + 2.0 * amp / reach)
 
 
 def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float
                     ) -> np.ndarray:
-    """phi_lam(g exp(i r h) x0) for all lams, by the matrix-coefficient
-    pairing <pi(g) Psi_r, v_K> with Psi_r the continued spherical vector."""
-    return _pairing(np.asarray(lams, dtype=float),
-                    _frame(g.inverse().m.real, r), _V_K)
+    """phi_lam(g exp(i r h) x0) for all lams: `_legendre` at the invariant
+    of the point."""
+    w = 1j * np.exp(2j * r)
+    c = 0.5 * p_of_pair(PairPoint(w, -w).apply(g.m))
+    return _legendre(lams, np.array([c]))[:, 0]
 
 
 # -- the orbital identity ----------------------------------------------------
@@ -398,60 +432,32 @@ def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
     return gauss_legendre_grid(edges, 16)
 
 
-def _orbit_row_mass(nodes, coeff, s: float, r: float, thetas,
-                    theta_w) -> float:
-    """Theta-average of |f|^2 over a_s k_theta exp(irh) x0, vectorized.
-
-    One geometric x-grid serves the whole rotation orbit: the pulled
-    quadratic's complex roots sit at |x| ~ s^2 with imaginary parts a
-    fixed fraction of their modulus, so per-octave panels of 8 nodes
-    resolve them uniformly in s.
-    """
-    reach = 64.0 * max(1.0, s * s)
-    edges = [0.0]
-    e = 1.0 / 16.0
-    while e < reach:
-        edges.append(e)
-        e *= 2.0
-    edges.append(reach)
-    half_x, half_w = gauss_legendre_grid(edges, 8)
-    xs = np.concatenate([-half_x[::-1], half_x])
-    ws = np.concatenate([half_w[::-1], half_w])
-
-    total = 0.0
-    for th, wt in zip(thetas, theta_w):
-        ct, st = math.cos(th), math.sin(th)
-        # inverse of a_s k_theta
-        ginv = (ct / s, -s * st, st / s, s * ct)
-        phi_vals = _pairing_row(nodes, _frame(ginv, r), _V_K, xs, ws, reach)
-        total += wt * abs(np.sum(coeff * phi_vals)) ** 2
-    return total
-
-
-#: the orbital mass drops the radial tail of |f|^2 beyond this fraction
+#: the orbital mass drops the radial tail of |f|^2 beyond this fraction, and
+#: its theta rule doubles until the mass changes by less than this fraction
 RHO_TAIL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class OrbitQuadrature:
     """The grids of one orbital mass: lam nodes with the inverse-transform
-    coefficients of f, and the rho and theta rules of the Cartan
-    coordinates, truncated at rho_max, which drops the fraction
-    tail_fraction of the radial mass of |f|^2."""
+    coefficients of f, and the rho rule of the Cartan coordinates, cut at
+    rho_max, which drops the fraction tail_fraction of the radial mass of
+    |f|^2; once integrated, the final node count of the theta trapezoid
+    and the change of the mass at its last doubling."""
 
     lam_nodes: np.ndarray
     coeff: np.ndarray
     rho_nodes: np.ndarray
     rho_weights: np.ndarray
-    theta_nodes: np.ndarray
-    theta_weights: np.ndarray
     rho_max: float
     tail_fraction: float
+    n_theta: int | None = None
+    theta_error: float | None = None
 
     def summary(self) -> dict:
         return {"rho_max": self.rho_max, "tail_fraction": self.tail_fraction,
-                "n_rho": self.rho_nodes.size, "n_theta": self.theta_nodes.size,
-                "n_lambda": self.lam_nodes.size}
+                "n_rho": self.rho_nodes.size, "n_lambda": self.lam_nodes.size,
+                "n_theta": self.n_theta, "theta_error": self.theta_error}
 
 
 def orbit_quadrature(density: SpectralDensity,
@@ -485,10 +491,34 @@ def orbit_quadrature(density: SpectralDensity,
 
     rho_nodes, rho_w = gauss_legendre_grid(
         np.linspace(0.0, rho_max, max(5, int(rho_max * 0.75))), 6)
-    theta_nodes, theta_w = gauss_legendre_grid(
-        np.linspace(0.0, math.pi, 7), 4)
-    return OrbitQuadrature(nodes, coeff, rho_nodes, rho_w, theta_nodes,
-                           theta_w, rho_max, tail)
+    return OrbitQuadrature(nodes, coeff, rho_nodes, rho_w, rho_max, tail)
+
+
+def _theta_sums(quad: OrbitQuadrature, r: float, n: int,
+                offset: float) -> np.ndarray:
+    """Per rho node, the sum of |f|^2 at a_{e^{rho/2}} k_theta exp(irh) x0
+    over theta = (j + offset) pi/n, j < n, where the invariant is
+    c = cosh(rho) cos 2r + i sinh(rho) sin 2r cos 2theta."""
+    theta = (np.arange(n) + offset) * (math.pi / n)
+    c = (np.cosh(quad.rho_nodes)[:, None] * math.cos(2 * r) + 1j * np.outer(
+        np.sinh(quad.rho_nodes) * math.sin(2 * r), np.cos(2 * theta))).ravel()
+    f = np.concatenate([quad.coeff @ _legendre(quad.lam_nodes, c[k:k + 1024])
+                        for k in range(0, c.size, 1024)])
+    return (np.abs(f) ** 2).reshape(-1, n).sum(axis=1)
+
+
+def _integrate_orbit(quad: OrbitQuadrature, r: float
+                     ) -> tuple[float, OrbitQuadrature]:
+    """The orbital mass on quad's grids, and quad with its theta rule."""
+    radial = TWO_PI * quad.rho_weights * np.sinh(quad.rho_nodes)
+    n, sums = 24, _theta_sums(quad, r, 24, 0.0)
+    mass, change = float(radial @ sums) / n, math.inf
+    while change > RHO_TAIL_TOL * mass and n < 1536:
+        sums += _theta_sums(quad, r, n, 0.5)
+        n *= 2
+        new = float(radial @ sums) / n
+        mass, change = new, abs(new - mass)
+    return mass, replace(quad, n_theta=n, theta_error=change)
 
 
 def orbital_mass(density: SpectralDensity, r: float,
@@ -502,46 +532,39 @@ def orbital_mass(density: SpectralDensity, r: float,
     (unit-mass rotation factors; the constant is pinned by the r = 0
     radial reduction).  Left K-invariance of f removes dk1, so the sample
     points are a_{e^{rho/2}} k_theta exp(i r h) x0, and the spherical
-    values come from the alias-free matrix-coefficient pairing on 8
-    Gauss-Legendre x-nodes per octave (12 moved the mass by at most 8.4e-9
-    relative on four test densities).
+    values there are `_legendre` at their invariant.  The theta trapezoid
+    converges spectrally on this analytic pi-periodic integrand: it doubles
+    from 24 nodes, up to 1536, until the mass moves by RHO_TAIL_TOL or less.
 
-    The rho range ends where the radial mass of |f|^2 left beyond it is at
-    most RHO_TAIL_TOL = 1e-7 of the total (`orbit_quadrature`), below
-    every Gutzmer gap measured (2.9e-7 and up).  The cut is read off the
-    default grid, and the tolerance is not smaller, because of noise: on
-    the 64-node adapted lam rule the profile aliases e^{i lam r/2} at
-    large r (|f| of the (3, 1) Gaussian rises from 5e-13 at r = 30 to
-    2e-11 at r = 35, while phi_lam decays like e^{-r/2}), and a 1e-9
-    tolerance lies below that floor: it ran the rho range to 30-37 for
-    every density tried and integrated the noise, at a cost in both time
-    and accuracy.
+    The rho range drops RHO_TAIL_TOL = 1e-7 of the radial mass of |f|^2
+    (`orbit_quadrature`).  No smaller tolerance, because the cut is read
+    off the default grid, where the profile aliases e^{i lam r/2} at large
+    r (|f| of the (3, 1) Gaussian rises from 5e-13 at r = 30 to 2e-11 at
+    r = 35): at 1e-9 the rho range ran to 30-37 and integrated that noise.
     """
     _check_torus_angle(r)
-    quad = orbit_quadrature(density, weight, rho_max)
-    total = 0.0
-    for rho, wr in zip(quad.rho_nodes, quad.rho_weights):
-        s = math.exp(0.5 * rho)
-        row = _orbit_row_mass(quad.lam_nodes, quad.coeff, s, r,
-                              quad.theta_nodes, quad.theta_weights)
-        total += wr * math.sinh(rho) * row / math.pi
-    return TWO_PI * total
+    return _integrate_orbit(orbit_quadrature(density, weight, rho_max), r)[0]
+
+
+@dataclass(frozen=True)
+class GutzmerCheck(IdentityCheck):
+    """The Gutzmer identity's two sides, with the grids of its lhs."""
+
+    orbit: OrbitQuadrature
 
 
 def gutzmer_check(density: SpectralDensity, r: float,
-                  weight: PlancherelWeight | None = None) -> IdentityCheck:
+                  weight: PlancherelWeight | None = None) -> GutzmerCheck:
     """Orbital mass at torus angle r against the spectral integral weighted
     by the doubled torus value."""
     _check_torus_angle(r)
     if weight is None:
         weight = spectral_grid().weight
-    lhs = orbital_mass(density, r, weight)
-    nodes, lam_w = _adapted_lambda_quad(density, weight)
-    dvals = density(nodes)
-    doubled = doubled_torus_values(nodes, r)
-    rhs = float(np.sum(lam_w * np.abs(dvals) ** 2 * doubled
-                       * weight.density(nodes)))
-    return IdentityCheck(lhs, rhs)
+    lhs, orbit = _integrate_orbit(orbit_quadrature(density, weight), r)
+    nodes = orbit.lam_nodes             # coeff conj(d) = lam_w |d|^2 w(lam)
+    rhs = np.sum(orbit.coeff * np.conj(density(nodes))
+                 * doubled_torus_values(nodes, r)).real
+    return GutzmerCheck(lhs, float(rhs), orbit)
 
 
 def strip_norm(density: SpectralDensity, big_r: float,
@@ -646,27 +669,3 @@ def hardy_kernel(z: PairPoint, w: PairPoint) -> complex:
     """Reproducing kernel of the holomorphic Hardy space attached to the
     most-continuous spectrum of the hyperboloid, up to positive scale."""
     return invariant_kernel(KernelMeasure(hardy_density()), z, w)
-
-
-# -- Poisson-kernel polarization ----------------------------------------------
-
-def poisson_kernel(z: complex, w: complex) -> complex:
-    """Polarized Poisson kernel (z - w)/(2 pi i z w); restricted to the
-    totally real slice w = conj(z) it is the classical Im z / (pi |z|^2)."""
-    return (z - w) / (2j * math.pi * z * w)
-
-
-def poisson_extension(boundary_values, mu: complex, z: complex, w: complex,
-                      x_max: float = 60.0) -> complex:
-    """Formula-level eigenfunction extension: Int phi_R(x) P(z-x, w-x)^mu dx.
-
-    `boundary_values` is a vectorized callable with decay; powers use the
-    principal branch, which is the continuous one while (z, w) stays in
-    the crown component of the polarized kernel's positivity set.
-    """
-    xs, ws = gauss_legendre_grid(
-        [-x_max, -8.0, -2.0, 0.0, 2.0, 8.0, x_max], 64)
-    kernel = np.asarray([(poisson_kernel(z - x, w - x)) for x in xs],
-                        dtype=complex)
-    vals = np.exp(mu * np.log(kernel)) * boundary_values(xs)
-    return complex(np.sum(ws * vals))

@@ -33,6 +33,44 @@ def test_phi_radial_matrix_against_conical_oracle():
     assert worst < 1e-7
 
 
+def test_legendre_against_mpmath_on_hard_nodes():
+    # at lam >= 24 and r in [0.8, 1.5] the hypergeometric series cancels
+    # (1.9e-5 off at lam = 31.9, r = 1.5), so a switch that takes it wherever
+    # |e^{-2 rho}| <= |(1 - c)/2|, whatever lam, fails here.  r = 60 lies
+    # past the old r <= 36 limit.
+    lams = np.array([0.0, 2.2e-4, 0.25, 4.0, 16.0, 24.0, 31.9])
+    radii = np.array([0.0, 0.2, 0.8, 0.95, 1.0, 1.5, 3.0, 36.0, 60.0])
+    mat = spectral.phi_radial_matrix(lams, radii)
+    for i, lam in enumerate(lams):
+        for j, r in enumerate(radii):
+            oracle = complex(mpmath.legenp((1j * lam - 1) / 2, 0,
+                                           mpmath.cosh(float(r))))
+            assert abs(mat[i, j] - oracle) < 1e-12 * max(1.0, abs(oracle))
+
+
+def test_pairing_row_where_both_series_are_slow():
+    # orbit nodes at r = 0.75 where |(1 - c)/2| and |e^{-2 rho}| both
+    # exceed 0.45, so neither series of the evaluator converges fast
+    r = 0.75
+    rho, th = np.meshgrid(np.linspace(0.05, 3.0, 60),
+                          np.linspace(0.0, np.pi / 2, 31))
+    c = (np.cosh(rho) * math.cos(2 * r)
+         + 1j * np.sinh(rho) * math.sin(2 * r) * np.cos(2 * th))
+    slow = ((np.abs(0.5 * (1 - c)) > 0.45)
+            & (np.abs(np.exp(-2 * np.arccosh(c))) > 0.45))
+    picked = np.flatnonzero(slow)[::12]
+    assert picked.size >= 8
+    lams = np.array([0.0, 0.5, 4.0, 16.0, 31.9])
+    w = 1j * np.exp(2j * r)
+    for k in picked:
+        g = a_t(math.exp(rho.flat[k] / 2)) @ k_theta(th.flat[k])
+        row = spectral.phi_pairing_row(lams, g, r)
+        pt = PairPoint(w, -w).apply(g.m)
+        for lam, val in zip(lams, row):
+            oracle = phi_lambda(SpectralParam(float(lam)), pt)
+            assert abs(val - oracle) < 1e-12 * max(1.0, abs(oracle))
+
+
 def test_transform_zero_and_reality(weight):
     dens = spectral.spherical_transform(lambda r: np.zeros_like(r))
     assert np.max(np.abs(dens.values)) == 0.0
@@ -239,27 +277,6 @@ def test_kernel_g_invariance_on_a_pinned_pair():
     k1 = spectral.hardy_kernel(z, w)
     k2 = spectral.hardy_kernel(z.apply(g.m), w.apply(g.m))
     assert abs(k1 - k2) < 1e-6 * abs(k1)
-
-
-def test_poisson_kernel_polarization(rng):
-    for _ in range(20):
-        z = complex(rng.normal(), abs(rng.normal()) + 0.1)
-        val = spectral.poisson_kernel(z, np.conj(z))
-        classical = z.imag / (math.pi * abs(z) ** 2)
-        assert abs(val - classical) < 1e-12 * max(1.0, classical)
-
-
-def test_poisson_extension_recovers_harmonic_value():
-    # boundary data 1/(1+x^2): its harmonic (mu = 1) extension at iy is
-    # (y + 1)/((1 + y)^2) * pi / pi ... checked against direct quadrature
-    from scipy import integrate as sci
-    boundary = lambda x: 1.0 / (1.0 + np.asarray(x) ** 2)
-    z = 0.3 + 1.2j
-    mine = spectral.poisson_extension(boundary, 1.0, z, np.conj(z))
-    oracle, _ = sci.quad(
-        lambda x: (1 / (1 + x * x)) * (z.imag / math.pi
-                                       / abs(z - x) ** 2), -60, 60)
-    assert abs(mine - oracle) < 1e-6
 
 
 def test_orbital_mass_domain_errors():

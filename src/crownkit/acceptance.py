@@ -223,9 +223,8 @@ def criterion_10(quick=False, seed=None):
         pts = [crown.random_crown_point(rng, 0.6) for _ in range(5)]
         gram = np.zeros((5, 5), dtype=complex)
         for i in range(5):
-            for j in range(i, 5):
+            for j in range(5):
                 gram[i, j] = spectral.hardy_kernel(pts[i], pts[j])
-                gram[j, i] = np.conj(gram[i, j])
         herm_worst = max(herm_worst,
                          float(np.max(np.abs(gram - gram.conj().T))))
         eigs = np.linalg.eigvalsh(gram)

@@ -312,9 +312,8 @@ def cmd_hardy_kernel(args):
         pts = [crown.random_crown_point(rng, 0.6) for _ in range(args.gram)]
         gram = np.zeros((args.gram, args.gram), dtype=complex)
         for i in range(args.gram):
-            for j in range(i, args.gram):
+            for j in range(args.gram):
                 gram[i, j] = spectral.hardy_kernel(pts[i], pts[j])
-                gram[j, i] = np.conj(gram[i, j])
         eigs = np.linalg.eigvalsh(gram)
         out = {"seed": args.seed, "min_eigenvalue": float(eigs.min()),
                "trace": float(np.trace(gram).real)}

@@ -11,10 +11,10 @@ direct Parseval computation on a reference Gaussian and then validated on
 held-out profiles.  (Written with tanh(pi lam), no constant fits two
 different reference widths at once; the calibration harness reports this.)
 
-On the crown the spherical function is a Legendre function of one
-invariant, phi_lam(z) = P_nu(c), nu = -1/2 + i lam/2, c = p(z)/2 (cosh r
-on the real form; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159 (2004)),
-which the phi matrix, pairing rows and orbital mass read from `_legendre`.
+On the crown every matrix coefficient <pi(z)v_K, pi(w)v_K> is P_nu(c),
+nu = -1/2 + i lam/2, at one invariant c of the pair (cosh d(z, w) on real
+points, p(z)/2 at w = x0; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159
+(2004)), and every caller reads it from the one evaluator `_legendre`.
 
 The lam and r rules, the phi matrix on them and the calibrated Plancherel
 constant live in one `SpectralGrid`, built once per process by the first
@@ -28,28 +28,22 @@ split pairing of half-continued vectors.  Together with admissible
 measures on the tempered ray this yields invariant reproducing kernels,
 of which the one weighted by lam tanh(pi lam/2)/cosh(pi lam) is the
 Hardy-space kernel of the most-continuous spectrum of the hyperboloid.
-
-The doubled torus values (c = cos 4r) and the kernel slices reach the cut
-c <= -1, where neither series of `_legendre` converges; they are still
-matrix coefficients of continued spherical vectors, paired for all lam at
-once on an x-grid clustered around the roots of the pulled quadratics.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots, polyval
 
-from .crown import point_to_tangent
-from .errors import AdmissibilityFailure, DomainError
-from .liecore import OMEGA_RADIUS, GroupElement, p_of_pair
+from .crown import crown_contains, elliptic_point
+from .errors import AdmissibilityFailure, DomainError, NotInCrown
+from .liecore import OMEGA_RADIUS, GroupElement
 from .numerics import IdentityCheck, gauss_legendre_grid
-from .pairmodel import PairPoint
-from .vectors import pull_quadratic
+from .pairmodel import BASE_POINT, PairPoint
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,9 +160,11 @@ def gaussian_density(center: float, width: float) -> SpectralDensity:
 
 #: B_2m / (2m (2m - 1)), the coefficients of the Stirling series
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680)
-#: series tails stop below e^-37 (1e-16); the hypergeometric series may lose
-#: e^4 (1.7 digits) to cancellation
+#: series tails stop below e^-37 (1e-16); a series may lose e^4 (1.7 digits)
+#: to cancellation
 _TAIL_NATS, _LOSS_NATS = 37.0, 4.0
+#: no series is summed past this many terms
+_MAX_TERMS = 8192
 
 
 def _arg_gamma_over_mu(a: float, mu):
@@ -184,6 +180,14 @@ def _arg_gamma_over_mu(a: float, mu):
     return out - sum(np.arctan(mu / (a + k)) / mu for k in range(30))
 
 
+def _re_digamma_half(mu):
+    """Re psi(1/2 + i mu) by the Stirling series at 30.5 + i mu, recurred."""
+    w = 30.5 + 1j * mu
+    out = np.log(w) - 0.5 / w - sum((2 * m + 1) * coef * w ** (-2 * m - 2)
+                                    for m, coef in enumerate(_STIRLING))
+    return out.real - sum(a / (a * a + mu * mu) for a in np.arange(30) + 0.5)
+
+
 def _power_series(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k coef[:, k] z^k for real coefficient rows and complex points,
     as one real matrix product."""
@@ -193,65 +197,102 @@ def _power_series(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (coef @ pw.view(float)).view(complex)
 
 
-def _legendre(lams: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P_nu(c), nu = -1/2 + i lam/2, lams by c (an array, real >= 1 or
-    complex), by one of two series; mu = lam/2, x = (1 - c)/2, rho = arccosh c.
+def _hyper_coef(mu: np.ndarray, n: int) -> np.ndarray:
+    """t_0 .. t_n of 2F1(-nu, nu + 1; 1; .), t_k/t_{k-1} = ((k - 1/2)^2 +
+    mu^2)/k^2, rows by mu."""
+    k = np.arange(1, n + 1)
+    return np.cumprod(np.hstack([np.ones_like(mu),
+                                 (np.hypot(k - 0.5, mu) / k) ** 2]), axis=1)
 
+
+def _harish_chandra(mu: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
+    j = np.arange(1, n + 1)
+    mod = np.cumprod(np.hstack([np.ones_like(mu), (j - 0.5) / j * np.hypot(
+        j - 0.5, mu) / np.hypot(j, mu)]), axis=1)
+    d = j * (2 * j - 1) + 2 * mu ** 2       # arg(a_k/a_{k-1}) = -atan(mu/d)
+    phase = (_arg_gamma_over_mu(1.0, mu) - _arg_gamma_over_mu(0.5, mu)
+             - np.cumsum(np.hstack([np.zeros_like(mu),
+                                    np.arctan(mu / d) / mu]), axis=1))
+    u, v = np.split(_power_series(np.vstack([
+        mod * np.cos(mu * phase), mod * np.sin(mu * phase) / mu]),
+        np.exp(-2.0 * rho)), 2)
+    gmod = np.sqrt(mu / np.tanh(math.pi * mu) / math.pi)
+    return 2.0 * gmod * np.exp(-0.5 * rho) * (np.sin(mu * rho) / mu * u
+                                             + np.cos(mu * rho) * v)
+
+
+def _log_series(mu: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    k, t = np.arange(1, n + 1), _hyper_coef(mu, n)
+    b = 2.0 * np.cumsum(np.hstack([         # psi(k+1) - Re psi(k+1/2+i mu)
+        -np.euler_gamma - _re_digamma_half(mu),
+        1.0 / k - (k - 0.5) / ((k - 0.5) ** 2 + mu ** 2)]), axis=1)
+    s, f = np.split(_power_series(np.vstack([t * b, t]), y), 2)
+    return np.cosh(math.pi * mu) / math.pi * (s - np.log(y) * f)
+
+
+def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P_nu(c), nu = -1/2 + i lam/2, mu = lam/2, rho = arccosh c, lams by
+    points given as x = (1 - c)/2 and y = (1 + c)/2 formed without
+    cancellation, from one of three series:
     - 2F1(-nu, nu + 1; 1; x) = sum t_k x^k, t_k/t_{k-1} = ((k - 1/2)^2 +
       mu^2)/k^2.  Its terms reach about e^{mu (2 asin sqrt|x| - |Im rho|)}
-      |P| before they cancel, so it serves no lam for which that tops e^4.
+      |P| before they cancel.
     - Harish-Chandra (Koornwinder, 1984): c(mu) Phi_mu + c(-mu) Phi_-mu,
       c(mu) = Gamma(i mu)/(sqrt(pi) Gamma(1/2 + i mu)), Phi_mu = e^{(i mu
       - 1/2) rho} sum a_k e^{-2k rho}, a_k/a_{k-1} = (2k - 1)(2k - 1 - 2i
       mu)/(4k (k - i mu)).  With |i mu c(mu)|^2 = mu coth(pi mu)/pi and the
       phases divided by mu it is 2|i mu c(mu)| e^{-rho/2} (sin(mu rho)/mu U
       + cos(mu rho) V), U, V real series in e^{-2 rho}: exact at mu = 0.
-    Otherwise the series with the smaller ratio, |x| or |e^{-2 rho}|, is
-    summed to e^-37 of its term bound.  Off the cut c <= -1 (ValueError) one
-    converges, slowly near the cut; 2F1 terms overflow past lam ~ 450.
-    P is even in mu and every Harish-Chandra term is written divided by mu,
-    so mu is floored at 1e-30: that moves P by O(mu^2), with no mu = 0 case.
+    - Near c = -1 (DLMF 15.8.10): (cosh(pi mu)/pi) sum t_k [2 psi(k + 1) -
+      2 Re psi(k + 1/2 + i mu) - log y] y^k, the same t_k; its terms reach
+      about e^{mu (pi + 2 asin sqrt|y| - |Im rho|)} |P|.
+    Each is summed to e^-37 of its term bound, at most _MAX_TERMS terms, so
+    its error is e^{loss + left - 37}: loss, the growth of its terms over
+    |P|; left, the nats of the bound past the cap.  The least error from e^4
+    up wins, of equals the smallest ratio |x|, |e^{-2 rho}| or |y|; past
+    e^-18.5 (1e-8), on the cut c <= -1 or near it past lam ~ 64, ValueError.
+    P is even in mu and Harish-Chandra terms are divided by mu: flooring mu
+    at 1e-30 moves P by O(mu^2).
     """
     mu = np.maximum(0.5 * np.abs(np.asarray(lams, float)), 1e-30)[:, None]
-    x, rho = 0.5 * (1.0 - c), np.arccosh(c)
-    ax, aq = np.abs(x), np.exp(-2.0 * rho.real)
-    arc = 2.0 * np.arcsin(np.sqrt(np.minimum(ax, 1.0))) - np.abs(rho.imag)
-    hyper = (ax < 1) & (mu * arc <= _LOSS_NATS) & ((ax <= aq) | (aq >= 1))
-    if not np.all(hyper | (aq < 1)):
-        raise ValueError("invariant c on the cut c <= -1")
-    out = np.empty((mu.size, c.size), dtype=complex)
+    x, y = np.asarray(x, complex), np.asarray(y, complex)
+    rho = np.arccosh(np.where(np.abs(x) <= np.abs(y), 1.0 - 2.0 * x,
+                              2.0 * y - 1.0))
+    ratio = np.stack([np.abs(x), np.exp(-2.0 * rho.real), np.abs(y)])
+    arc = 2.0 * np.arcsin(np.sqrt(np.minimum(ratio, 1.0))) - np.abs(rho.imag)
+    arc[1], arc[2] = 0.0, arc[2] + math.pi
+    bound = np.stack([math.pi * mu, 0.0 * mu, math.pi * mu]) + _TAIL_NATS
+    with np.errstate(divide="ignore"):    # -inf where a series diverges
+        decay = -np.log(np.where(ratio < 1.0, ratio, np.inf))
+    best = np.full((mu.size, x.size), np.inf)
+    pick = np.zeros(best.shape, dtype=np.int8)
+    for s in range(3):          # error in nats; within e^4, ratio - 1 < 0
+        key = (np.maximum(arc[s] * mu, _LOSS_NATS)
+               + np.maximum(bound[s] - _MAX_TERMS * decay[s], 0.0))
+        key = np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
+        pick[key < best] = s
+        best = np.minimum(best, key)
+    if not np.all(best <= 0.5 * _TAIL_NATS):
+        raise ValueError("no series reaches 1e-8 of P_nu on or near the cut")
 
-    cols = hyper.any(axis=0)
-    if cols.any():
-        need = (math.pi * mu + _TAIL_NATS) / -np.log(ax[cols] + 1e-300)
-        k = np.arange(1, math.ceil(need[hyper[:, cols]].max()) + 1)
-        t = np.cumprod(np.hstack([np.ones_like(mu),
-                                  (np.hypot(k - 0.5, mu) / k) ** 2]), axis=1)
-        out[:, cols] = _power_series(t, x[cols])
-
-    cols = ~hyper.all(axis=0)
-    if cols.any():
-        rho = rho[cols]
-        j = np.arange(1, math.ceil(_TAIL_NATS / -math.log(aq[cols].max())) + 1)
-        mod = np.cumprod(np.hstack([np.ones_like(mu), (j - 0.5) / j * np.hypot(
-            j - 0.5, mu) / np.hypot(j, mu)]), axis=1)
-        d = j * (2 * j - 1) + 2 * mu ** 2   # arg(a_k/a_{k-1}) = -atan(mu/d)
-        phase = (_arg_gamma_over_mu(1.0, mu) - _arg_gamma_over_mu(0.5, mu)
-                 - np.cumsum(np.hstack([np.zeros_like(mu),
-                                        np.arctan(mu / d) / mu]), axis=1))
-        q = np.exp(-2.0 * rho)
-        u = _power_series(mod * np.cos(mu * phase), q)
-        v = _power_series(mod * np.sin(mu * phase) / mu, q)
-        gmod = np.sqrt(mu / np.tanh(math.pi * mu) / math.pi)
-        hc = 2.0 * gmod * np.exp(-0.5 * rho) * (np.sin(mu * rho) / mu * u
-                                               + np.cos(mu * rho) * v)
-        out[:, cols] = np.where(hyper[:, cols], out[:, cols], hc)
+    out = np.empty((mu.size, x.size), dtype=complex)
+    hyper = lambda mu, x, n: _power_series(_hyper_coef(mu, n), x)
+    for s, (series, arg) in enumerate(((hyper, x), (_harish_chandra, rho),
+                                       (_log_series, y))):
+        sel = pick == s
+        rows, cols = sel.any(axis=1), sel.any(axis=0)
+        if cols.any():
+            inner = sel[np.ix_(rows, cols)]
+            need = (bound[s][rows] / decay[s][cols])[inner].max()
+            val = series(mu[rows], arg[cols], math.ceil(min(need, _MAX_TERMS)))
+            out[sel] = val[inner]
     return out
 
 
 def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """phi_lam(a_{e^{r/2}} x0) = P_nu(cosh r), lams by radii."""
-    return _legendre(lams, np.cosh(np.asarray(radii, dtype=float)))
+    half = 0.5 * np.asarray(radii, dtype=float)
+    return _legendre(lams, -np.sinh(half) ** 2, np.cosh(half) ** 2)
 
 
 # -- transform, Parseval, calibration ----------------------------------------
@@ -343,58 +384,29 @@ def plancherel_verdict() -> dict:
     return out
 
 
-# -- matrix coefficients of continued spherical vectors ---------------------
+# -- the invariant of a pair of crown points ----------------------------------
 
-def _frame(ginv, r: float):
-    """The frame (P, r) of pi(g) Psi_r = kappa_r P^{-(1 - i lam)/2}, Psi_r
-    the spherical vector continued to torus angle r, kappa_r = e^{(-1 + i
-    lam) i r} / sqrt(pi) and P its quadratic 1 + e^{-4ir} x^2 pulled by the
-    real ginv = g^{-1}.  Im P <= 0, so the principal logarithm is the
-    continuation from the real group and cannot alias."""
-    return pull_quadratic((1.0, 0.0, np.exp(-4j * r)), ginv), r
-
-
-def _pairing(lams: np.ndarray, f1, f2) -> np.ndarray:
-    """<pi(g1) Psi_r1, pi(g2) Psi_r2> for all lams, frames f1 = (P1, r1)
-    and f2 = (P2, r2), from one lam-by-x exponential of the integrand
-    kappa_r1 conj(kappa_r2) exp(A0(x) + lam A1(x)).  The x-grid has octave
-    panels and geometric clusters around the complex roots of each P out to
-    the reach, 2048 times the largest root modulus (at least 1; at 256 the
-    closed-form 1/x^2 tail beyond it put the doubled torus values 5e-7 off
-    their norm oracle).  Swapping f1 and f2 conjugates the result."""
-    (p1, r1), (p2, r2) = f1, f2
-    roots = np.concatenate([polyroots(p1), polyroots(p2)])
-    reach = 2048.0 * max([1.0] + [abs(rt) for rt in roots])
-    edges = {-reach, reach, -1.0, 1.0, 0.0}
-    base = 0.125
-    while base < reach:
-        edges.update((-base, base))
-        base *= 2.0
-    for rt in roots:
-        width = max(abs(rt.imag), 1e-9)
-        stop = min(reach, 8.0 * max(abs(rt.real), 1.0))
-        offs = [width * 2.0 ** k for k in range(48) if width * 2.0 ** k < stop]
-        edges.update(rt.real + o for o in (0.0, *offs, *(-o for o in offs)))
-    xs, ws = gauss_legendre_grid(sorted(e for e in edges if abs(e) <= reach),
-                                 16)
-
-    half_log1 = 0.5 * np.log(polyval(xs, p1))
-    conj_half_log2 = np.conj(0.5 * np.log(polyval(xs, p2)))
-    mat = np.multiply.outer(lams, 1j * (half_log1 - conj_half_log2))
-    mat -= half_log1 + conj_half_log2
-    np.exp(mat, out=mat)
-    amp = 0.5 * (mat[:, -1] * xs[-1] ** 2 + mat[:, 0] * xs[0] ** 2)
-    kappa = np.exp(-lams * (r1 + r2) - 1j * (r1 - r2)) / math.pi
-    return kappa * (mat @ ws + 2.0 * amp / reach)
+def _pair_invariant(z: PairPoint, w: PairPoint):
+    """x = (1 - c)/2 and y = (1 + c)/2 of crown points z, w, where
+    <pi(z)v_K, pi(w)v_K> = P_nu(c), as cross ratios of z1, z2 and the
+    conjugates u1, u2 of w1, w2; swapping z and w conjugates both exactly."""
+    if not (crown_contains(z) and crown_contains(w)):
+        raise NotInCrown(f"{z} or {w} is outside the crown")
+    (z1, z2), (w1, w2) = z.finite(), w.finite()
+    u1, u2 = w1.conjugate(), w2.conjugate()
+    x = (z1 - u2) * (z2 - u1) / ((z1 - z2) * (u2 - u1))
+    y = (z1 - u1) * (z2 - u2) / ((z1 - z2) * (u1 - u2))
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise DomainError(f"the invariant of {z} and {w} overflows")
+    return np.array([x]), np.array([y])
 
 
 def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float
                     ) -> np.ndarray:
     """phi_lam(g exp(i r h) x0) for all lams: `_legendre` at the invariant
-    of the point."""
-    w = 1j * np.exp(2j * r)
-    c = 0.5 * p_of_pair(PairPoint(w, -w).apply(g.m))
-    return _legendre(lams, np.array([c]))[:, 0]
+    of the point and x0."""
+    z = elliptic_point(g, r)
+    return _legendre(lams, *_pair_invariant(z, BASE_POINT))[:, 0]
 
 
 # -- the orbital identity ----------------------------------------------------
@@ -407,16 +419,13 @@ def _check_torus_angle(r: float) -> None:
 def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
     """phi_lam(exp(2 i r h) x0) for all lams at once.
 
-    By the split pairing this equals ||Psi_r||^2, the matrix coefficient of
-    the continued spherical vector with itself, on the grid clustered
-    around the roots of 1 + w_r x^2 near +-1.
+    By the split pairing this is ||Psi_r||^2, the norm of the continued
+    spherical vector: P_nu(cos 4r), at x = sin^2 2r and y = cos^2 2r, which
+    grows like -log y as r -> pi/4.
     """
     _check_torus_angle(r)
-    lams = np.asarray(lams, dtype=float)
-    if r == 0.0:
-        return np.ones(lams.size)
-    frame = _frame(np.eye(2), r)
-    return _pairing(lams, frame, frame).real
+    s, c = math.sin(2.0 * r), math.cos(2.0 * r)
+    return _legendre(lams, np.array([s * s]), np.array([c * c]))[:, 0].real
 
 
 def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
@@ -424,12 +433,10 @@ def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
     grid = density.lambda_grid
     mass = np.abs(density.values) * np.maximum(weight.density(grid), 0.0)
     live = grid[mass > 1e-13 * max(mass.max(), 1e-300)]
-    lo = float(live.min()) if live.size else 0.0
-    hi = float(live.max()) if live.size else grid[-1]
-    lo = max(0.0, lo - 0.25)
-    hi = min(float(grid[-1]), hi + 0.25)
-    edges = np.linspace(lo, hi, 5)
-    return gauss_legendre_grid(edges, 16)
+    if not live.size:
+        return gauss_legendre_grid(np.linspace(0.0, grid[-1], 5), 16)
+    return gauss_legendre_grid(np.linspace(
+        max(0.0, live.min() - 0.25), min(grid[-1], live.max() + 0.25), 5), 16)
 
 
 #: the orbital mass drops the radial tail of |f|^2 beyond this fraction, and
@@ -502,8 +509,9 @@ def _theta_sums(quad: OrbitQuadrature, r: float, n: int,
     theta = (np.arange(n) + offset) * (math.pi / n)
     c = (np.cosh(quad.rho_nodes)[:, None] * math.cos(2 * r) + 1j * np.outer(
         np.sinh(quad.rho_nodes) * math.sin(2 * r), np.cos(2 * theta))).ravel()
-    f = np.concatenate([quad.coeff @ _legendre(quad.lam_nodes, c[k:k + 1024])
-                        for k in range(0, c.size, 1024)])
+    f = np.concatenate([quad.coeff @ _legendre(quad.lam_nodes, 0.5 * (1 - blk),
+                                               0.5 * (1 + blk))
+                        for blk in np.split(c, range(1024, c.size, 1024))])
     return (np.abs(f) ** 2).reshape(-1, n).sum(axis=1)
 
 
@@ -573,7 +581,7 @@ def strip_norm(density: SpectralDensity, big_r: float,
     """sup over a grid of torus angles r < R of the orbital mass."""
     if not 0.0 < big_r <= OMEGA_RADIUS:
         raise DomainError("R must lie in (0, pi/4]")
-    rs = np.linspace(0.0, min(big_r * 0.95, OMEGA_RADIUS - 1e-3), n_r)
+    rs = np.linspace(0.0, big_r * 0.95, n_r)
     return max(orbital_mass(density, float(r), weight) for r in rs)
 
 
@@ -593,8 +601,8 @@ def eR_membership(density: SpectralDensity, big_r: float,
             return False
     # numeric confirmation: the integrand must decay on the grid tail
     nodes = spectral_grid().lam_nodes
-    r_eff = min(big_r * 0.999, OMEGA_RADIUS - 1e-6)
-    integrand = (np.abs(density(nodes)) ** 2 * doubled_torus_values(nodes, r_eff)
+    integrand = (np.abs(density(nodes)) ** 2
+                 * doubled_torus_values(nodes, big_r * 0.999)
                  * np.maximum(weight.density(nodes), 1e-300))
     tail = nodes > 0.5 * nodes[-1]
     if np.count_nonzero(tail) < 4 or np.all(integrand[tail] < 1e-290):
@@ -635,25 +643,18 @@ class KernelMeasure:
         return True
 
 
-def _tangent_frame(z: PairPoint):
-    """The frame of pi(z) v_K: z = g exp(i psi h) x0 gives pi(g) Psi_psi."""
-    tb = point_to_tangent(z)
-    return _frame(tb.g.inverse().m.real, abs(float(tb.y.c_h)))
-
-
 def invariant_kernel(measure: KernelMeasure, z: PairPoint,
                      w: PairPoint) -> complex:
     """K(z, w) = Int <pi(z)v, pi(w)v> d mu(lam); Hermitian and G-invariant.
 
-    Splitting z = g exp(i psi h) x0 makes pi(z)v_K = pi(g) Psi_psi, so every
-    spectral slice is one matrix coefficient of two continued spherical
-    vectors; a single pairing row over the lam nodes gives all of them, on
-    the x-grid clustered around both vectors' near-singular points.
+    Every spectral slice <pi(z)v_K, pi(w)v_K> is P_nu at the invariant of
+    the pair, so one `_legendre` row over the kernel's lam nodes gives all
+    of them; K(w, z) is conj K(z, w) exactly.
     """
     if not measure.admissible():
         raise AdmissibilityFailure("kernel measure fails the e^{c lam} test")
     nodes, lam_w = spectral_grid().lam_rule(KERNEL_LAM_MAX)
-    row = _pairing(nodes, _tangent_frame(z), _tangent_frame(w))
+    row = _legendre(nodes, *_pair_invariant(z, w))[:, 0]
     return complex(np.sum(lam_w * measure.density(nodes) * row))
 
 

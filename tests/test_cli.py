@@ -204,6 +204,8 @@ FUZZ = {
     ("hardy-kernel", "--z1=0", "--z2=0-1i"): None,
     ("hardy-kernel", "--z1=nan", "--z2=0-1i"): 1,
     ("hardy-kernel", "--z1=1e300", "--z2=0-1i"): None,
+    ("hardy-kernel", "--z1=0+1e-30i", "--z2=0-1i"): 0,
+    ("hardy-kernel", "--z1=0+1e300i", "--z2=0-1i"): 2,
     ("hardy-kernel", "--gram", "-1"): None,
     ("kernel", "--width", "0"): 1,
     ("kernel", "--width", "-1"): 1,
@@ -224,4 +226,5 @@ def test_out_of_range_arguments_give_one_json_document(argv, capsys):
     assert isinstance(doc, dict) and doc["command"] == argv[0]
     assert code in (0, 1, 2)
     if FUZZ[argv] is not None:
-        assert code == FUZZ[argv] and doc["status"] == "fail"
+        assert code == FUZZ[argv]
+        assert (doc["status"] == "fail") == (code != 0)

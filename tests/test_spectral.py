@@ -46,6 +46,17 @@ def test_legendre_against_mpmath_on_hard_nodes():
             oracle = complex(mpmath.legenp((1j * lam - 1) / 2, 0,
                                            mpmath.cosh(float(r))))
             assert abs(mat[i, j] - oracle) < 1e-12 * max(1.0, abs(oracle))
+    # the most extreme invariants of the spectral_orbital benchmark's kernel
+    # pairs: least Re c, largest |c|, complex c nearest -1 and real c near -1
+    c = np.array([-6.118295577230798 + 8.248517955486596j,
+                  223.20796142668183 - 33.49976941838589j,
+                  -0.754189175493866 - 0.11726702523554101j,
+                  -0.8899409408688281 + 0j])
+    mat = spectral._legendre(lams, 0.5 * (1 - c), 0.5 * (1 + c))
+    for i, lam in enumerate(lams):
+        for j, cj in enumerate(c):
+            oracle = complex(mpmath.legenp((1j * lam - 1) / 2, 0, cj, type=3))
+            assert abs(mat[i, j] - oracle) < 1e-12 * max(1.0, abs(oracle))
 
 
 def test_pairing_row_where_both_series_are_slow():
@@ -125,6 +136,21 @@ def test_doubled_torus_values_match_norm_oracle():
             assert abs(val - oracle) / oracle < 1e-7
         assert np.all(dv > 0)
     assert np.allclose(spectral.doubled_torus_values(lams, 0.0), 1.0)
+
+
+def test_doubled_torus_values_near_the_edge():
+    # as r -> pi/4, c = cos 4r -> -1 and the values grow like -log cos^2 2r;
+    # the argument of the oracle is formed at 50 digits from the float r
+    lams = np.array([0.0, 0.5, 4.0, 16.0, 31.9])
+    with mpmath.workdps(50):
+        for r in (0.75, 0.999 * math.pi / 4, math.pi / 4 - 1e-6,
+                  math.pi / 4 - 1e-12):
+            dv = spectral.doubled_torus_values(lams, r)
+            arg = mpmath.cos(4 * mpmath.mpf(r))
+            for lam, val in zip(lams, dv):
+                oracle = float(mpmath.re(mpmath.legenp((1j * lam - 1) / 2, 0,
+                                                       arg, type=2)))
+                assert abs(val - oracle) < 1e-12 * abs(oracle)
 
 
 def test_pairing_row_matches_phi_lambda(rng):
@@ -242,6 +268,19 @@ def test_kernel_base_value_is_total_mass(weight):
     direct = float(np.sum(lam_w * spectral.hardy_density()(nodes).real))
     assert abs(value.real - direct) < 1e-6
     assert abs(value.imag) < 1e-10
+
+
+@pytest.mark.parametrize("eps, value", [(1e-3, 0.6418345936473534),
+                                        (1e-8, 1.9349227023326565),
+                                        (1e-30, 7.635823679555382)])
+def test_hardy_kernel_at_the_crown_edge(eps, value):
+    # K(z, z) at z = (eps i, -i), where c = -1 + 8 eps/(1 + eps)^2; the
+    # values sum mpmath's Legendre function at 40 digits over the kernel's
+    # lam rule.  A pairing whose x-grid clustered no finer than 1e-9
+    # returned 3.02404 at eps = 1e-30.
+    z = PairPoint(eps * 1j, -1j)
+    k = spectral.hardy_kernel(z, z)
+    assert abs(k - value) < 1e-12 * value
 
 
 def test_kernel_hermitian_and_positive(rng):

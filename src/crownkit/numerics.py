@@ -13,6 +13,13 @@ panels in a single vectorized integrand call; the loop stops when the
 summed error of all panels meets the request (Shampine, J. Comput. Appl.
 Math. 211, 2008; QUADPACK's global strategy, Piessens et al., 1983).
 
+An integrand may return a stack of m components at once, such as the
+squared moduli of all monomials of a Sobolev norm from one jet of the
+vector.  They share the panels: each component must meet its own request
+max(abs_tol, rel_tol |value_i|), and a panel's claim to bisection is its
+error summed over the components, each in units of that component's
+tolerance.  One component is the scalar case.
+
 Everything here is pure and deterministic: the final reduction is an
 ordered sum over the panels.
 """
@@ -85,8 +92,8 @@ REPRESENTATION_CFG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-9)
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: complex
-    error: float
+    value: complex          # an array of m values for a stacked integrand
+    error: float            # likewise, one error bound per component
     n_panels: int
 
 
@@ -109,13 +116,14 @@ def _ensure_finite(vals, where):
 
 
 def _panel_gk(y, half):
-    """G7/K15 on a stack of panels: row i of y holds the 15 Kronrod samples
-    of a panel of half-width half[i]; returns (integrals, errors)."""
+    """G7/K15 on a stack of panels: y[..., i, :] holds the 15 Kronrod
+    samples of a panel of half-width half[i], for each leading component;
+    returns (integrals, errors), shaped like y without its last axis."""
     with np.errstate(all="ignore"):
         k15 = half * (y @ _K15_WEIGHTS)
-        g7 = half * (y[:, _G7_SLICE] @ _G7_WEIGHTS)
+        g7 = half * (y[..., _G7_SLICE] @ _G7_WEIGHTS)
         # standard QUADPACK-style sharpened error estimate
-        resasc = half * (np.abs(y - (0.5 * k15 / half)[:, None])
+        resasc = half * (np.abs(y - (0.5 * k15 / half)[..., None])
                          @ _K15_WEIGHTS)
         err = np.abs(k15 - g7)
         sharp = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -167,24 +175,32 @@ def _pieces(a, b, hints):
 def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     """Integrate a complex-valued f over (a, b), either endpoint may be inf.
 
-    `f` is called with a 1-d numpy array of sample points, once per
-    round.  Listed singularities must sit at hinted points or endpoints.
+    `f` is called with a 1-d numpy array of n sample points, once per
+    round, and returns n values, or a stack of shape (m, n) whose m
+    components share one pool of panels; a stack gives m values and m
+    errors.  Listed singularities must sit at hinted points or endpoints.
     The reported error bounds the total over all panels and is within
-    max(abs_tol, rel_tol |value|).  Raises NonConvergence when
-    cfg.max_subdivisions bisections do not meet that request and
-    InvalidIntegrand on NaN/Inf samples.
+    max(abs_tol, rel_tol |value|), for each component of a stack.  Raises
+    NonConvergence when cfg.max_subdivisions bisections do not meet that
+    request and InvalidIntegrand on NaN/Inf samples.
     """
     a = float(a)
     b = float(b)
-    if a == b:
-        return IntegralResult(0.0 + 0.0j, 0.0, 0)
+    if a == b:  # f sees no points, only to tell a stack's height
+        shape = np.shape(f(np.empty(0)))[:-1]
+        if not shape:
+            return IntegralResult(0.0 + 0.0j, 0.0, 0)
+        return IntegralResult(np.zeros(shape, dtype=complex), np.zeros(shape),
+                              0)
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
     hints = [float(h) for h in cfg.singularity_hints]
     t0, tsign, width, c, d = map(np.array, zip(*_pieces(a, b, hints)))
+    stacked = False
 
     def evaluate(piece, lo, hi):
+        nonlocal stacked
         half = 0.5 * (hi - lo)
         u = (lo + half)[:, None] + half[:, None] * _K15_NODES
         x = t0[piece, None] + tsign[piece, None] * u * u
@@ -195,44 +211,54 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
         x[far] = c[piece[far], None] + d[piece[far], None] * t / (1.0 - t)
         jac[far] /= (1.0 - t) ** 2
         with np.errstate(all="ignore"):  # non-finite samples are policed below
-            y = jac * np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
+            vals = np.asarray(f(x.ravel()), dtype=complex)
+            y = jac * vals.reshape((-1,) + x.shape)
+        stacked = vals.ndim == 2
         _ensure_finite(y, (float(x.min()), float(x.max())))
         return _panel_gk(y, half)
 
     piece = np.arange(width.size)
     lo = np.zeros(width.size)
     hi = width
-    val, err = evaluate(piece, lo, hi)
+    val, err = evaluate(piece, lo, hi)  # (components, panels)
     subdivisions = 0
     while True:
-        total, total_err = val.sum(), err.sum()
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= tol:
+        total, total_err = val.sum(axis=1), err.sum(axis=1)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        if np.all(total_err <= tol):
             break
         if subdivisions >= cfg.max_subdivisions:
+            worst = int(np.argmax(total_err / tol))
             raise NonConvergence(
-                f"quadrature error {total_err:.3e} above tolerance after "
-                f"{subdivisions} subdivisions",
-                estimate=sign * total, error=total_err)
-        # bisect the fewest worst panels that carry all but tol/2 of the
-        # error, leaving out those below 1% of the worst
-        order = np.argsort(-err, kind="stable")
-        n = int(np.searchsorted(np.cumsum(err[order]), total_err - 0.5 * tol))
+                f"quadrature error {total_err[worst]:.3e} above tolerance "
+                f"after {subdivisions} subdivisions",
+                estimate=sign * (total if stacked else total[0]),
+                error=total_err if stacked else total_err[0])
+        # each panel's error in units of its component's tolerance, summed
+        # over the components; bisect the fewest worst panels that carry
+        # all but half a unit, leaving out those below 1% of the worst
+        score = (err / tol[:, None]).sum(axis=0)
+        order = np.argsort(-score, kind="stable")
+        n = int(np.searchsorted(np.cumsum(score[order]), score.sum() - 0.5))
         pick = order[:n + 1]
-        pick = pick[err[pick] >= 0.01 * err[pick[0]]]
+        pick = pick[score[pick] >= 0.01 * score[pick[0]]]
         pick = pick[:cfg.max_subdivisions - subdivisions]
         subdivisions += pick.size
         mid = 0.5 * (lo[pick] + hi[pick])
         new = (np.tile(piece[pick], 2), np.concatenate([lo[pick], mid]),
                np.concatenate([mid, hi[pick]]))
         new += evaluate(*new)
+        keep = np.ones(score.size, dtype=bool)
+        keep[pick] = False
         piece, lo, hi, val, err = (
-            np.concatenate([np.delete(old, pick), part])
+            np.concatenate([old[..., keep], part], axis=-1)
             for old, part in zip((piece, lo, hi, val, err), new))
 
     # ordered sum for a deterministic, refinement-independent reduction
-    order = np.lexsort((lo, piece))
-    return IntegralResult(sign * val[order].sum(), total_err, val.size)
+    value = sign * val[:, np.lexsort((lo, piece))].sum(axis=1)
+    if not stacked:
+        return IntegralResult(value[0], total_err[0], val.shape[1])
+    return IntegralResult(value, total_err, val.shape[1])
 
 
 #: integrate_periodic's period, tolerances, node counts and block size

@@ -38,8 +38,7 @@ from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
 from .numerics import (IdentityCheck, REPRESENTATION_CFG, integrate,
                        integrate_periodic)
 from .pairmodel import PairPoint
-from .vectors import (MobiusPulled, QuadraticPower, SmoothVector, _leibniz,
-                      _poly_jets)
+from .vectors import MobiusPulled, QuadraticPower, SmoothVector
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -143,29 +142,48 @@ DIRECTIONS = {"h": H_VEC, "e": E_VEC, "f": F_VEC, "u": U_VEC,
               "e+f": LieVector(c_e=1.0, c_f=1.0)}
 
 
+def action_jets(param: SpectralParam, direction: LieVector, x):
+    """alpha, alpha', beta, beta' and beta'' at x of the derived action
+    alpha f + beta f' of D = c_h h + c_e e + c_f f, where
+    alpha = c_h (i lam - 1) + c_f (1 - i lam) x and
+    beta = -c_e - 2 c_h x + c_f x^2; higher derivatives vanish."""
+    il = 1j * param.lam
+    c_h, c_e, c_f = direction.c_h, direction.c_e, direction.c_f
+    a0, a1 = c_h * (il - 1.0), c_f * (1.0 - il)
+    b1, b2 = -2.0 * c_h, c_f
+    return (a0 + a1 * x, a1, (b2 * x + b1) * x - c_e, 2.0 * b2 * x + b1,
+            2.0 * b2)
+
+
+def derived_jet(ab, fj: np.ndarray) -> np.ndarray:
+    """Jets to order n of alpha f + beta f' from the jets fj of f to order
+    n + 1 and ab = action_jets(...) at the same points, by Leibniz:
+    (alpha f + beta f')^(k) = alpha f^(k) + beta f^(k+1)
+        + k beta' f^(k) + (k alpha' + C(k, 2) beta'') f^(k-1)."""
+    a, da, b, db, ddb = ab
+    out = a * fj[:-1] + b * fj[1:]
+    for k in range(1, fj.shape[0] - 1):
+        lower = k * da + 0.5 * k * (k - 1) * ddb
+        out[k] += k * db * fj[k] + lower * fj[k - 1]
+    return out
+
+
 class DPi(SmoothVector):
     """Derived action of D = c_h h + c_e e + c_f f on a vector, the
-    first-order operator alpha(x) f + beta(x) f' with
-    alpha = c_h (i lam - 1) + c_f (1 - i lam) x and
-    beta = -c_e - 2 c_h x + c_f x^2."""
+    first-order operator alpha(x) f + beta(x) f' of `action_jets`."""
 
     def __init__(self, param: SpectralParam, direction: LieVector,
                  child: SmoothVector):
-        il = 1j * param.lam
-        c_h, c_e, c_f = direction.c_h, direction.c_e, direction.c_f
+        self.param = param
+        self.direction = direction
         self.child = child
-        self.alpha = np.array([c_h * (il - 1.0), c_f * (1.0 - il)],
-                              dtype=complex)
-        self.beta = np.array([-c_e, -2.0 * c_h, c_f], dtype=complex)
         self.support = child.support
         self.hints = child.hints
 
     def jet(self, x, order):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        cj = self.child.jet(x, order + 1)
-        aj = _poly_jets(self.alpha, x, order)
-        bj = _poly_jets(self.beta, x, order)
-        return _leibniz(aj, cj[:order + 1]) + _leibniz(bj, cj[1:])
+        return derived_jet(action_jets(self.param, self.direction, x),
+                           self.child.jet(x, order + 1))
 
 
 def d_pi(param: SpectralParam, direction: str, f: SmoothVector) -> DPi:
@@ -195,6 +213,12 @@ def dpi_fd_gap(param: SpectralParam, direction: str, f: SmoothVector,
     return float(np.max(np.abs(fd - an))) / scale
 
 
+#: spike width |y|/(1 + x^2) of a crown coordinate below which phi_lambda
+#: anchors the spike: the trapezoid needs about 80/width nodes, 8,192 at
+#: width 9.4e-3, and more than its 65,536 below width 3.2e-4
+_NARROW_SPIKE = 1e-2
+
+
 def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
     """Holomorphically extended spherical function at a crown point.
 
@@ -206,23 +230,26 @@ def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
     integrand an inverse-square-root spike at t_j.  Each arc between spikes
     is integrated as two halves in the offset s >= 0 from an end spike,
     with sine arguments (t_j - t_anchor) -+ s, so a spike sits exactly at
-    the quadrature endpoint s = 0.
+    the quadrature endpoint s = 0.  A coordinate of z_j = x_j + i y_j just
+    inside the crown makes a spike of width |y_j| / rho_j^2 at t_j; below
+    `_NARROW_SPIKE` it is anchored the same way, since the trapezoid would
+    need more nodes than `integrate_periodic` allows.
     """
     z1, z2 = z.finite()
-    margin = min(z1.imag, -z2.imag)
-    if margin < -1e-12:
+    if min(z1.imag, -z2.imag) < -1e-12:
         raise NotInCrown(f"{z} lies outside the closed crown")
     exponent = 1.0 + 1j * param.lam
+    coords = [(math.atan2(1.0, w.real), math.hypot(1.0, w.real), w.imag)
+              for w in (z1, z2)]
+    spikes = sorted(t for t, rho, y in coords
+                    if abs(y) <= _NARROW_SPIKE * rho * rho)
 
-    if margin > 1e-9:
+    if not spikes:
         res = integrate_periodic(
             lambda th: np.exp(exponent * log_aC_orbit(z, th)))
         return res.value / (2.0 * math.pi)
 
     zeta0_sq = (z1 - z2) / 2j
-    coords = [(math.atan2(1.0, w.real), math.hypot(1.0, w.real), w.imag)
-              for w in (z1, z2)]
-    spikes = sorted(t for t, _, y in coords if abs(y) <= 1e-9)
     ends = spikes + [spikes[0] + math.pi]
     # (anchor spike, signed half-length) of each half arc, all integrated
     # at once over the offset scaled to [0, 1]; moving a half by pi flips

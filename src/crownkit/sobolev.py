@@ -17,19 +17,28 @@ The cutoffs come from a fixed smoothstep psi (1 on |x|<=1, 0 on |x|>=2):
 phi = psi - psi(2 .), tau = 1 - psi, tau_m = psi(2^{m+1} .), so the
 partition and the derivative identity tau_m^(l) = -2^{lm} phi^(l)(2^m x)
 hold exactly on the support of tau_m.
+
+A norm is one quadrature with a stacked integrand.  Each round evaluates
+the jet of v to order k once and walks the monomial tree, f-powers first,
+then e, then h: each node is one jet-level step of the derived action
+from its parent.  The squared moduli of all nodes share one panel pool,
+each to its own tolerance, and ||v|| is component 0.  The radial norms
+read the same helper, with x^j d^j/dx^j taken straight from the jet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .liecore import GroupElement, K0, b_t
-from .numerics import IdentityCheck
-from .repn import SpectralParam, apply_pi, d_pi, rep_norm
+from .numerics import REPRESENTATION_CFG, IdentityCheck, integrate
+from .repn import (DIRECTIONS, SpectralParam, action_jets, apply_pi,
+                   derived_jet)
 from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
-                      SmoothVector, Sum, WeightedDeriv)
+                      SmoothVector, Sum)
 
 _SUBGROUP_DIRECTION = {
     "A": "h",
@@ -58,45 +67,62 @@ class SobolevSpec:
 
 
 def _monomials(k: int):
-    for k1 in range(k + 1):
-        for k2 in range(k + 1 - k1):
-            for k3 in range(k + 1 - k1 - k2):
-                yield k1, k2, k3
+    """The words of d_pi(h)^k1 d_pi(e)^k2 d_pi(f)^k3, k1 + k2 + k3 <= k, in
+    the order their steps apply: f-powers first, then e, then h; the empty
+    word first and every word after its parent."""
+    return [("f",) * k3 + ("e",) * k2 + ("h",) * k1
+            for k1 in range(k + 1) for k2 in range(k + 1 - k1)
+            for k3 in range(k + 1 - k1 - k2)]
+
+
+def _chain(direction: str, k: int):
+    """The words of d_pi(direction)^j, j <= k."""
+    return [(direction,) * j for j in range(k + 1)]
+
+
+def _norms(f: SmoothVector, order: int, rows) -> list[float]:
+    """L^2 norms of the stacked components rows(x, jets of f to `order`),
+    all integrated in one quadrature on f's support with f's hints."""
+    lo, hi = f.support if f.support is not None else (-math.inf, math.inf)
+    res = integrate(lambda x: np.abs(rows(x, f.jet(x, order))) ** 2, lo, hi,
+                    REPRESENTATION_CFG.with_hints(f.hints))
+    return [math.sqrt(max(v.real, 0.0)) for v in res.value]
+
+
+def _word_norms(param: SpectralParam, f: SmoothVector,
+                words) -> list[float]:
+    """Norms of d_pi(w_n) ... d_pi(w_1) f for each word (w_1, ..., w_n),
+    in the order of `words`.  The words form a tree: a word's parent, the
+    word without its last letter, is listed before it, and each word is
+    one jet-level step of the derived action from its parent, so one jet
+    of f per quadrature round serves every word."""
+    directions = {d: DIRECTIONS[d] for w in words for d in w}
+
+    def rows(x, fj):
+        ab = {d: action_jets(param, vec, x) for d, vec in directions.items()}
+        jets = {(): fj}
+        for w in words[1:]:
+            jets[w] = derived_jet(ab[w[-1]], jets[w[:-1]])
+        return np.array([jets[w][0] for w in words])
+
+    return _norms(f, max(map(len, words)), rows)
 
 
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     """Sobolev norm of order spec.k, full or restricted to one subgroup."""
-    if spec.subgroup is not None:
-        direction = _SUBGROUP_DIRECTION[spec.subgroup]
-        total = 0.0
-        vec: SmoothVector = f
-        for _ in range(spec.k + 1):
-            total += rep_norm(vec)
-            vec = d_pi(param, direction, vec)
-        return total
-    total = 0.0
-    for k1, k2, k3 in _monomials(spec.k):
-        vec = f
-        for _ in range(k3):
-            vec = d_pi(param, "f", vec)
-        for _ in range(k2):
-            vec = d_pi(param, "e", vec)
-        for _ in range(k1):
-            vec = d_pi(param, "h", vec)
-        total += rep_norm(vec)
-    return total
+    if spec.subgroup is None:
+        words = _monomials(spec.k)
+    else:
+        words = _chain(_SUBGROUP_DIRECTION[spec.subgroup], spec.k)
+    return sum(_word_norms(param, f, words))
 
 
 def radial_norm(f: SmoothVector, k: int) -> float:
     """Sum of the norms of the radial operators x^j d^j/dx^j, j = 0..k."""
     if k > MAX_ORDER:
         raise ValueError(f"radial order {k} above {MAX_ORDER}")
-    total = 0.0
-    for j in range(k + 1):
-        weight = np.zeros(j + 1, dtype=complex)
-        weight[j] = 1.0
-        total += rep_norm(WeightedDeriv(f, weight, j))
-    return total
+    powers = np.arange(k + 1)[:, None]
+    return sum(_norms(f, k, lambda x, fj: x ** powers * fj))
 
 
 @dataclass
@@ -173,10 +199,11 @@ def _dyadic_rhs(param, f, k, m):
     return outer, inner, tuple(blocks)
 
 
-def _display(param, h, k):
-    return (sobolev_norm(param, h, SobolevSpec(k, "Nbar"))
-            + rep_norm(h)
-            + sobolev_norm(param, h, SobolevSpec(k, "A")))
+def _display_norms(param, h, k):
+    """The norms of d_pi(f)^j h and of d_pi(h)^j h, j <= k, from one
+    quadrature: S_{k,Nbar}(h) and S_{k,A}(h) both start at ||h||."""
+    norms = _word_norms(param, h, _chain("f", k) + _chain("h", k)[1:])
+    return norms[:k + 1], norms[:1] + norms[k + 1:]
 
 
 def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
@@ -198,18 +225,14 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     """
     outer, inner, blocks = _dyadic_rhs(param, f, k, m)
     dyadic_rhs = outer + inner + sum(blocks)
-    comparison = _display(param, f, k)
+    nbar_f, a_f = _display_norms(param, f, k)
+    norm_f = nbar_f[0]
+    comparison = sum(nbar_f) + norm_f + sum(a_f)
 
     # rotate so the singular circle points land on the contraction fixed
     # points, then push with a_t until the Nbar block collapses to ~||f||
-    norm_f = rep_norm(f)
-    rotated = apply_pi(param, K0, f)
-    s_a_rot = sobolev_norm(param, rotated, SobolevSpec(k, "A"))
-    nbar_norms = []
-    vec = rotated
-    for _ in range(k + 1):
-        nbar_norms.append(rep_norm(vec))
-        vec = d_pi(param, "f", vec)
+    nbar_norms, a_rot = _display_norms(param, apply_pi(param, K0, f), k)
+    s_a_rot = sum(a_rot)
     t = 1.0
     for _ in range(64):
         pushed_nbar = sum(t ** (2 * j) * n for j, n in enumerate(nbar_norms))
@@ -230,7 +253,7 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
 def choose_m(param: SpectralParam, f: SmoothVector, k: int) -> int:
     """Smallest dyadic depth (by doubling search) whose innermost block is
     dominated by ||f||; the localized low-frequency mass is then absorbed."""
-    target = rep_norm(f)
+    target = sobolev_norm(param, f, SobolevSpec(0))
     m = 1
     while m <= _M_MAX:
         dec = build_dyadic(m)

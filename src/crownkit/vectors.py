@@ -358,40 +358,29 @@ class MobiusPulled(SmoothVector):
         return _leibniz(self._modulus_jets(x, order), comp)
 
 
-class WeightedDeriv(SmoothVector):
-    """p(x) * child^(order_shift); used for radial operators x^j d^j/dx^j."""
-
-    def __init__(self, child: SmoothVector, poly, order_shift: int):
-        self.child = child
-        self.poly = np.asarray(poly, dtype=complex)
-        self.shift = int(order_shift)
-        self.support = child.support
-        self.hints = child.hints
-
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        cj = self.child.jet(x, order + self.shift)
-        pj = _poly_jets(self.poly, x, order)
-        return _leibniz(pj, cj[self.shift:])
+#: ascending coefficients of p_n, n <= 4, with (d/dt)^n exp(-1/t) =
+#: exp(-1/t) p_n(1/t): p_0 = 1 and p_n(u) = u^2 (p_{n-1}(u) - p_{n-1}'(u))
+_GLUE_POLYS = (np.array([1.0]),
+               np.array([0.0, 0.0, 1.0]),
+               np.array([0.0, 0.0, 0.0, -2.0, 1.0]),
+               np.array([0.0, 0.0, 0.0, 0.0, 6.0, -6.0, 1.0]),
+               np.array([0.0, 0.0, 0.0, 0.0, 0.0, -24.0, 36.0, -12.0, 1.0]))
 
 
 def _glue_jets(t: np.ndarray, order: int) -> np.ndarray:
     """Jets of exp(-1/t) for t > 0 (zero extended for t <= 0)."""
+    if order >= len(_GLUE_POLYS):
+        raise ValueError("glue jets tabulated up to order 4")
     t = np.asarray(t, dtype=float)
     pos = t > 0
     out = np.zeros((order + 1, t.size), dtype=complex)
     if not np.any(pos):
         return out
-    tp = t[pos]
-    u = 1.0 / tp
+    u = 1.0 / t[pos]
     e = np.exp(-u)
-    poly = np.array([0.0, 0.0, 1.0])  # p_1(u) = u^2 after one derivative
     out[0][pos] = e
-    pk = np.array([1.0])
     for n in range(1, order + 1):
-        # d/dt [e^{-1/t} p(1/t)] = e^{-1/t} u^2 (p(u) - p'(u))
-        pk = P.polymul(poly, P.polysub(pk, P.polyder(pk)))
-        out[n][pos] = e * P.polyval(u, pk)
+        out[n][pos] = e * P.polyval(u, _GLUE_POLYS[n])
     return out
 
 

@@ -81,6 +81,37 @@ def test_reported_error_within_request():
         assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
 
+def test_stacked_components_meet_their_own_tolerances():
+    # one panel pool for a component of scale 1 and one of scale 1e-6: with
+    # a negligible absolute target each must meet 1e-9 relative to itself,
+    # which the small one would miss if only the summed error were policed
+    cfg = QuadratureConfig(abs_tol=1e-20, rel_tol=1e-9)
+
+    def f(x):
+        return np.array([1.0 / (1.0 + x * x),
+                         1e-6 * np.exp(-x * x) * np.cos(3.0 * x)])
+
+    res = integrate(f, -math.inf, math.inf, cfg)
+    exact = np.array([math.pi, 1e-6 * math.sqrt(math.pi) * math.exp(-2.25)])
+    assert res.value.shape == res.error.shape == (2,)
+    for value, error, ref in zip(res.value, res.error, exact):
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        assert error <= tol
+        assert abs(value - ref) <= tol
+
+
+def test_one_row_stack_is_the_scalar_call():
+    cfg = REPRESENTATION_CFG.with_hints((-1.0, 1.0))
+    vec = continue_vK(SpectralParam(1.3), 1e-4)
+    scalar = integrate(lambda x: np.abs(vec.value(x)) ** 2, -math.inf,
+                       math.inf, cfg)
+    stack = integrate(lambda x: np.abs(vec.jet(x, 0)) ** 2, -math.inf,
+                      math.inf, cfg)
+    assert stack.value.shape == (1,)
+    assert (stack.value[0], stack.error[0], stack.n_panels) == (
+        scalar.value, scalar.error, scalar.n_panels)
+
+
 @pytest.mark.parametrize("delta", [1e-5, 1e-4, 1e-3])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
 def test_one_far_hint_does_not_move_the_split_off_the_mass(eps, delta):

@@ -1,9 +1,10 @@
 """Property tests on generated inputs: the symmetric model of pair points,
 the coordinate round trips, the off-cut invariant of quadratic powers, the
-closed-form group action on them and the norms it keeps, the rotation
-invariance of the spherical function, the invariance and Hermitian
-symmetry of the Hardy kernel, and Parseval for the radial spherical
-transform.
+closed-form group action on them and the norms it keeps, Sobolev norms
+from one stacked quadrature against one quadrature per monomial, the
+rotation invariance of the spherical function, the invariance and
+Hermitian symmetry of the Hardy kernel, and Parseval for the radial
+spherical transform.
 
 Examples are derandomized, so every run draws the same inputs."""
 
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 
 from crownkit import crown, repn, sobolev, spectral
 from crownkit.errors import BranchCut
-from crownkit.liecore import (H_VEC, a_t, exp_lie, k_theta, n_x, p_invariant,
-                              p_of_pair, pair_sym, sym_model)
+from crownkit.liecore import (H_VEC, a_t, b_t, exp_lie, k_theta, n_x,
+                              p_invariant, p_of_pair, pair_sym, sym_model)
 from crownkit.pairmodel import PairPoint
-from crownkit.vectors import MobiusPulled, QuadraticPower
+from crownkit.vectors import MobiusPulled, Product, QuadraticPower
 
 GEOMETRY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -121,6 +122,50 @@ def test_action_keeps_norms_of_continued_vectors(g, lam, eps):
     norm = repn.rep_norm(f)
     assert abs(repn.rep_norm(repn.apply_pi(param, g, f)) - norm) <= 1e-9 * norm
     assert sobolev.rotate_A_to_H(param, f, 1).gap < 1e-9
+
+
+def _per_monomial_norms(param, vec, k, subgroup):
+    """The norms of every monomial of S_k, each by its own rep_norm."""
+    if subgroup is None:
+        words = [("f",) * k3 + ("e",) * k2 + ("h",) * k1
+                 for k1 in range(k + 1) for k2 in range(k + 1 - k1)
+                 for k3 in range(k + 1 - k1 - k2)]
+    else:
+        direction = {"A": "h", "N": "e", "Nbar": "f", "K": "u",
+                     "H": "e+f"}[subgroup]
+        words = [(direction,) * j for j in range(k + 1)]
+    norms = []
+    for word in words:
+        v = vec
+        for d in word:
+            v = repn.d_pi(param, d, v)
+        norms.append(repn.rep_norm(v))
+    return norms
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.floats(0.25, 2.5), st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e),
+       st.integers(0, 2), st.sampled_from([None, "A", "N", "Nbar", "K", "H"]),
+       st.sampled_from([None, 1, 2, 3]))
+def test_stacked_sobolev_norm_is_the_sum_of_monomial_norms(lam, eps, k,
+                                                           subgroup, block):
+    # the continued vector, or its dyadic block pi(b_{2^-j}) (phi_j f); each
+    # squared monomial norm is good to t = max(abs_tol, rel_tol n^2), which
+    # bounds the error of the norm n itself by min(sqrt(2 t), 2 t / n)
+    param = repn.SpectralParam(lam)
+    f = repn.continue_vK(param, eps)
+    if block is not None:
+        dec = sobolev.build_dyadic(block)
+        f = repn.apply_pi(param, b_t(2.0 ** -block),
+                          Product(dec.phis[block], f))
+    norms = _per_monomial_norms(param, f, k, subgroup)
+    cfg = repn.REPRESENTATION_CFG
+    tol = 0.0
+    for n in norms:
+        t = max(cfg.abs_tol, cfg.rel_tol * n * n)
+        tol += min(math.sqrt(2.0 * t), 2.0 * t / max(n, 1e-300))
+    stacked = sobolev.sobolev_norm(param, f, sobolev.SobolevSpec(k, subgroup))
+    assert abs(stacked - sum(norms)) <= tol
 
 
 # interior points of the crown, and points (-1, 1) g of the distinguished

@@ -207,6 +207,19 @@ def test_doubling_identity_grid():
     assert abs(trivial.lhs - 1.0) < 1e-10 and abs(trivial.rhs - 1.0) < 1e-7
 
 
+@pytest.mark.parametrize("lam, t, phi", [
+    (0.6538932180510986, 3.98169910845357, 0.3919178085712149),
+    (0.6100683642989713, 3.156791492134602, 0.39261783501602765),
+    (0.7333936560283741, 3.6023273350134315, 0.3916836657883044),
+])
+def test_doubling_next_to_the_crown_edge(lam, t, phi):
+    # phi just below pi/8 puts both coordinates of the doubled point within
+    # a spike width |y|/(1 + x^2) of 2e-4, 3.2e-5 and 3.1e-4 of the real
+    # line; the theta trapezoid did not stabilize within its node cap there
+    res = doubling_check(SpectralParam(lam), a_t(t), phi)
+    assert res.gap < 1e-10
+
+
 def test_doubling_positive_at_identity(rng):
     param = SpectralParam(1.0)
     for phi in (0.1, 0.3, math.pi / 8):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from crownkit import numerics, repn, sobolev
 from crownkit.liecore import K0, a_t
 from crownkit.repn import SpectralParam, apply_pi, continue_vK, \
     rep_norm, v_K
@@ -166,3 +167,36 @@ def test_rotation_hints_reach_the_far_root(lam, eps):
     f = continue_vK(param, eps)
     assert max(abs(h) for h in apply_pi(param, K0, f).hints) > 1e5
     assert rotate_A_to_H(param, f, 1).gap < 1e-9
+
+
+def _count_integrate(monkeypatch):
+    """Count the adaptive quadratures sobolev and repn start."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return numerics.integrate(*args, **kwargs)
+
+    monkeypatch.setattr(sobolev, "integrate", counted)
+    monkeypatch.setattr(repn, "integrate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [SobolevSpec(0), SobolevSpec(2),
+                                  SobolevSpec(4), SobolevSpec(2, "H"),
+                                  SobolevSpec(3, "K")])
+def test_sobolev_norm_is_one_quadrature(monkeypatch, spec):
+    # every monomial of the norm shares one panel pool and one jet of the
+    # vector per round: one integrate call whatever the order
+    calls = _count_integrate(monkeypatch)
+    sobolev_norm(PARAM, continue_vK(PARAM, 1e-3), spec)
+    assert len(calls) == 1
+
+
+def test_invariant_bound_quadrature_count(monkeypatch):
+    # one quadrature per dyadic block (outer, inner and m blocks) and one
+    # per display: at f, which also gives ||f||, and after the rotation k0
+    f, m = continue_vK(PARAM, 1e-3), 4
+    calls = _count_integrate(monkeypatch)
+    invariant_upper_bound(PARAM, f, 2, m)
+    assert len(calls) == (m + 2) + 2

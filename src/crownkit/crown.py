@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (DomainError, NotInCrown, NotOnBoundary,
                      NumericalDrift)
-from .liecore import (OMEGA_RADIUS, GroupElement, LieVector, a_t, k_theta,
-                      n_x, pair_sym)
+from .liecore import (OMEGA_RADIUS, GroupElement, LieVector, a_t, check_band,
+                      k_theta, n_x, pair_sym)
 from .pairmodel import PairPoint, is_infinity
 
 
@@ -70,8 +70,7 @@ def xi_pm_contains(z: PairPoint, sign: str) -> bool:
 
 def elliptic_point(g: GroupElement, phi: float) -> PairPoint:
     """g exp(i phi h) x0 = g(e^{2i phi} i, -e^{2i phi} i), |phi| < pi/4."""
-    if abs(phi) >= OMEGA_RADIUS:
-        raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
+    check_band(phi)
     w = cmath.exp(2j * phi) * 1j
     return PairPoint(w, -w).apply(g.m)
 
@@ -102,8 +101,7 @@ def match_orbits(phi: float) -> OrbitMatch:
     r diverges as phi -> pi/4, where the scale is capped and the residual
     reported as is.
     """
-    if abs(phi) >= OMEGA_RADIUS:
-        raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
+    check_band(phi)
     c = math.cos(2.0 * phi)
     s = min(c ** -0.5, _MAX_BOOST_SCALE)
     g = k_theta(math.pi / 4.0) @ a_t(s)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .crown import crown_contains
 from .errors import BranchCut, DomainError, NotInCrown
-from .liecore import OMEGA_RADIUS, GroupElement
+from .liecore import OMEGA_RADIUS, GroupElement, check_band
 from .pairmodel import PairPoint
 
 
@@ -55,21 +55,6 @@ def log_aC(z: PairPoint) -> HoroProjection:
     return HoroProjection(0.5 * cmath.log(zeta_sq))
 
 
-def log_aC_orbit(z: PairPoint, thetas: np.ndarray) -> np.ndarray:
-    """log a_C along the rotation orbit k_theta z, vectorized over theta.
-
-    Uses g(z) - g(w) = (z - w)/((cz + d)(cw + d)) so the affine chart is
-    never left; valid while the rotated radicand stays off the cut.
-    """
-    z1, z2 = z.finite()
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    zeta0_sq = (z1 - z2) / 2j
-    denom = (c - s * z1) * (c - s * z2)
-    zeta_sq = zeta0_sq / denom
-    return 0.5 * np.log(zeta_sq)
-
-
 def aC_closed_form(theta: float, phi: float) -> complex:
     """Torus parameter of k_theta exp(i phi h) x0 in closed form.
 
@@ -78,8 +63,7 @@ def aC_closed_form(theta: float, phi: float) -> complex:
     is the branch continuous in theta from theta = 0, where it equals
     e^{i phi}.
     """
-    if abs(phi) >= OMEGA_RADIUS:
-        raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
+    check_band(phi)
     c, s = math.cos(theta), math.sin(theta)
     zeta_sq = cmath.exp(2j * phi) / (c * c + cmath.exp(4j * phi) * s * s)
     if zeta_sq.real <= 0.0 and abs(zeta_sq.imag) < 1e-14:
@@ -101,8 +85,7 @@ def convexity_scan(phi: float, n_samples: int) -> ConvexityScan:
     Complex convexity predicts the exact range [-phi, phi]; the scan
     reports the observed extremes, the attainment gap, and any overshoot.
     """
-    if abs(phi) >= OMEGA_RADIUS:
-        raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
+    check_band(phi)
     if n_samples < 2:
         raise ValueError("need at least two samples")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
@@ -205,52 +188,3 @@ def escape_curve(phi: float, s: float) -> EscapeSample:
     g = GroupElement(np.array([[a, b], [0.0, 1.0 / a]]))
     sigma = 2.0 * a * a * c2
     return EscapeSample(g, sigma)
-
-
-def escape_point(phi: float, s: float) -> PairPoint:
-    """The actual point gamma(s) exp(i phi(s) h) x0 traced by the curve."""
-    if s <= 0.5:
-        angle = 2.0 * s * phi
-        w = cmath.exp(2j * angle) * 1j
-        return PairPoint(w, -w)
-    g = escape_curve(phi, s).g
-    w = cmath.exp(2j * phi) * 1j
-    return PairPoint(w, -w).apply(g.m)
-
-
-@dataclass(frozen=True)
-class BlowupSample:
-    s: float
-    sigma: float
-    value: float
-    saturated: bool
-
-
-_BLOWUP_CAP = 1e12
-_EPS_FLOOR = 1e-12  # continuation integrand magnitude ~ 1/eps hits the cap
-
-
-def phi_blowup_scan(lam: float, phi: float, s_values) -> list[BlowupSample]:
-    """Spherical-function values along the escape curve.
-
-    The trace determines the value through the doubled torus orbit: for
-    sigma = 2 cos(2 psi) the extension satisfies
-    Phi(sigma) = || pi(exp(i psi/2 h)) v_K ||^2, a positive quantity that
-    grows without bound as sigma approaches the slit tip -2.  Near s = 1
-    the integrand magnitude is capped at 1e12 and saturation is reported
-    instead of a fabricated value.
-    """
-    from .repn import SpectralParam, continue_vK, rep_norm
-
-    out = []
-    for s in s_values:
-        sigma = escape_curve(phi, s).sigma
-        psi = 0.5 * math.acos(max(min(sigma / 2.0, 1.0), -1.0))
-        eps = OMEGA_RADIUS - 0.5 * psi
-        if eps <= _EPS_FLOOR or sigma <= -2.0 + 1e-13:
-            out.append(BlowupSample(s, sigma, _BLOWUP_CAP, True))
-            continue
-        vec = continue_vK(SpectralParam(lam), eps)
-        value = rep_norm(vec) ** 2
-        out.append(BlowupSample(s, sigma, value, value >= _BLOWUP_CAP))
-    return out

@@ -23,13 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalPoint, PointAtInfinity
+from .errors import DiagonalPoint, DomainError, PointAtInfinity
 from .pairmodel import PairPoint, is_infinity, mobius_apply
 
 _DET_TOL = 1e-12
 
 #: radius of the crown band: |phi| < pi/4 for exp(i phi h) x0
 OMEGA_RADIUS = math.pi / 4.0
+
+
+def check_band(phi: float) -> None:
+    """Raise DomainError unless |phi| < pi/4, the crown band."""
+    if abs(phi) >= OMEGA_RADIUS:
+        raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
+
 
 H_MAT = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 E_MAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -78,14 +78,6 @@ class PeriodicStripFunction:
         return cls(evaluator, half_width)
 
 
-def eps_to_t(eps: float) -> float:
-    """Elliptic angle matched to the unipotent displacement 1 - eps:
-    sin(2 t) = 1 - eps, so t = arcsin(1 - eps)/2 in [0, pi/4)."""
-    if not 0.0 < eps <= 1.0:
-        raise DomainError("eps must lie in (0, 1]")
-    return 0.5 * math.asin(1.0 - eps)
-
-
 def fourier_coeff(F: PeriodicStripFunction, n: int, y: float,
                   eps: float) -> complex:
     """Contour-shifted coefficient extraction.

@@ -1,5 +1,5 @@
-"""Shared numeric substrate: adaptive quadrature, the periodic trapezoidal
-rule, composite Gauss-Legendre grids and the identity-check record.
+"""Shared numeric substrate: adaptive quadrature, composite Gauss-Legendre
+grids and the identity-check record.
 
 The quadrature engine is a globally adaptive Gauss-Kronrod (G7, K15)
 scheme on one pool of panels.  The range is cut at the singularity hints
@@ -259,48 +259,6 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     if not stacked:
         return IntegralResult(value[0], total_err[0], val.shape[1])
     return IntegralResult(value, total_err, val.shape[1])
-
-
-#: integrate_periodic's period, tolerances, node counts and block size
-_PERIOD = 2.0 * np.pi
-_PERIODIC_ABS_TOL = 1e-12
-_PERIODIC_REL_TOL = 1e-11
-_PERIODIC_N_START = 32
-_PERIODIC_N_MAX = 1 << 16
-_PERIODIC_BLOCK = 4096
-
-
-def _periodic_sum(f, n, offset):
-    """Sum of f at the nodes (k + offset) period/n, k < n, in blocks."""
-    total = 0.0 + 0.0j
-    for start in range(0, n, _PERIODIC_BLOCK):
-        k = np.arange(start, min(n, start + _PERIODIC_BLOCK))
-        vals = np.asarray(f((k + offset) * (_PERIOD / n)), dtype=complex)
-        _ensure_finite(vals, "periodic grid")
-        total += np.sum(vals)
-    return total
-
-
-def integrate_periodic(f) -> IntegralResult:
-    """Trapezoidal integration of a smooth 2 pi-periodic function over one
-    period.
-
-    Doubles the node count until two successive levels agree; spectrally
-    accurate for analytic integrands.  Only the running sum is kept, and
-    the integrand sees at most _PERIODIC_BLOCK nodes per call.
-    """
-    n = _PERIODIC_N_START
-    prev = _periodic_sum(f, n, 0.0) * (_PERIOD / n)
-    while n <= _PERIODIC_N_MAX:
-        # new nodes are the midpoints of the current grid
-        cur = 0.5 * prev + _periodic_sum(f, n, 0.5) * (_PERIOD / (2 * n))
-        n *= 2
-        diff = abs(cur - prev)
-        prev = cur
-        if diff <= max(_PERIODIC_ABS_TOL, _PERIODIC_REL_TOL * abs(cur)):
-            return IntegralResult(cur, diff, n)
-    raise NonConvergence("periodic rule did not stabilize", estimate=prev,
-                         error=diff)
 
 
 def gauss_legendre_grid(edges, n_per_panel: int):

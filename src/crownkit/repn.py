@@ -32,11 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotInCrown
-from .horo import log_aC_orbit
 from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
-                      LieVector, exp_lie)
-from .numerics import (IdentityCheck, REPRESENTATION_CFG, integrate,
-                       integrate_periodic)
+                      LieVector, check_band, exp_lie)
+from .numerics import (IdentityCheck, QuadratureConfig, REPRESENTATION_CFG,
+                       integrate)
 from .pairmodel import PairPoint
 from .vectors import MobiusPulled, QuadraticPower, SmoothVector
 
@@ -213,10 +212,9 @@ def dpi_fd_gap(param: SpectralParam, direction: str, f: SmoothVector,
     return float(np.max(np.abs(fd - an))) / scale
 
 
-#: spike width |y|/(1 + x^2) of a crown coordinate below which phi_lambda
-#: anchors the spike: the trapezoid needs about 80/width nodes, 8,192 at
-#: width 9.4e-3, and more than its 65,536 below width 3.2e-4
-_NARROW_SPIKE = 1e-2
+#: the rotation integral of phi_lambda; tighter than REPRESENTATION_CFG,
+#: since it is the reference for the closed form of the spherical function
+_PHI_CFG = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
 
 
 def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
@@ -224,63 +222,49 @@ def phi_lambda(param: SpectralParam, z: PairPoint) -> complex:
 
     Real points of X are the degenerate case, where the value is real and
     positive.  Points on the closed crown whose trace stays off the slit
-    (-inf, -2] are admitted too.  There the factor cos theta - z_j sin theta
-    = rho_j sin(t_j - theta) - i y_j sin theta of each real coordinate
-    (t_j = atan2(1, x_j), rho_j = |x_j + i|) gives the pi-periodic rotation
-    integrand an inverse-square-root spike at t_j.  Each arc between spikes
-    is integrated as two halves in the offset s >= 0 from an end spike,
-    with sine arguments (t_j - t_anchor) -+ s, so a spike sits exactly at
-    the quadrature endpoint s = 0.  A coordinate of z_j = x_j + i y_j just
-    inside the crown makes a spike of width |y_j| / rho_j^2 at t_j; below
-    `_NARROW_SPIKE` it is anchored the same way, since the trapezoid would
-    need more nodes than `integrate_periodic` allows.
+    (-inf, -2] are admitted too.  The factor cos theta - z_j sin theta
+    = rho_j sin(t_j - theta) - i y_j sin theta of each coordinate
+    z_j = x_j + i y_j (t_j = atan2(1, x_j), rho_j = |x_j + i|) is smallest
+    at t_j, where the pi-periodic rotation integrand peaks with width
+    |y_j| / rho_j^2, and on the real line has an inverse-square-root
+    spike.  So the period is cut at t_1 and t_2 into two arcs, and each
+    arc is integrated as two halves in the offset s >= 0 from an end, with
+    sine arguments (t_j - t_anchor) -+ s, so that each peak sits exactly at
+    the quadrature endpoint s = 0.  An arc of zero length (t_1 = t_2, as at
+    real points) is dropped.
     """
     z1, z2 = z.finite()
     if min(z1.imag, -z2.imag) < -1e-12:
         raise NotInCrown(f"{z} lies outside the closed crown")
     exponent = 1.0 + 1j * param.lam
-    coords = [(math.atan2(1.0, w.real), math.hypot(1.0, w.real), w.imag)
-              for w in (z1, z2)]
-    spikes = sorted(t for t, rho, y in coords
-                    if abs(y) <= _NARROW_SPIKE * rho * rho)
-
-    if not spikes:
-        res = integrate_periodic(
-            lambda th: np.exp(exponent * log_aC_orbit(z, th)))
-        return res.value / (2.0 * math.pi)
-
+    coords = np.array([(math.atan2(1.0, w.real), math.hypot(1.0, w.real),
+                        w.imag) for w in (z1, z2)])
+    t, rho, y = coords.T[:, :, None, None]   # by coordinate, half, offset
+    t1, t2 = sorted(coords[:, 0])
     zeta0_sq = (z1 - z2) / 2j
-    ends = spikes + [spikes[0] + math.pi]
-    # (anchor spike, signed half-length) of each half arc, all integrated
-    # at once over the offset scaled to [0, 1]; moving a half by pi flips
-    # the sign of both factors, which cancels
-    halves = []
-    for i, t in enumerate(spikes):
-        half = 0.5 * (ends[i + 1] - t)
-        halves += [(t, half), (spikes[(i + 1) % len(spikes)], -half)]
+    # (anchor, signed half-length) of each half arc, all integrated at once
+    # over the offset scaled to [0, 1]; the arc [t2, t1 + pi] ends at t1,
+    # since moving an anchor by pi flips the sign of both factors
+    gap = t2 - t1
+    halves = [(t1, 0.5 * gap), (t2, -0.5 * gap)] if gap > 0.0 else []
+    halves += [(t2, 0.5 * (math.pi - gap)), (t1, -0.5 * (math.pi - gap))]
+    anchor, step = (np.array(c)[:, None] for c in zip(*halves))
 
     def integrand(v):
-        total = 0.0
-        for anchor, step in halves:
-            s = step * v
-            denom = 1.0
-            for t, rho, y in coords:
-                denom = denom * (rho * np.sin((t - anchor) - s)
-                                 - 1j * y * np.sin(anchor + s))
-            total = total + abs(step) * np.exp(
-                exponent * (0.5 * np.log(zeta0_sq / denom)))
-        return total
+        s = step * v
+        denom = np.prod(rho * np.sin((t - anchor) - s)
+                        - 1j * y * np.sin(anchor + s), axis=0)
+        return np.sum(np.abs(step) * np.exp(
+            exponent * (0.5 * np.log(zeta0_sq / denom))), axis=0)
 
-    res = integrate(integrand, 0.0, 1.0, REPRESENTATION_CFG)
-    return res.value / math.pi
+    return integrate(integrand, 0.0, 1.0, _PHI_CFG).value / math.pi
 
 
 def doubling_check(param: SpectralParam, a: GroupElement,
                    phi: float) -> IdentityCheck:
     """Spherical function at a exp(2 i phi h) x0 against the split pairing
     < pi(a exp(i phi h)) v_K, pi(exp(i phi h)) v_K >."""
-    if abs(phi) >= OMEGA_RADIUS:
-        raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
+    check_band(phi)
     if not a.is_real:
         raise ValueError("doubling check expects a real torus element")
     w = cmath.exp(4j * phi) * 1j

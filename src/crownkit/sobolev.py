@@ -22,8 +22,7 @@ A norm is one quadrature with a stacked integrand.  Each round evaluates
 the jet of v to order k once and walks the monomial tree, f-powers first,
 then e, then h: each node is one jet-level step of the derived action
 from its parent.  The squared moduli of all nodes share one panel pool,
-each to its own tolerance, and ||v|| is component 0.  The radial norms
-read the same helper, with x^j d^j/dx^j taken straight from the jet.
+each to its own tolerance, and ||v|| is component 0.
 """
 
 from __future__ import annotations
@@ -80,32 +79,27 @@ def _chain(direction: str, k: int):
     return [(direction,) * j for j in range(k + 1)]
 
 
-def _norms(f: SmoothVector, order: int, rows) -> list[float]:
-    """L^2 norms of the stacked components rows(x, jets of f to `order`),
-    all integrated in one quadrature on f's support with f's hints."""
-    lo, hi = f.support if f.support is not None else (-math.inf, math.inf)
-    res = integrate(lambda x: np.abs(rows(x, f.jet(x, order))) ** 2, lo, hi,
-                    REPRESENTATION_CFG.with_hints(f.hints))
-    return [math.sqrt(max(v.real, 0.0)) for v in res.value]
-
-
 def _word_norms(param: SpectralParam, f: SmoothVector,
                 words) -> list[float]:
     """Norms of d_pi(w_n) ... d_pi(w_1) f for each word (w_1, ..., w_n),
-    in the order of `words`.  The words form a tree: a word's parent, the
+    in the order of `words`, all integrated in one quadrature on f's
+    support with f's hints.  The words form a tree: a word's parent, the
     word without its last letter, is listed before it, and each word is
     one jet-level step of the derived action from its parent, so one jet
     of f per quadrature round serves every word."""
     directions = {d: DIRECTIONS[d] for w in words for d in w}
+    order = max(map(len, words))
 
-    def rows(x, fj):
+    def rows(x):
         ab = {d: action_jets(param, vec, x) for d, vec in directions.items()}
-        jets = {(): fj}
+        jets = {(): f.jet(x, order)}
         for w in words[1:]:
             jets[w] = derived_jet(ab[w[-1]], jets[w[:-1]])
-        return np.array([jets[w][0] for w in words])
+        return np.abs(np.array([jets[w][0] for w in words])) ** 2
 
-    return _norms(f, max(map(len, words)), rows)
+    lo, hi = f.support if f.support is not None else (-math.inf, math.inf)
+    res = integrate(rows, lo, hi, REPRESENTATION_CFG.with_hints(f.hints))
+    return [math.sqrt(max(v.real, 0.0)) for v in res.value]
 
 
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
@@ -115,14 +109,6 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     else:
         words = _chain(_SUBGROUP_DIRECTION[spec.subgroup], spec.k)
     return sum(_word_norms(param, f, words))
-
-
-def radial_norm(f: SmoothVector, k: int) -> float:
-    """Sum of the norms of the radial operators x^j d^j/dx^j, j = 0..k."""
-    if k > MAX_ORDER:
-        raise ValueError(f"radial order {k} above {MAX_ORDER}")
-    powers = np.arange(k + 1)[:, None]
-    return sum(_norms(f, k, lambda x, fj: x ** powers * fj))
 
 
 @dataclass

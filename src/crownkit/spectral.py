@@ -90,6 +90,15 @@ class SpectralGrid:
         """The Plancherel weight calibrated on this grid."""
         return calibrate_parseval()
 
+    @cached_property
+    def hardy_measure(self) -> KernelMeasure:
+        """The measure of `hardy_kernel`, checked admissible."""
+        measure = KernelMeasure(hardy_density())
+        if not measure.admissible():
+            raise AdmissibilityFailure("the Hardy measure fails the "
+                                       "e^{c lam} test")
+        return measure
+
 
 @lru_cache(maxsize=1)
 def spectral_grid() -> SpectralGrid:
@@ -249,8 +258,11 @@ def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Each is summed to e^-37 of its term bound, at most _MAX_TERMS terms, so
     its error is e^{loss + left - 37}: loss, the growth of its terms over
     |P|; left, the nats of the bound past the cap.  The least error from e^4
-    up wins, of equals the smallest ratio |x|, |e^{-2 rho}| or |y|; past
-    e^-18.5 (1e-8), on the cut c <= -1 or near it past lam ~ 64, ValueError.
+    up wins, of equals the smallest ratio |x|, |e^{-2 rho}| or |y|.  The
+    log series is the difference of sum t_k b_k y^k and log y sum t_k y^k,
+    which both reach about |log y| times its terms, so the guard counts
+    its error as e^{loss + left - 37} (1 + |log y|): past e^-18.5 (1e-8),
+    on the cut c <= -1 or near it past lam ~ 64, ValueError.
     P is even in mu and Harish-Chandra terms are divided by mu: flooring mu
     at 1e-30 moves P by O(mu^2).
     """
@@ -264,6 +276,7 @@ def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     bound = np.stack([math.pi * mu, 0.0 * mu, math.pi * mu]) + _TAIL_NATS
     with np.errstate(divide="ignore"):    # -inf where a series diverges
         decay = -np.log(np.where(ratio < 1.0, ratio, np.inf))
+        spread = np.log1p(np.abs(np.log(ratio[2])))
     best = np.full((mu.size, x.size), np.inf)
     pick = np.zeros(best.shape, dtype=np.int8)
     for s in range(3):          # error in nats; within e^4, ratio - 1 < 0
@@ -272,7 +285,8 @@ def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         key = np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
         pick[key < best] = s
         best = np.minimum(best, key)
-    if not np.all(best <= 0.5 * _TAIL_NATS):
+    if not np.all(np.where(pick == 2, best + spread, best)
+                  <= 0.5 * _TAIL_NATS):
         raise ValueError("no series reaches 1e-8 of P_nu on or near the cut")
 
     out = np.empty((mu.size, x.size), dtype=complex)
@@ -575,64 +589,32 @@ def gutzmer_check(density: SpectralDensity, r: float,
     return GutzmerCheck(lhs, float(rhs), orbit)
 
 
-def strip_norm(density: SpectralDensity, big_r: float,
-               weight: PlancherelWeight | None = None,
-               n_r: int = 4) -> float:
-    """sup over a grid of torus angles r < R of the orbital mass."""
-    if not 0.0 < big_r <= OMEGA_RADIUS:
-        raise DomainError("R must lie in (0, pi/4]")
-    rs = np.linspace(0.0, big_r * 0.95, n_r)
-    return max(orbital_mass(density, float(r), weight) for r in rs)
-
-
-def eR_membership(density: SpectralDensity, big_r: float,
-                  weight: PlancherelWeight | None = None) -> bool:
-    """Finiteness of the spectral mass weighted by the doubled torus values
-    up to angle R, decided from the decay tag plus a tail fit."""
-    if not 0.0 < big_r <= OMEGA_RADIUS:
-        raise DomainError("R must lie in (0, pi/4]")
-    if weight is None:
-        weight = spectral_grid().weight
-    if density.decay_tag == "polynomial":
-        return False
-    if density.decay_tag == "exponential":
-        rate = density.decay_rate
-        if rate is None or rate <= big_r:
-            return False
-    # numeric confirmation: the integrand must decay on the grid tail
-    nodes = spectral_grid().lam_nodes
-    integrand = (np.abs(density(nodes)) ** 2
-                 * doubled_torus_values(nodes, big_r * 0.999)
-                 * np.maximum(weight.density(nodes), 1e-300))
-    tail = nodes > 0.5 * nodes[-1]
-    if np.count_nonzero(tail) < 4 or np.all(integrand[tail] < 1e-290):
-        return True
-    slope = np.polyfit(nodes[tail], np.log(integrand[tail] + 1e-300), 1)[0]
-    return bool(slope < -1e-6)
-
-
 # -- invariant kernels --------------------------------------------------------
+
+#: the exponents c at which KernelMeasure.admissible tests Int e^{c lam} d mu
+_ADMISSIBLE_C = (0.5, 1.0, 1.9)
+
 
 @dataclass
 class KernelMeasure:
     """Measure on the tempered ray defining an invariant kernel.
 
     Admissible when Int e^{c lam} d mu is finite for every c < 2; tested
-    at c in {0.5, 1.0, 1.9} from the samples plus the decay tag.
+    at c in _ADMISSIBLE_C from the samples plus the decay tag.
     """
 
     density: SpectralDensity
 
-    def admissible(self, c_values=(0.5, 1.0, 1.9)) -> bool:
+    def admissible(self) -> bool:
         if self.density.decay_tag == "polynomial":
             return False
         nodes = self.density.lambda_grid
         vals = np.abs(self.density.values)
         if self.density.decay_tag == "exponential":
             rate = self.density.decay_rate
-            if rate is None or rate <= max(c_values):
+            if rate is None or rate <= max(_ADMISSIBLE_C):
                 return False
-        for c in c_values:
+        for c in _ADMISSIBLE_C:
             integrand = vals * np.exp(c * nodes)
             tail = nodes > 0.5 * nodes[-1]
             if np.count_nonzero(tail) >= 4 and integrand[tail].max() > 1e-280:
@@ -653,6 +635,12 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
     """
     if not measure.admissible():
         raise AdmissibilityFailure("kernel measure fails the e^{c lam} test")
+    return _kernel_sum(measure, z, w)
+
+
+def _kernel_sum(measure: KernelMeasure, z: PairPoint, w: PairPoint
+                ) -> complex:
+    """K(z, w) of a measure already found admissible."""
     nodes, lam_w = spectral_grid().lam_rule(KERNEL_LAM_MAX)
     row = _legendre(nodes, *_pair_invariant(z, w))[:, 0]
     return complex(np.sum(lam_w * measure.density(nodes) * row))
@@ -668,5 +656,6 @@ def hardy_density() -> SpectralDensity:
 
 def hardy_kernel(z: PairPoint, w: PairPoint) -> complex:
     """Reproducing kernel of the holomorphic Hardy space attached to the
-    most-continuous spectrum of the hyperboloid, up to positive scale."""
-    return invariant_kernel(KernelMeasure(hardy_density()), z, w)
+    most-continuous spectrum of the hyperboloid, up to positive scale; its
+    measure is the grid's, checked admissible once."""
+    return _kernel_sum(spectral_grid().hardy_measure, z, w)

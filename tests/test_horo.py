@@ -1,12 +1,13 @@
 """Horospherical logarithm, convexity, trace domains, escape curve."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_crown_point, random_real_element
-from crownkit import crown, horo
+from crownkit import crown, horo, spectral
 from crownkit.errors import DomainError, NotInCrown
 from crownkit.liecore import (IDENTITY, a_t, complex_na_decompose,
                               k_theta, n_x, p_of_pair)
@@ -74,9 +75,9 @@ def test_convexity_orbit_values_within_band(rng):
     for _ in range(20):
         phi = rng.uniform(0.05, 0.95) * math.pi / 4.0
         z = crown.elliptic_point(IDENTITY, phi)
-        thetas = rng.uniform(0, 2 * np.pi, size=500)
-        ims = horo.log_aC_orbit(z, thetas).imag
-        assert np.all(ims <= phi + 1e-12) and np.all(ims >= -phi - 1e-12)
+        for theta in rng.uniform(0, 2 * np.pi, size=500):
+            im = horo.log_aC(z.apply(k_theta(theta).m)).value.imag
+            assert -phi - 1e-12 <= im <= phi + 1e-12
 
 
 def test_trace_domain_base_cases():
@@ -133,7 +134,11 @@ def test_escape_curve_matches_trace_of_its_point(rng):
         phi = rng.uniform(math.pi / 4 + 0.05, math.pi / 2 - 0.05)
         s = rng.uniform(0.0, 1.0)
         sample = horo.escape_curve(phi, s)
-        point = horo.escape_point(phi, s)
+        # the point gamma(s) exp(i phi(s) h) x0 the curve traces: the angle
+        # sweeps to phi on the first leg, and the boost acts on the second
+        angle = 2.0 * s * phi if s <= 0.5 else phi
+        w = cmath.exp(2j * angle) * 1j
+        point = PairPoint(w, -w).apply(sample.g.m)
         assert abs(p_of_pair(point) - sample.sigma) < 1e-9
 
 
@@ -160,14 +165,13 @@ def test_unipotent_boundary_trace_formula(rng):
 
 
 def test_blowup_scan_positive_increasing():
-    samples = horo.phi_blowup_scan(1.0, 3 * math.pi / 8,
-                                   [0.0, 0.5, 0.9, 0.99, 0.999])
-    values = [s.value for s in samples]
-    assert abs(values[0] - 1.0) < 1e-7  # starts at the base-point value
-    assert all(v > 0 for v in values)
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_blowup_scan_saturation_flag():
-    samples = horo.phi_blowup_scan(1.0, 3 * math.pi / 8, [1.0])
-    assert samples[0].saturated
+    # along the escape curve the spherical function is P_nu(sigma/2) at the
+    # curve's trace sigma, which grows without bound toward the slit tip
+    sigma = np.array([horo.escape_curve(3 * math.pi / 8, s).sigma
+                      for s in (0.0, 0.5, 0.9, 0.99, 0.999)])
+    values = spectral._legendre(np.array([1.0]), 0.5 - 0.25 * sigma,
+                                0.5 + 0.25 * sigma)[0]
+    assert abs(values[0] - 1.0) < 1e-14  # starts at the base-point value
+    assert np.all(np.abs(values.imag) < 1e-14)
+    assert np.all(values.real > 0)
+    assert np.all(np.diff(values.real) > 0)

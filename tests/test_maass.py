@@ -7,9 +7,8 @@ import pytest
 
 from crownkit.errors import DomainError, StripExceeded
 from crownkit.maass import (PeriodicStripFunction, SupBoundModel, coeff_bound,
-                            eps_to_t, fourier_coeff, geometric_coeff_sum,
-                            pipeline_demo, saturating_strip_function,
-                            sup_decay_bound)
+                            fourier_coeff, geometric_coeff_sum, pipeline_demo,
+                            saturating_strip_function, sup_decay_bound)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,25 +45,6 @@ def test_strip_guard():
         fourier_coeff(F, 1, 3.0, 0.1)  # contour at 2.7 > 1.5
     with pytest.raises(StripExceeded):
         F(np.array([0.3 + 2.0j]))
-
-
-def test_eps_to_t_exact_relations():
-    assert eps_to_t(1.0) == 0.0
-    assert abs(eps_to_t(1.0 - math.sin(math.pi / 3.0)) - math.pi / 6.0) < 1e-15
-    for eps in np.linspace(1e-4, 1.0, 50):
-        t = eps_to_t(float(eps))
-        assert abs(math.sin(2.0 * t) - (1.0 - eps)) < 1e-15
-    # strictly decreasing in eps
-    ts = [eps_to_t(float(e)) for e in np.linspace(1e-3, 1.0, 40)]
-    assert all(b < a for a, b in zip(ts, ts[1:]))
-
-
-def test_eps_to_t_asymptotic_constant():
-    # pi/4 - t_eps ~ c sqrt(eps); the measured constant is 1/sqrt(2)
-    consts = [(math.pi / 4 - eps_to_t(e)) / math.sqrt(e)
-              for e in (1e-6, 1e-8, 1e-10)]
-    for c in consts:
-        assert abs(c - 1.0 / math.sqrt(2.0)) < 1e-3
 
 
 def test_coeff_bound_shapes():

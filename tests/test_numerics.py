@@ -8,7 +8,7 @@ from scipy import integrate as sci
 
 from crownkit.errors import InvalidIntegrand, NonConvergence
 from crownkit.numerics import (GEOMETRY_CFG, REPRESENTATION_CFG,
-                               QuadratureConfig, integrate, integrate_periodic)
+                               QuadratureConfig, integrate)
 from crownkit.repn import SpectralParam, continue_vK, rep_norm
 
 
@@ -135,12 +135,6 @@ def test_nonconvergence_reports_estimate():
         integrate(lambda x: np.sin(500.0 * x) / (1e-3 + np.abs(x)),
                   -1.0, 1.0, cfg)
     assert err.value.estimate is not None
-
-
-def test_periodic_rule_spectral():
-    res = integrate_periodic(lambda t: np.exp(np.cos(t)))
-    oracle, _ = sci.quad(lambda t: math.exp(math.cos(t)), 0, 2 * math.pi)
-    assert abs(res.value - oracle) < 1e-11
 
 
 def test_config_validation():

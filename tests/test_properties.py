@@ -2,7 +2,8 @@
 the coordinate round trips, the off-cut invariant of quadratic powers, the
 closed-form group action on them and the norms it keeps, Sobolev norms
 from one stacked quadrature against one quadrature per monomial, the
-rotation invariance of the spherical function, the invariance and
+rotation invariance of the spherical function and its agreement with the
+closed form up to the crown's edge, the invariance and
 Hermitian symmetry of the Hardy kernel, and Parseval for the radial
 spherical transform.
 
@@ -18,7 +19,7 @@ from crownkit import crown, repn, sobolev, spectral
 from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, b_t, exp_lie, k_theta, n_x,
                               p_invariant, p_of_pair, pair_sym, sym_model)
-from crownkit.pairmodel import PairPoint
+from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.vectors import MobiusPulled, Product, QuadraticPower
 
 GEOMETRY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -183,6 +184,22 @@ def test_phi_lambda_is_rotation_invariant(lam, z, theta):
     value = repn.phi_lambda(param, z)
     rotated = repn.phi_lambda(param, z.apply(k_theta(theta).m))
     assert _close(rotated, value, 1e-9)
+
+
+# angles of either sign, and angles 10^-7 to 1 below pi/4, where the
+# rotation integrand peaks narrowly at a coordinate's angle
+edge_angles = st.one_of(angles, st.floats(-7.0, 0.0).map(
+    lambda u: math.pi / 4.0 - 10.0 ** u))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(0.0, 4.0), real_elements, edge_angles)
+def test_phi_lambda_matches_the_closed_form(lam, g, phi):
+    z = crown.elliptic_point(g, phi)
+    closed = spectral._legendre(np.array([lam]), *spectral._pair_invariant(
+        z, BASE_POINT))[0, 0]
+    value = repn.phi_lambda(repn.SpectralParam(lam), z)
+    assert abs(value - closed) <= 1e-12 * max(1.0, abs(closed))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -214,8 +214,7 @@ def test_doubling_identity_grid():
 ])
 def test_doubling_next_to_the_crown_edge(lam, t, phi):
     # phi just below pi/8 puts both coordinates of the doubled point within
-    # a spike width |y|/(1 + x^2) of 2e-4, 3.2e-5 and 3.1e-4 of the real
-    # line; the theta trapezoid did not stabilize within its node cap there
+    # a spike width |y|/(1 + x^2) of 2e-4, 3.2e-5 and 3.1e-4 of the real line
     res = doubling_check(SpectralParam(lam), a_t(t), phi)
     assert res.gap < 1e-10
 

@@ -8,8 +8,8 @@ from crownkit.liecore import K0, a_t
 from crownkit.repn import SpectralParam, apply_pi, continue_vK, \
     rep_norm, v_K
 from crownkit.sobolev import (SobolevSpec, build_dyadic, choose_m,
-                              invariant_upper_bound, radial_norm,
-                              rotate_A_to_H, sobolev_norm)
+                              invariant_upper_bound, rotate_A_to_H,
+                              sobolev_norm)
 from crownkit.vectors import ExpPoly
 
 PARAM = SpectralParam(1.0)
@@ -43,26 +43,6 @@ def test_restricted_h_norm_stays_comparable_to_norm():
         ratios.append(sobolev_norm(PARAM, f, SobolevSpec(2, "H"))
                       / rep_norm(f))
     assert max(ratios) / min(ratios) < 3.0
-
-
-def test_radial_norm_reductions(rng):
-    f = ExpPoly(1.0, [1.0], (0.0, 0.0, 1.0))
-    assert abs(radial_norm(f, 0) - rep_norm(f)) < 1e-10
-    # comparability with the torus-restricted norm on Schwartz vectors:
-    # both are built from x d/dx up to bounded factors
-    for _ in range(5):
-        g = ExpPoly(1.0, rng.normal(size=3), (0.0, 0.0, rng.uniform(0.5, 1.5)))
-        r2 = radial_norm(g, 2)
-        a2 = sobolev_norm(PARAM, g, SobolevSpec(2, "A"))
-        assert r2 / 40.0 <= a2 <= 40.0 * r2
-
-
-def test_radial_vs_unipotent_localized():
-    # concentrated near the origin, radial derivatives are much smaller
-    # than plain ones
-    g = ExpPoly(1.0, [1.0], (0.0, 0.0, 400.0))  # exp(-400 x^2)
-    assert radial_norm(g, 1) < 0.2 * sobolev_norm(PARAM, g,
-                                                  SobolevSpec(1, "N"))
 
 
 def test_dyadic_partition_and_supports():

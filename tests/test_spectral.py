@@ -57,6 +57,17 @@ def test_legendre_against_mpmath_on_hard_nodes():
         for j, cj in enumerate(c):
             oracle = complex(mpmath.legenp((1j * lam - 1) / 2, 0, cj, type=3))
             assert abs(mat[i, j] - oracle) < 1e-12 * max(1.0, abs(oracle))
+    # past lam = 64 near c = -1 the two sums of the logarithmic series
+    # cancel: at lam = 100, r = 0.74 the series is 2.6e-8 off, so the
+    # evaluator must come within 1e-8 of P or raise
+    with mpmath.workdps(50):
+        oracle = float(mpmath.re(mpmath.legenp(
+            (100j - 1) / 2, 0, mpmath.cos(4 * mpmath.mpf(0.74)), type=2)))
+    try:
+        val = spectral.doubled_torus_values(np.array([100.0]), 0.74)[0]
+    except ValueError:
+        return
+    assert abs(val - oracle) < 1e-8 * abs(oracle)
 
 
 def test_pairing_row_where_both_series_are_slow():
@@ -165,7 +176,7 @@ def test_pairing_row_matches_phi_lambda(rng):
         pt = PairPoint(w, -w).apply(g.m)
         for lam, val in zip(lams, row):
             oracle = phi_lambda(SpectralParam(float(lam)), pt)
-            assert abs(val - oracle) < 5e-6 * max(1.0, abs(oracle))
+            assert abs(val - oracle) < 1e-12 * max(1.0, abs(oracle))
 
 
 def test_gutzmer_reduces_to_parseval_at_zero(weight):
@@ -189,7 +200,8 @@ def test_strip_norm_at_small_r_is_l2_mass(weight):
     nodes, lam_w = spectral._adapted_lambda_quad(dens, weight)
     mass = float(np.sum(lam_w * np.abs(dens(nodes)) ** 2
                         * weight.density(nodes)))
-    norm = spectral.strip_norm(dens, 1e-4, weight, n_r=2)
+    # the strip norm: the sup over torus angles r < R of the orbital mass
+    norm = max(spectral.orbital_mass(dens, r, weight) for r in (0.0, 0.95e-4))
     assert abs(norm - mass) / mass < 1e-2
 
 
@@ -215,7 +227,6 @@ def test_orbital_mass_reuses_the_calibrated_phi_matrix(monkeypatch):
     assert spectral.parseval_check(profile, weight).gap < 1e-3
     assert spectral.gutzmer_check(dens, 0.3, weight).gap < 5e-6
     assert spectral.orbit_quadrature(dens, weight).rho_max > 0
-    assert spectral.eR_membership(dens, 0.9 * math.pi / 4, weight)
     assert spectral.orbital_mass(dens, 0.3, weight) > 0
 
 
@@ -227,19 +238,6 @@ def test_automatic_radial_cut_matches_a_long_range(weight):
     auto = spectral.orbital_mass(dens, 0.3927, weight)
     long = spectral.orbital_mass(dens, 0.3927, weight, rho_max=30.0)
     assert abs(auto - long) / long < 1e-6
-
-
-def test_eR_membership():
-    dens = spectral.gaussian_density(2.0, 0.7)
-    assert spectral.eR_membership(dens, 0.9 * math.pi / 4)
-    grid = spectral.default_lambda_grid(16.0)
-    growing = spectral.SpectralDensity(grid, np.exp(3.0 * grid) * 1e-20,
-                                       "polynomial")
-    assert not spectral.eR_membership(growing, math.pi / 4)
-    # exponential tag with insufficient rate
-    slow = spectral.SpectralDensity(grid, np.exp(-0.1 * grid),
-                                    "exponential", decay_rate=0.1)
-    assert not spectral.eR_membership(slow, 0.8 * math.pi / 4)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -33,15 +33,14 @@ OMEGA_RADIUS = math.pi / 4.0
 
 
 def check_band(phi: float) -> None:
-    """Raise DomainError unless |phi| < pi/4, the crown band."""
-    if abs(phi) >= OMEGA_RADIUS:
+    """Raise DomainError unless |phi| < pi/4, the crown band (NaN is not)."""
+    if not abs(phi) < OMEGA_RADIUS:
         raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
 
 
 H_MAT = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 E_MAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 F_MAT = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-U_MAT = E_MAT - F_MAT
 
 
 class GroupElement:

@@ -4,19 +4,23 @@ grids and the identity-check record.
 The quadrature engine is a globally adaptive Gauss-Kronrod (G7, K15)
 scheme on one pool of panels.  The range is cut at the singularity hints
 into pieces, each integrated under a square-root substitution at its
-hinted or finite end, so bisection clusters dyadically toward algebraic
-and logarithmic singularities; Kronrod nodes are interior, so hinted
-singular points are never sampled.  Infinite ends are mapped to finite
-pieces with the rational substitution x = c + t/(1-t).  Each round
-bisects the panels that carry most of the error and evaluates all new
-panels in a single vectorized integrand call; the loop stops when the
-summed error of all panels meets the request (Shampine, J. Comput. Appl.
-Math. 211, 2008; QUADPACK's global strategy, Piessens et al., 1983).
+hinted or finite end, so refinement clusters geometrically toward
+algebraic and logarithmic singularities; Kronrod nodes are interior, so
+hinted singular points are never sampled.  Infinite ends are mapped to
+finite pieces with the rational substitution x = c + t/(1-t).  Each piece
+starts as _INITIAL_PANELS equal panels.  Each round splits the panels
+that carry most of the error into _SPLIT equal parts and evaluates all
+new panels in a single vectorized integrand call; the loop stops when the
+summed error of all panels meets the request.  A round's fixed cost
+(bookkeeping and one integrand call) outweighs its 15 samples per panel,
+so wide splits that take few rounds beat bisection (Shampine, J. Comput.
+Appl. Math. 211, 2008; QUADPACK's global strategy and its roundoff floor
+on each panel's error, Piessens et al., 1983).
 
 An integrand may return a stack of m components at once, such as the
 squared moduli of all monomials of a Sobolev norm from one jet of the
 vector.  They share the panels: each component must meet its own request
-max(abs_tol, rel_tol |value_i|), and a panel's claim to bisection is its
+max(abs_tol, rel_tol |value_i|), and a panel's claim to a split is its
 error summed over the components, each in units of that component's
 tolerance.  One component is the scalar case.
 
@@ -56,6 +60,11 @@ _G7_WEIGHTS = np.array([
     0.129484966168870,
 ])
 _G7_SLICE = slice(1, 15, 2)  # Gauss nodes sit at the odd Kronrod positions
+#: parts each refined panel is split into per round, and the equal panels
+#: each piece starts as
+_SPLIT = 8
+_INITIAL_PANELS = 4
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -63,9 +72,9 @@ class QuadratureConfig:
     """Tolerance policy for adaptive integration.
 
     abs_tol/rel_tol are the absolute and relative targets for the total
-    error; max_subdivisions caps the panel bisections over the whole
-    range; singularity_hints
-    lists interior points where the integrand (or a derivative) is singular.
+    error; max_subdivisions caps the panels added by refinement over the
+    whole range, _SPLIT - 1 for each panel split; singularity_hints lists
+    interior points where the integrand (or a derivative) is singular.
     """
 
     abs_tol: float = 1e-10
@@ -127,8 +136,10 @@ def _panel_gk(y, half):
                          @ _K15_WEIGHTS)
         err = np.abs(k15 - g7)
         sharp = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        # no panel is known better than the rounding of its K15 sum
+        roundoff = 50.0 * _EPS * half * (np.abs(y) @ _K15_WEIGHTS)
     use = (resasc != 0.0) & (err != 0.0) & np.isfinite(resasc)
-    return k15, np.where(use, sharp, err)
+    return k15, np.maximum(np.where(use, sharp, err), roundoff)
 
 
 def _cut(lo, hi, cuts, c, d):
@@ -172,6 +183,14 @@ def _pieces(a, b, hints):
     return rows
 
 
+def _split(piece, lo, hi, k):
+    """Each panel [lo, hi] of a piece cut into k equal parts, as (piece,
+    lo, hi) rows; the outer edges are kept exact, so the parts tile it."""
+    inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k) / k)
+    return (np.repeat(piece, k), np.hstack([lo[:, None], inner]).ravel(),
+            np.hstack([inner, hi[:, None]]).ravel())
+
+
 def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     """Integrate a complex-valued f over (a, b), either endpoint may be inf.
 
@@ -181,8 +200,9 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     errors.  Listed singularities must sit at hinted points or endpoints.
     The reported error bounds the total over all panels and is within
     max(abs_tol, rel_tol |value|), for each component of a stack.  Raises
-    NonConvergence when cfg.max_subdivisions bisections do not meet that
-    request and InvalidIntegrand on NaN/Inf samples.
+    NonConvergence when the panels that cfg.max_subdivisions lets
+    refinement add do not meet that request and InvalidIntegrand on
+    NaN/Inf samples.
     """
     a = float(a)
     b = float(b)
@@ -205,7 +225,7 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
         u = (lo + half)[:, None] + half[:, None] * _K15_NODES
         x = t0[piece, None] + tsign[piece, None] * u * u
         jac = 2.0 * u
-        # t is kept below 1 so the map stays finite under deep bisection
+        # t is kept below 1 so the map stays finite under deep refinement
         far = d[piece] != 0.0
         t = np.minimum(x[far], 1.0 - 1e-14)
         x[far] = c[piece[far], None] + d[piece[far], None] * t / (1.0 - t)
@@ -217,36 +237,34 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
         _ensure_finite(y, (float(x.min()), float(x.max())))
         return _panel_gk(y, half)
 
-    piece = np.arange(width.size)
-    lo = np.zeros(width.size)
-    hi = width
+    piece, lo, hi = _split(np.arange(width.size), np.zeros(width.size),
+                           width, _INITIAL_PANELS)
     val, err = evaluate(piece, lo, hi)  # (components, panels)
-    subdivisions = 0
+    added = 0  # panels added by splits, against cfg.max_subdivisions
     while True:
         total, total_err = val.sum(axis=1), err.sum(axis=1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         if np.all(total_err <= tol):
             break
-        if subdivisions >= cfg.max_subdivisions:
+        budget = (cfg.max_subdivisions - added) // (_SPLIT - 1)
+        if budget < 1:
             worst = int(np.argmax(total_err / tol))
             raise NonConvergence(
                 f"quadrature error {total_err[worst]:.3e} above tolerance "
-                f"after {subdivisions} subdivisions",
+                f"after {added} added panels",
                 estimate=sign * (total if stacked else total[0]),
                 error=total_err if stacked else total_err[0])
         # each panel's error in units of its component's tolerance, summed
-        # over the components; bisect the fewest worst panels that carry
+        # over the components; split the fewest worst panels that carry
         # all but half a unit, leaving out those below 1% of the worst
         score = (err / tol[:, None]).sum(axis=0)
         order = np.argsort(-score, kind="stable")
         n = int(np.searchsorted(np.cumsum(score[order]), score.sum() - 0.5))
         pick = order[:n + 1]
         pick = pick[score[pick] >= 0.01 * score[pick[0]]]
-        pick = pick[:cfg.max_subdivisions - subdivisions]
-        subdivisions += pick.size
-        mid = 0.5 * (lo[pick] + hi[pick])
-        new = (np.tile(piece[pick], 2), np.concatenate([lo[pick], mid]),
-               np.concatenate([mid, hi[pick]]))
+        pick = pick[:budget]
+        added += pick.size * (_SPLIT - 1)
+        new = _split(piece[pick], lo[pick], hi[pick], _SPLIT)
         new += evaluate(*new)
         keep = np.ones(score.size, dtype=bool)
         keep[pick] = False

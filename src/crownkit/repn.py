@@ -349,8 +349,9 @@ def levi_form(param: SpectralParam, phi0: float,
     positive by Cauchy-Schwarz unless F' is parallel to F: the testable
     form of strict plurisubharmonicity of the squared-norm potential.
     """
-    if not 0.0 <= phi0 < OMEGA_RADIUS:
+    if phi0 < 0.0:
         raise DomainError("phi0 must lie in [0, pi/4)")
+    check_band(phi0)
     f = continue_vK(param, OMEGA_RADIUS - phi0)
     df = DPi(param, direction, f)
     norm_sq = rep_norm(f) ** 2

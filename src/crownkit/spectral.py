@@ -41,7 +41,7 @@ import numpy as np
 
 from .crown import crown_contains, elliptic_point
 from .errors import AdmissibilityFailure, DomainError, NotInCrown
-from .liecore import OMEGA_RADIUS, GroupElement
+from .liecore import GroupElement, check_band
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import BASE_POINT, PairPoint
 
@@ -426,8 +426,9 @@ def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float
 # -- the orbital identity ----------------------------------------------------
 
 def _check_torus_angle(r: float) -> None:
-    if not 0.0 <= r < OMEGA_RADIUS:
+    if r < 0.0:
         raise DomainError(f"r = {r} outside [0, pi/4)")
+    check_band(r)
 
 
 def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:

@@ -22,6 +22,7 @@ def test_cauchy_mass_is_one():
     res = integrate(lambda x: (1.0 / np.pi) / (1.0 + x * x),
                     -math.inf, math.inf)
     assert abs(res.value - 1.0) < 1e-10
+    assert abs(res.value - 1.0) <= res.error
 
 
 def test_log_singularity_with_hint():
@@ -79,6 +80,37 @@ def test_reported_error_within_request():
         res = integrate(lambda x: np.abs(vec.value(x)) ** 2, -math.inf,
                         math.inf, cfg.with_hints(vec.hints))
         assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+@pytest.mark.parametrize("cfg", [GEOMETRY_CFG, REPRESENTATION_CFG],
+                         ids=["geometry", "representation"])
+@pytest.mark.parametrize("f,a,b,hints,exact", [
+    (lambda x: np.log(np.abs(x)), -1.0, 1.0, (0.0,), -2.0),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, (), 2.0),
+], ids=["log_abs", "inverse_sqrt"])
+def test_reported_error_bounds_the_true_error(f, a, b, hints, exact, cfg):
+    # the error reported is at least the error made, not only within the
+    # request: under the square-root map x^(-1/2) is a constant, so its
+    # error is all rounding
+    res = integrate(f, a, b, cfg.with_hints(hints))
+    assert abs(res.value - exact) <= res.error
+    assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+@pytest.mark.parametrize("cfg", [GEOMETRY_CFG, REPRESENTATION_CFG],
+                         ids=["geometry", "representation"])
+def test_stacked_errors_bound_the_true_errors(cfg):
+    # a Lorentzian of width 1e-6, hinted at its peak, shares its panels with
+    # a Gaussian; each component's error bounds its own true error
+    width, peak = 1e-6, 0.3
+
+    def f(x):
+        return np.array([(width / np.pi) / ((x - peak) ** 2 + width ** 2),
+                         np.exp(-x * x)])
+
+    res = integrate(f, -math.inf, math.inf, cfg.with_hints((peak,)))
+    exact = np.array([1.0, math.sqrt(math.pi)])
+    assert np.all(np.abs(res.value - exact) <= res.error)
 
 
 def test_stacked_components_meet_their_own_tolerances():

@@ -10,7 +10,7 @@ from scipy import integrate as sci
 
 from conftest import random_crown_point, random_real_element
 from crownkit import crown
-from crownkit.errors import NotInCrown
+from crownkit.errors import DomainError, NotInCrown
 from crownkit.liecore import (H_VEC, IDENTITY, LieVector, U_VEC, a_t,
                               exp_lie, k_theta, n_x)
 from crownkit.pairmodel import BASE_POINT, PairPoint
@@ -339,6 +339,12 @@ def test_levi_two_discs_through_same_point():
     phi0 = math.pi / 8.0
     for direction in (H_VEC, LieVector(c_e=1.0, c_f=1.0)):
         assert levi_form(param, phi0, direction) > 0
+
+
+@pytest.mark.parametrize("phi0", [-1e-3, math.pi / 4, math.nan])
+def test_levi_form_outside_the_band(phi0):
+    with pytest.raises(DomainError):
+        levi_form(SpectralParam(1.0), phi0, H_VEC)
 
 
 def test_base_norm_is_one():

@@ -173,6 +173,27 @@ def test_sobolev_norm_is_one_quadrature(monkeypatch, spec):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("rotated", [False, True], ids=["vK", "K0-vK"])
+def test_sobolev_norm_takes_few_rounds(monkeypatch, rotated):
+    # a round's fixed cost outweighs its samples: the k = 2 norm of a vector
+    # 1e-6 from the crown's edge, rotated or not, takes few integrand calls
+    param = SpectralParam(1.3)
+    f = continue_vK(param, 1e-6)
+    if rotated:
+        f = apply_pi(param, K0, f)
+    rounds = []
+
+    def counted(rows, *args, **kwargs):
+        def g(x):
+            rounds.append(1)
+            return rows(x)
+        return numerics.integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(sobolev, "integrate", counted)
+    sobolev_norm(param, f, SobolevSpec(2))
+    assert len(rounds) <= 6
+
+
 def test_invariant_bound_quadrature_count(monkeypatch):
     # one quadrature per dyadic block (outer, inner and m blocks) and one
     # per display: at f, which also gives ||f||, and after the rotation k0

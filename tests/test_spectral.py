@@ -320,3 +320,9 @@ def test_orbital_mass_domain_errors():
     dens = spectral.gaussian_density(2.0, 0.7)
     with pytest.raises(DomainError):
         spectral.orbital_mass(dens, math.pi / 4)
+
+
+@pytest.mark.parametrize("r", [-1e-3, math.pi / 4, math.nan])
+def test_torus_angle_outside_the_band(r):
+    with pytest.raises(DomainError):
+        spectral.doubled_torus_values(np.array([1.0]), r)

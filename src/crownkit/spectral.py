@@ -14,12 +14,13 @@ different reference widths at once; the calibration harness reports this.)
 On the crown every matrix coefficient <pi(z)v_K, pi(w)v_K> is P_nu(c),
 nu = -1/2 + i lam/2, at one invariant c of the pair (cosh d(z, w) on real
 points, p(z)/2 at w = x0; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159
-(2004)), and every caller reads it from the one evaluator `_legendre`.
+(2004)), and every caller reads it from one evaluator, `LegendreRule`,
+which owns the lam-side series coefficients of one lam array.
 
-The lam and r rules, the phi matrix on them and the calibrated Plancherel
-constant live in one `SpectralGrid`, built once per process by the first
-reader of the phi matrix: the transform, Parseval, the orbital mass or
-`calibrate_parseval`.
+The lam and r rules, the phi matrix on them, the calibrated Plancherel
+constant and the kernels' `LegendreRule` live in one `SpectralGrid`, built
+once per process by the first reader of the phi matrix: the transform,
+Parseval, the orbital mass or `calibrate_parseval`.
 
 The orbital identity moves the group integral of |f|^2 over a shifted
 copy of X inside the crown to the spectral side, weighted by the doubled
@@ -65,8 +66,9 @@ class SpectralGrid:
       kernels on [0, KERNEL_LAM_MAX];
     - r: graded rule on the radial range [0, 36], 48 nodes per panel.
 
-    The phi matrix (`phi_radial_matrix`) and the weight are built on first
-    access; through `spectral_grid` that is at most once per process.
+    The phi matrix (`phi_radial_matrix`), the weight and the kernels'
+    `LegendreRule` are built on first access; through `spectral_grid` that
+    is at most once per process.
     """
 
     def __init__(self):
@@ -98,6 +100,11 @@ class SpectralGrid:
             raise AdmissibilityFailure("the Hardy measure fails the "
                                        "e^{c lam} test")
         return measure
+
+    @cached_property
+    def kernel_legendre(self) -> LegendreRule:
+        """The lam side of P_nu on the kernels' lam rule."""
+        return LegendreRule(self.lam_rule(KERNEL_LAM_MAX)[0])
 
 
 @lru_cache(maxsize=1)
@@ -151,12 +158,6 @@ class SpectralDensity:
         np.savetxt(path, data, delimiter=",",
                    header="lambda,value_real,value_imag", comments="")
 
-    @classmethod
-    def from_csv(cls, path, decay_tag="super-exponential", decay_rate=None):
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        return cls(data[:, 0], data[:, 1] + 1j * data[:, 2], decay_tag,
-                   decay_rate)
-
 
 def gaussian_density(center: float, width: float) -> SpectralDensity:
     """Smooth test density exp(-(lam-center)^2 / (2 width^2))."""
@@ -206,101 +207,198 @@ def _power_series(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (coef @ pw.view(float)).view(complex)
 
 
+# The coefficient tables of the three series, rows by mu and columns by
+# k = 0 .. n.  Each is a cumulative product or sum along k, so the leading
+# columns of a longer table are those of a shorter one, bit for bit.  They
+# are computed in place in their output, because a table on the kernels'
+# 280 lams reaches 2,000 columns (4.5 MB) and temporaries of that size
+# raise the peak memory of a process that keeps it.
+
 def _hyper_coef(mu: np.ndarray, n: int) -> np.ndarray:
     """t_0 .. t_n of 2F1(-nu, nu + 1; 1; .), t_k/t_{k-1} = ((k - 1/2)^2 +
-    mu^2)/k^2, rows by mu."""
+    mu^2)/k^2."""
     k = np.arange(1, n + 1)
-    return np.cumprod(np.hstack([np.ones_like(mu),
-                                 (np.hypot(k - 0.5, mu) / k) ** 2]), axis=1)
+    t = np.empty((mu.size, n + 1))
+    t[:, 0] = 1.0
+    np.hypot(k - 0.5, mu, out=t[:, 1:])
+    t[:, 1:] /= k
+    np.square(t[:, 1:], out=t[:, 1:])
+    return np.cumprod(t, axis=1, out=t)
 
 
-def _harish_chandra(mu: np.ndarray, rho: np.ndarray, n: int) -> np.ndarray:
+def _harish_chandra_coef(mu: np.ndarray, n: int) -> np.ndarray:
+    """The rows of U and of V: |a_k| cos(mu phase_k) and |a_k|
+    sin(mu phase_k)/mu, mu phase_k = arg(i mu c(mu) a_k)."""
     j = np.arange(1, n + 1)
-    mod = np.cumprod(np.hstack([np.ones_like(mu), (j - 0.5) / j * np.hypot(
-        j - 0.5, mu) / np.hypot(j, mu)]), axis=1)
-    d = j * (2 * j - 1) + 2 * mu ** 2       # arg(a_k/a_{k-1}) = -atan(mu/d)
-    phase = (_arg_gamma_over_mu(1.0, mu) - _arg_gamma_over_mu(0.5, mu)
-             - np.cumsum(np.hstack([np.zeros_like(mu),
-                                    np.arctan(mu / d) / mu]), axis=1))
-    u, v = np.split(_power_series(np.vstack([
-        mod * np.cos(mu * phase), mod * np.sin(mu * phase) / mu]),
-        np.exp(-2.0 * rho)), 2)
+    mod = np.empty((mu.size, n + 1))
+    mod[:, 0] = 1.0
+    np.hypot(j - 0.5, mu, out=mod[:, 1:])
+    mod[:, 1:] *= (j - 0.5) / j
+    mod[:, 1:] /= np.hypot(j, mu)
+    np.cumprod(mod, axis=1, out=mod)
+    phase = np.empty_like(mod)
+    phase[:, 0] = 0.0           # arg(a_k/a_{k-1}) = -atan(mu/d)
+    np.divide(mu, j * (2 * j - 1) + 2 * mu ** 2, out=phase[:, 1:])
+    np.arctan(phase[:, 1:], out=phase[:, 1:])
+    phase[:, 1:] /= mu
+    np.cumsum(phase, axis=1, out=phase)
+    np.subtract(_arg_gamma_over_mu(1.0, mu) - _arg_gamma_over_mu(0.5, mu),
+                phase, out=phase)
+    phase *= mu
+    uv = np.empty((2,) + mod.shape)
+    np.cos(phase, out=uv[0])
+    np.sin(phase, out=uv[1])
+    uv *= mod
+    uv[1] /= mu
+    return uv
+
+
+def _log_coef(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The rows of t_k b_k and of t_k, b_k = 2 psi(k + 1) - 2 Re psi(k +
+    1/2 + i mu), from the table t of `_hyper_coef`."""
+    k = np.arange(1, t.shape[1])
+    tb = np.empty((2,) + t.shape)
+    tb[0, :, :1] = -np.euler_gamma - _re_digamma_half(mu)
+    np.divide(k - 0.5, (k - 0.5) ** 2 + mu ** 2, out=tb[0, :, 1:])
+    np.subtract(1.0 / k, tb[0, :, 1:], out=tb[0, :, 1:])
+    np.cumsum(tb[0], axis=1, out=tb[0])
+    tb[0] *= 2.0
+    tb[0] *= t
+    tb[1] = t
+    return tb
+
+
+def _harish_chandra(mu: np.ndarray, rho: np.ndarray, coef: np.ndarray
+                    ) -> np.ndarray:
+    u, v = np.split(_power_series(coef, np.exp(-2.0 * rho)), 2)
     gmod = np.sqrt(mu / np.tanh(math.pi * mu) / math.pi)
     return 2.0 * gmod * np.exp(-0.5 * rho) * (np.sin(mu * rho) / mu * u
                                              + np.cos(mu * rho) * v)
 
 
-def _log_series(mu: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    k, t = np.arange(1, n + 1), _hyper_coef(mu, n)
-    b = 2.0 * np.cumsum(np.hstack([         # psi(k+1) - Re psi(k+1/2+i mu)
-        -np.euler_gamma - _re_digamma_half(mu),
-        1.0 / k - (k - 0.5) / ((k - 0.5) ** 2 + mu ** 2)]), axis=1)
-    s, f = np.split(_power_series(np.vstack([t * b, t]), y), 2)
+def _log_series(mu: np.ndarray, y: np.ndarray, coef: np.ndarray
+                ) -> np.ndarray:
+    s, f = np.split(_power_series(coef, y), 2)
     return np.cosh(math.pi * mu) / math.pi * (s - np.log(y) * f)
 
 
-def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P_nu(c), nu = -1/2 + i lam/2, mu = lam/2, rho = arccosh c, lams by
-    points given as x = (1 - c)/2 and y = (1 + c)/2 formed without
-    cancellation, from one of three series:
-    - 2F1(-nu, nu + 1; 1; x) = sum t_k x^k, t_k/t_{k-1} = ((k - 1/2)^2 +
-      mu^2)/k^2.  Its terms reach about e^{mu (2 asin sqrt|x| - |Im rho|)}
-      |P| before they cancel.
-    - Harish-Chandra (Koornwinder, 1984): c(mu) Phi_mu + c(-mu) Phi_-mu,
-      c(mu) = Gamma(i mu)/(sqrt(pi) Gamma(1/2 + i mu)), Phi_mu = e^{(i mu
-      - 1/2) rho} sum a_k e^{-2k rho}, a_k/a_{k-1} = (2k - 1)(2k - 1 - 2i
-      mu)/(4k (k - i mu)).  With |i mu c(mu)|^2 = mu coth(pi mu)/pi and the
-      phases divided by mu it is 2|i mu c(mu)| e^{-rho/2} (sin(mu rho)/mu U
-      + cos(mu rho) V), U, V real series in e^{-2 rho}: exact at mu = 0.
-    - Near c = -1 (DLMF 15.8.10): (cosh(pi mu)/pi) sum t_k [2 psi(k + 1) -
-      2 Re psi(k + 1/2 + i mu) - log y] y^k, the same t_k; its terms reach
-      about e^{mu (pi + 2 asin sqrt|y| - |Im rho|)} |P|.
-    Each is summed to e^-37 of its term bound, at most _MAX_TERMS terms, so
-    its error is e^{loss + left - 37}: loss, the growth of its terms over
-    |P|; left, the nats of the bound past the cap.  The least error from e^4
-    up wins, of equals the smallest ratio |x|, |e^{-2 rho}| or |y|.  The
-    log series is the difference of sum t_k b_k y^k and log y sum t_k y^k,
-    which both reach about |log y| times its terms, so the guard counts
-    its error as e^{loss + left - 37} (1 + |log y|): past e^-18.5 (1e-8),
-    on the cut c <= -1 or near it past lam ~ 64, ValueError.
-    P is even in mu and Harish-Chandra terms are divided by mu: flooring mu
-    at 1e-30 moves P by O(mu^2).
-    """
-    mu = np.maximum(0.5 * np.abs(np.asarray(lams, float)), 1e-30)[:, None]
-    x, y = np.asarray(x, complex), np.asarray(y, complex)
-    rho = np.arccosh(np.where(np.abs(x) <= np.abs(y), 1.0 - 2.0 * x,
-                              2.0 * y - 1.0))
-    ratio = np.stack([np.abs(x), np.exp(-2.0 * rho.real), np.abs(y)])
-    arc = 2.0 * np.arcsin(np.sqrt(np.minimum(ratio, 1.0))) - np.abs(rho.imag)
-    arc[1], arc[2] = 0.0, arc[2] + math.pi
-    bound = np.stack([math.pi * mu, 0.0 * mu, math.pi * mu]) + _TAIL_NATS
-    with np.errstate(divide="ignore"):    # -inf where a series diverges
-        decay = -np.log(np.where(ratio < 1.0, ratio, np.inf))
-        spread = np.log1p(np.abs(np.log(ratio[2])))
-    best = np.full((mu.size, x.size), np.inf)
-    pick = np.zeros(best.shape, dtype=np.int8)
-    for s in range(3):          # error in nats; within e^4, ratio - 1 < 0
-        key = (np.maximum(arc[s] * mu, _LOSS_NATS)
-               + np.maximum(bound[s] - _MAX_TERMS * decay[s], 0.0))
-        key = np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
-        pick[key < best] = s
-        best = np.minimum(best, key)
-    if not np.all(np.where(pick == 2, best + spread, best)
-                  <= 0.5 * _TAIL_NATS):
-        raise ValueError("no series reaches 1e-8 of P_nu on or near the cut")
+class LegendreRule:
+    """The lam side of P_nu, nu = -1/2 + i lam/2, on one array of lams.
 
-    out = np.empty((mu.size, x.size), dtype=complex)
-    hyper = lambda mu, x, n: _power_series(_hyper_coef(mu, n), x)
-    for s, (series, arg) in enumerate(((hyper, x), (_harish_chandra, rho),
-                                       (_log_series, y))):
-        sel = pick == s
-        rows, cols = sel.any(axis=1), sel.any(axis=0)
-        if cols.any():
-            inner = sel[np.ix_(rows, cols)]
-            need = (bound[s][rows] / decay[s][cols])[inner].max()
-            val = series(mu[rows], arg[cols], math.ceil(min(need, _MAX_TERMS)))
-            out[sel] = val[inner]
-    return out
+    The rule owns the coefficient tables of the three series of `values`
+    (the 2F1 t_k, the Harish-Chandra U and V rows, the log-series rows)
+    for all of its lams.  A table is built by the first call that sums its
+    series and rebuilt at least twice as long when a call needs more
+    terms, so any number of calls builds it a logarithmic number of times;
+    each call reads the rows and leading columns it needs.  Whoever
+    evaluates P_nu repeatedly on one lam array keeps one rule for it.
+    """
+
+    def __init__(self, lams: np.ndarray):
+        self.mu = np.maximum(0.5 * np.abs(np.asarray(lams, float)),
+                             1e-30)[:, None]
+        self._tables = [None, None, None]
+
+    def _table(self, s: int, n: int) -> np.ndarray:
+        """Series s's table through column n at least, grown if needed."""
+        table = self._tables[s]
+        if table is None or table.shape[-1] <= n:
+            if table is not None:
+                n = max(n, min(2 * (table.shape[-1] - 1), _MAX_TERMS))
+                table = self._tables[s] = None     # not held while building
+            with np.errstate(over="ignore", invalid="ignore"):
+                table = (_hyper_coef(self.mu, n) if s == 0 else
+                         _harish_chandra_coef(self.mu, n) if s == 1 else
+                         _log_coef(self.mu, self._table(0, n)[0, :, :n + 1]))
+            table = self._tables[s] = table.reshape(-1, self.mu.size, n + 1)
+        return table
+
+    def _coef(self, s: int, rows: np.ndarray, n: int) -> np.ndarray:
+        """Columns 0 .. n of series s's table on the rows, as one matrix;
+        ValueError where they overflow."""
+        coef = self._table(s, n)[:, rows, :n + 1].reshape(-1, n + 1)
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("the series coefficients of P_nu overflow")
+        return coef
+
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """P_nu(c), mu = lam/2, rho = arccosh c, lams by points given as
+        x = (1 - c)/2 and y = (1 + c)/2 formed without cancellation, from
+        one of three series:
+        - 2F1(-nu, nu + 1; 1; x) = sum t_k x^k, t_k/t_{k-1} = ((k - 1/2)^2
+          + mu^2)/k^2.  Its terms reach about e^{mu (2 asin sqrt|x| -
+          |Im rho|)} |P| before they cancel.
+        - Harish-Chandra (Koornwinder, 1984): c(mu) Phi_mu + c(-mu)
+          Phi_-mu, c(mu) = Gamma(i mu)/(sqrt(pi) Gamma(1/2 + i mu)), Phi_mu
+          = e^{(i mu - 1/2) rho} sum a_k e^{-2k rho}, a_k/a_{k-1} = (2k -
+          1)(2k - 1 - 2i mu)/(4k (k - i mu)).  With |i mu c(mu)|^2 = mu
+          coth(pi mu)/pi and the phases divided by mu it is 2|i mu c(mu)|
+          e^{-rho/2} (sin(mu rho)/mu U + cos(mu rho) V), U, V real series
+          in e^{-2 rho}: exact at mu = 0.
+        - Near c = -1 (DLMF 15.8.10): (cosh(pi mu)/pi) sum t_k [2 psi(k +
+          1) - 2 Re psi(k + 1/2 + i mu) - log y] y^k, the same t_k; its
+          terms reach about e^{mu (pi + 2 asin sqrt|y| - |Im rho|)} |P|.
+        Each is summed to e^-37 of its term bound, at most _MAX_TERMS
+        terms, so its error is e^{loss + left - 37}: loss, the growth of
+        its terms over |P|; left, the nats of the bound past the cap.  The
+        least error from e^4 up wins, of equals the smallest ratio |x|,
+        |e^{-2 rho}| or |y|.  The log series is the difference of sum t_k
+        b_k y^k and log y sum t_k y^k, which both reach about |log y| times
+        its terms, so the guard counts its error as e^{loss + left - 37}
+        (1 + |log y|): past e^-18.5 (1e-8), on the cut c <= -1 or near it
+        past lam ~ 64, ValueError.  ValueError too where the coefficients
+        a call reads overflow: the t_k grow to about e^{pi mu}, past
+        lam ~ 450.
+        P is even in mu and Harish-Chandra terms are divided by mu: flooring
+        mu at 1e-30 moves P by O(mu^2).
+        """
+        mu = self.mu
+        x, y = np.asarray(x, complex), np.asarray(y, complex)
+        rho = np.arccosh(np.where(np.abs(x) <= np.abs(y), 1.0 - 2.0 * x,
+                                  2.0 * y - 1.0))
+        ratio = np.stack([np.abs(x), np.exp(-2.0 * rho.real), np.abs(y)])
+        arc = (2.0 * np.arcsin(np.sqrt(np.minimum(ratio, 1.0)))
+               - np.abs(rho.imag))
+        arc[1], arc[2] = 0.0, arc[2] + math.pi
+        bound = np.stack([math.pi * mu, 0.0 * mu, math.pi * mu]) + _TAIL_NATS
+        with np.errstate(divide="ignore"):    # -inf where a series diverges
+            decay = -np.log(np.where(ratio < 1.0, ratio, np.inf))
+            spread = np.log1p(np.abs(np.log(ratio[2])))
+        best = np.full((mu.size, x.size), np.inf)
+        pick = np.zeros(best.shape, dtype=np.int8)
+        for s in range(3):      # error in nats; within e^4, ratio - 1 < 0
+            key = (np.maximum(arc[s] * mu, _LOSS_NATS)
+                   + np.maximum(bound[s] - _MAX_TERMS * decay[s], 0.0))
+            key = np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
+            pick[key < best] = s
+            best = np.minimum(best, key)
+        if not np.all(np.where(pick == 2, best + spread, best)
+                      <= 0.5 * _TAIL_NATS):
+            raise ValueError("no series reaches 1e-8 of P_nu on or near the "
+                             "cut")
+
+        out = np.empty((mu.size, x.size), dtype=complex)
+        hyper = lambda mu, x, coef: _power_series(coef, x)
+        for s, (series, arg) in enumerate(((hyper, x), (_harish_chandra, rho),
+                                           (_log_series, y))):
+            sel = pick == s
+            rows, cols = sel.any(axis=1), sel.any(axis=0)
+            if cols.any():
+                inner = sel[np.ix_(rows, cols)]
+                need = (bound[s][rows] / decay[s][cols])[inner].max()
+                coef = self._coef(s, rows, math.ceil(min(need, _MAX_TERMS)))
+                out[sel] = series(mu[rows], arg[cols], coef)[inner]
+        return out
+
+
+def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P_nu(c) on lams by points (`LegendreRule.values`) for one-off
+    callers: the phi matrix, pairing rows, doubled torus values.  Its rule
+    and lam tables are dropped after the call; repeated evaluation on one
+    lam array reads the tables its owner keeps: `SpectralGrid` for the
+    kernels' lam rule, `OrbitQuadrature` for an orbital mass and its
+    Gutzmer rhs."""
+    return LegendreRule(lams).values(x, y)
 
 
 def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -438,9 +536,13 @@ def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
     spherical vector: P_nu(cos 4r), at x = sin^2 2r and y = cos^2 2r, which
     grows like -log y as r -> pi/4.
     """
+    return _doubled_torus(LegendreRule(lams), r)
+
+
+def _doubled_torus(rule: LegendreRule, r: float) -> np.ndarray:
     _check_torus_angle(r)
     s, c = math.sin(2.0 * r), math.cos(2.0 * r)
-    return _legendre(lams, np.array([s * s]), np.array([c * c]))[:, 0].real
+    return rule.values(np.array([s * s]), np.array([c * c]))[:, 0].real
 
 
 def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
@@ -462,13 +564,16 @@ RHO_TAIL_TOL = 1e-7
 @dataclass(frozen=True)
 class OrbitQuadrature:
     """The grids of one orbital mass: lam nodes with the inverse-transform
-    coefficients of f, and the rho rule of the Cartan coordinates, cut at
-    rho_max, which drops the fraction tail_fraction of the radial mass of
-    |f|^2; once integrated, the final node count of the theta trapezoid
-    and the change of the mass at its last doubling."""
+    coefficients of f and the `LegendreRule` on them, which every theta
+    round and block of the mass and the Gutzmer rhs share, and the rho
+    rule of the Cartan coordinates, cut at rho_max, which drops the
+    fraction tail_fraction of the radial mass of |f|^2; once integrated,
+    the final node count of the theta trapezoid and the change of the mass
+    at its last doubling."""
 
     lam_nodes: np.ndarray
     coeff: np.ndarray
+    legendre: LegendreRule
     rho_nodes: np.ndarray
     rho_weights: np.ndarray
     rho_max: float
@@ -513,21 +618,29 @@ def orbit_quadrature(density: SpectralDensity,
 
     rho_nodes, rho_w = gauss_legendre_grid(
         np.linspace(0.0, rho_max, max(5, int(rho_max * 0.75))), 6)
-    return OrbitQuadrature(nodes, coeff, rho_nodes, rho_w, rho_max, tail)
+    return OrbitQuadrature(nodes, coeff, LegendreRule(nodes), rho_nodes,
+                           rho_w, rho_max, tail)
 
 
 def _theta_sums(quad: OrbitQuadrature, r: float, n: int,
                 offset: float) -> np.ndarray:
     """Per rho node, the sum of |f|^2 at a_{e^{rho/2}} k_theta exp(irh) x0
     over theta = (j + offset) pi/n, j < n, where the invariant is
-    c = cosh(rho) cos 2r + i sinh(rho) sin 2r cos 2theta."""
-    theta = (np.arange(n) + offset) * (math.pi / n)
+    c = cosh(rho) cos 2r + i sinh(rho) sin 2r cos 2theta.  c is even about
+    theta = pi/2, so only the nodes in [0, pi/2] are evaluated, with weight
+    2, or 1 at theta = 0 and pi/2, which are their own mirrors.  The
+    points go to the rule in blocks of 512, which bounds the arrays of one
+    call to a few MB."""
+    j = np.arange(n) + offset
+    j = j[2 * j <= n]
     c = (np.cosh(quad.rho_nodes)[:, None] * math.cos(2 * r) + 1j * np.outer(
-        np.sinh(quad.rho_nodes) * math.sin(2 * r), np.cos(2 * theta))).ravel()
-    f = np.concatenate([quad.coeff @ _legendre(quad.lam_nodes, 0.5 * (1 - blk),
-                                               0.5 * (1 + blk))
-                        for blk in np.split(c, range(1024, c.size, 1024))])
-    return (np.abs(f) ** 2).reshape(-1, n).sum(axis=1)
+        np.sinh(quad.rho_nodes) * math.sin(2 * r),
+        np.cos(2 * j * (math.pi / n)))).ravel()
+    f = np.concatenate([quad.coeff @ quad.legendre.values(0.5 * (1 - blk),
+                                                          0.5 * (1 + blk))
+                        for blk in np.split(c, range(512, c.size, 512))])
+    return ((np.abs(f) ** 2).reshape(-1, j.size)
+            @ np.where((j == 0) | (2 * j == n), 1.0, 2.0))
 
 
 def _integrate_orbit(quad: OrbitQuadrature, r: float
@@ -555,9 +668,13 @@ def orbital_mass(density: SpectralDensity, r: float,
     (unit-mass rotation factors; the constant is pinned by the r = 0
     radial reduction).  Left K-invariance of f removes dk1, so the sample
     points are a_{e^{rho/2}} k_theta exp(i r h) x0, and the spherical
-    values there are `_legendre` at their invariant.  The theta trapezoid
-    converges spectrally on this analytic pi-periodic integrand: it doubles
-    from 24 nodes, up to 1536, until the mass moves by RHO_TAIL_TOL or less.
+    values there are P_nu at their invariant, from the one `LegendreRule` of
+    the mass's lam nodes.  The theta trapezoid converges spectrally on this
+    analytic pi-periodic integrand: it doubles from 24 nodes, up to 1536,
+    until the mass moves by RHO_TAIL_TOL or less.  The integrand reads theta
+    only through cos 2theta, so each round evaluates the nodes in
+    [0, pi/2] and counts each node inside it twice, once for its mirror in
+    (pi/2, pi).
 
     The rho range drops RHO_TAIL_TOL = 1e-7 of the radial mass of |f|^2
     (`orbit_quadrature`).  No smaller tolerance, because the cut is read
@@ -586,7 +703,7 @@ def gutzmer_check(density: SpectralDensity, r: float,
     lhs, orbit = _integrate_orbit(orbit_quadrature(density, weight), r)
     nodes = orbit.lam_nodes             # coeff conj(d) = lam_w |d|^2 w(lam)
     rhs = np.sum(orbit.coeff * np.conj(density(nodes))
-                 * doubled_torus_values(nodes, r)).real
+                 * _doubled_torus(orbit.legendre, r)).real
     return GutzmerCheck(lhs, float(rhs), orbit)
 
 
@@ -642,8 +759,9 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
 def _kernel_sum(measure: KernelMeasure, z: PairPoint, w: PairPoint
                 ) -> complex:
     """K(z, w) of a measure already found admissible."""
-    nodes, lam_w = spectral_grid().lam_rule(KERNEL_LAM_MAX)
-    row = _legendre(nodes, *_pair_invariant(z, w))[:, 0]
+    grid = spectral_grid()
+    nodes, lam_w = grid.lam_rule(KERNEL_LAM_MAX)
+    row = grid.kernel_legendre.values(*_pair_invariant(z, w))[:, 0]
     return complex(np.sum(lam_w * measure.density(nodes) * row))
 
 

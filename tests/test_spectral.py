@@ -70,6 +70,44 @@ def test_legendre_against_mpmath_on_hard_nodes():
     assert abs(val - oracle) < 1e-8 * abs(oracle)
 
 
+def test_legendre_overflow_past_lam_450_raises():
+    # at c = 0.5 the 2F1 coefficients t_k reach about e^{pi lam/2}: finite
+    # at lam = 450, past the largest double at lam = 600
+    x, y = np.array([0.25]), np.array([0.75])
+    oracle = complex(mpmath.legenp((450j - 1) / 2, 0, 0.5, type=2))
+    val = spectral._legendre(np.array([450.0]), x, y)[0, 0]
+    assert abs(val - oracle) < 1e-12 * abs(oracle)
+    with pytest.raises(ValueError):
+        spectral._legendre(np.array([600.0]), x, y)
+
+
+#: invariants c whose series need many terms (2F1 200, Harish-Chandra 75
+#: and log 48 on the kernel rule) and few (15, 6 and 10)
+_MANY_TERMS = np.array([-0.46 + 0.09j, -0.22 + 0.25j])
+_FEW_TERMS = np.array([1.02, 30.0, -0.999 + 0.001j])
+
+
+def _table_widths(rule):
+    return [0 if t is None else t.shape[-1] for t in rule._tables]
+
+
+@pytest.mark.parametrize("first, second", [(_MANY_TERMS, _FEW_TERMS),
+                                           (_FEW_TERMS, _MANY_TERMS)])
+def test_legendre_rule_grows_its_tables_bit_for_bit(first, second):
+    lams = spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)[0]
+    rule = spectral.LegendreRule(lams)
+    widths = []
+    for c in (first, second):
+        val = rule.values(0.5 * (1 - c), 0.5 * (1 + c))
+        widths.append(_table_widths(rule))
+        assert np.array_equal(val, spectral._legendre(lams, 0.5 * (1 - c),
+                                                      0.5 * (1 + c)))
+    if first is _FEW_TERMS:     # the second call grew every table
+        assert all(a < b for a, b in zip(*widths))
+    else:                       # and here read a prefix of each
+        assert widths[0] == widths[1]
+
+
 def test_pairing_row_where_both_series_are_slow():
     # orbit nodes at r = 0.75 where |(1 - c)/2| and |e^{-2 rho}| both
     # exceed 0.45, so neither series of the evaluator converges fast
@@ -230,6 +268,61 @@ def test_orbital_mass_reuses_the_calibrated_phi_matrix(monkeypatch):
     assert spectral.orbital_mass(dens, 0.3, weight) > 0
 
 
+@pytest.mark.parametrize("center", [2.0, 0.5])
+@pytest.mark.parametrize("r", [0.1, 0.6])
+def test_orbital_mass_on_the_mirror_half(weight, center, r):
+    # the theta rounds evaluate [0, pi/2] only; the reference sums |f|^2
+    # over the full period at all n_theta nodes j pi/n
+    dens = spectral.gaussian_density(center, 0.7)
+    mass, quad = spectral._integrate_orbit(
+        spectral.orbit_quadrature(dens, weight), r)
+    n = quad.n_theta
+    c = (np.cosh(quad.rho_nodes)[:, None] * math.cos(2 * r)
+         + 1j * np.outer(np.sinh(quad.rho_nodes) * math.sin(2 * r),
+                         np.cos(2 * np.arange(n) * (math.pi / n)))).ravel()
+    f = quad.coeff @ spectral._legendre(quad.lam_nodes, 0.5 * (1 - c),
+                                        0.5 * (1 + c))
+    radial = 2 * math.pi * quad.rho_weights * np.sinh(quad.rho_nodes)
+    reference = radial @ (np.abs(f) ** 2).reshape(-1, n).sum(axis=1) / n
+    assert abs(mass - reference) <= 1e-14 * reference
+    assert spectral.orbital_mass(dens, r, weight) == mass
+
+
+def test_legendre_tables_are_built_per_owner_not_per_call(monkeypatch,
+                                                          weight):
+    names = ("_hyper_coef", "_harish_chandra_coef", "_log_coef")
+    builds = {name: [] for name in names}   # the last k of each build
+
+    def counted(name):
+        build = getattr(spectral, name)
+
+        def count(mu, n):
+            builds[name].append(n if name != "_log_coef" else n.shape[1] - 1)
+            return build(mu, n)
+        return count
+
+    for name in names:
+        monkeypatch.setattr(spectral, name, counted(name))
+    z = crown.elliptic_point(k_theta(0.3) @ a_t(1.7) @ n_x(0.2), 0.4)
+    w = crown.elliptic_point(k_theta(2.1) @ a_t(0.6) @ n_x(-0.5), -0.3)
+    first = spectral.hardy_kernel(z, w)
+    for name in names:
+        builds[name].clear()
+    for _ in range(3):
+        assert spectral.hardy_kernel(z, w) == first
+    assert all(not ns for ns in builds.values())
+    # one Gutzmer check through five theta rounds, 18 rule calls in all:
+    # the rounds, their 512-point blocks and the rhs share one rule, and
+    # each rebuild of a table at least doubles it
+    chk = spectral.gutzmer_check(spectral.gaussian_density(2.0, 0.7), 0.75,
+                                 weight)
+    assert chk.gap < 1e-2 and chk.orbit.n_theta == 384
+    for ns in builds.values():
+        assert len(ns) <= 2
+        assert all(b >= min(2 * a, spectral._MAX_TERMS)
+                   for a, b in zip(ns, ns[1:]))
+
+
 def test_automatic_radial_cut_matches_a_long_range(weight):
     dens = spectral.gaussian_density(2.0, 0.7)
     quad = spectral.orbit_quadrature(dens, weight)
@@ -244,9 +337,40 @@ def test_csv_roundtrip(tmp_path):
     dens = spectral.gaussian_density(1.5, 0.5)
     path = tmp_path / "density.csv"
     dens.to_csv(path)
-    back = spectral.SpectralDensity.from_csv(path)
-    assert np.allclose(back.lambda_grid, dens.lambda_grid)
-    assert np.allclose(back.values, dens.values)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.allclose(data[:, 0], dens.lambda_grid)
+    assert np.allclose(data[:, 1] + 1j * data[:, 2], dens.values)
+
+
+def test_pinned_spectral_numbers():
+    # the README gutzmer example and the `hardy-kernel --gram 5 --seed 7`
+    # Gram matrix, as computed before the lam tables moved into
+    # LegendreRule and the theta rule onto its mirror half
+    chk = spectral.gutzmer_check(spectral.gaussian_density(2.0, 0.7), 0.3927)
+    assert abs(chk.lhs - 0.2245154326828079) < 1e-14 * chk.lhs
+    assert abs(chk.rhs - 0.22451545270240802) < 1e-14 * chk.rhs
+    assert abs(chk.gap - 8.916802774856431e-08) < 1e-14
+    pinned = np.array([
+        [0.13178207641240042, 0.10570205098869426 + 0.011704495086595726j,
+         0.12440513883650069 + 0.01588741834044582j,
+         0.13565706892264115 + 6.445930310864185e-05j,
+         0.08653647020249887 - 0.06711597597392845j],
+        [0, 0.14336092925097257, 0.1329270721645792 + 0.013636822367907937j,
+         0.11035452799497956 + 0.001925544916831533j,
+         0.04286681784821352 - 0.03948206830320069j],
+        [0, 0, 0.17109408232367823,
+         0.11882718482345056 - 0.0026501174788986968j,
+         0.08103732412206881 - 0.0750113030442241j],
+        [0, 0, 0, 0.15408714073146118,
+         0.0919558017449237 - 0.05820561401638259j],
+        [0, 0, 0, 0, 0.35346272037245297]])
+    rng = np.random.default_rng(7)
+    pts = [crown.random_crown_point(rng, 0.6) for _ in range(5)]
+    for i in range(5):
+        for j in range(5):
+            value = spectral.hardy_kernel(pts[i], pts[j])
+            expected = pinned[i, j] if i <= j else np.conj(pinned[j, i])
+            assert abs(value - expected) < 1e-14 * abs(expected)
 
 
 def test_kernel_measure_admissibility():

@@ -331,11 +331,8 @@ def cmd_hardy_kernel(args):
 
 def cmd_kernel(args):
     _check_width(args.width)
-    grid = spectral.default_lambda_grid(spectral.KERNEL_LAM_MAX)
-    density = spectral.SpectralDensity(
-        grid, np.exp(-0.5 * ((grid - args.center) / args.width) ** 2),
-        "super-exponential")
-    measure = spectral.KernelMeasure(density)
+    measure = spectral.KernelMeasure(
+        spectral.gaussian_density(args.center, args.width))
     out = {"admissible": measure.admissible()}
     if out["admissible"]:
         out["value_at_base"] = spectral.invariant_kernel(

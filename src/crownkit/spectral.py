@@ -17,6 +17,10 @@ points, p(z)/2 at w = x0; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159
 (2004)), and every caller reads it from one evaluator, `LegendreRule`,
 which owns the lam-side series coefficients of one lam array.
 
+A spectral density is a vectorized closed form in lam with its decay
+(`SpectralDensity`), which decides a kernel measure's admissibility; a lam
+rule integrates it only where it has decayed by the rule's end.
+
 The lam and r rules, the phi matrix on them, the calibrated Plancherel
 constant and the kernels' `LegendreRule` live in one `SpectralGrid`, built
 once per process by the first reader of the phi matrix: the transform,
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -93,15 +98,6 @@ class SpectralGrid:
         return calibrate_parseval()
 
     @cached_property
-    def hardy_measure(self) -> KernelMeasure:
-        """The measure of `hardy_kernel`, checked admissible."""
-        measure = KernelMeasure(hardy_density())
-        if not measure.admissible():
-            raise AdmissibilityFailure("the Hardy measure fails the "
-                                       "e^{c lam} test")
-        return measure
-
-    @cached_property
     def kernel_legendre(self) -> LegendreRule:
         """The lam side of P_nu on the kernels' lam rule."""
         return LegendreRule(self.lam_rule(KERNEL_LAM_MAX)[0])
@@ -114,56 +110,36 @@ def spectral_grid() -> SpectralGrid:
 
 
 def default_lambda_grid(lam_max: float = 32.0) -> np.ndarray:
+    """The grid's lam nodes below lam_max (perfbench's spectral probe)."""
     return spectral_grid().lam_rule(lam_max)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralDensity:
-    """Sampled function of the tempered parameter with decay metadata.
+    """A density on the tempered ray: a vectorized function of lam, with
+    its decay as lam -> infinity.
 
     decay_tag is one of 'super-exponential', 'exponential', 'polynomial';
-    decay_rate is the exponential rate when applicable.
+    decay_rate is the rate a of an exponential decay e^{-a lam}.
     """
 
-    lambda_grid: np.ndarray
-    values: np.ndarray
+    function: Callable[[np.ndarray], np.ndarray]
     decay_tag: str = "super-exponential"
     decay_rate: float | None = None
 
     def __post_init__(self):
-        self.lambda_grid = np.asarray(self.lambda_grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.lambda_grid.ndim != 1 or not np.all(np.diff(self.lambda_grid) > 0):
-            raise ValueError("lambda grid must be strictly increasing")
-        if self.lambda_grid[0] < 0:
-            raise ValueError("tempered parameters are nonnegative")
-        if self.lambda_grid.shape != self.values.shape:
-            raise ValueError("grid/value shape mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("density values must be finite")
         if self.decay_tag not in ("super-exponential", "exponential",
                                   "polynomial"):
             raise ValueError(f"unknown decay tag {self.decay_tag!r}")
 
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        re = np.interp(lam, self.lambda_grid, self.values.real)
-        im = np.interp(lam, self.lambda_grid, self.values.imag)
-        out = re + 1j * im
-        return np.where(lam > self.lambda_grid[-1], 0.0, out)
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.lambda_grid, self.values.real,
-                                self.values.imag])
-        np.savetxt(path, data, delimiter=",",
-                   header="lambda,value_real,value_imag", comments="")
+    def __call__(self, lam) -> np.ndarray:
+        return self.function(np.asarray(lam, dtype=float))
 
 
 def gaussian_density(center: float, width: float) -> SpectralDensity:
     """Smooth test density exp(-(lam-center)^2 / (2 width^2))."""
-    grid = default_lambda_grid()
-    vals = np.exp(-0.5 * ((grid - center) / width) ** 2)
-    return SpectralDensity(grid, vals, "super-exponential")
+    return SpectralDensity(
+        lambda lam: np.exp(-0.5 * ((lam - center) / width) ** 2))
 
 
 # -- the spherical function in closed form ------------------------------------
@@ -409,7 +385,21 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 # -- transform, Parseval, calibration ----------------------------------------
 
-def spherical_transform(f_radial) -> SpectralDensity:
+@dataclass(frozen=True)
+class SampledTransform:
+    """A radial profile's spherical transform on the grid's lam nodes."""
+
+    lambda_grid: np.ndarray
+    values: np.ndarray
+
+    def to_csv(self, path) -> None:
+        data = np.column_stack([self.lambda_grid, self.values.real,
+                                self.values.imag])
+        np.savetxt(path, data, delimiter=",",
+                   header="lambda,value_real,value_imag", comments="")
+
+
+def spherical_transform(f_radial) -> SampledTransform:
     """Transform of a radial function given as a vectorized callable of the
     geodesic radius: F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr, on the
     grid's lam nodes."""
@@ -419,7 +409,7 @@ def spherical_transform(f_radial) -> SpectralDensity:
     if not np.all(np.isfinite(fr)):
         raise ValueError("radial profile produced non-finite samples")
     vals = TWO_PI * grid.phi @ (grid.r_weights * fr * np.sinh(r))
-    return SpectralDensity(grid.lam_nodes, vals)
+    return SampledTransform(grid.lam_nodes, vals)
 
 
 def radial_l2_mass(f_radial) -> float:
@@ -545,11 +535,26 @@ def _doubled_torus(rule: LegendreRule, r: float) -> np.ndarray:
     return rule.values(np.array([s * s]), np.array([c * c]))[:, 0].real
 
 
+#: a density lives where, weighted as it is integrated, it exceeds this
+#: fraction of its peak on the nodes of its lam rule
+_LIVE = 1e-13
+
+
+def _check_resolved(weighted: np.ndarray, lam_max: float) -> None:
+    """ValueError where a density, weighted as it is integrated on the
+    nodes of a lam rule that ends at lam_max, lives at the last node."""
+    if weighted[-1] > _LIVE * weighted.max():
+        raise ValueError(f"the density has not decayed by lam = {lam_max:g},"
+                         " where its lam rule ends")
+
+
 def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
-    """GL rule concentrated where the weighted density actually lives."""
-    grid = density.lambda_grid
-    mass = np.abs(density.values) * np.maximum(weight.density(grid), 0.0)
-    live = grid[mass > 1e-13 * max(mass.max(), 1e-300)]
+    """GL rule concentrated where the weighted density lives on the grid's
+    lam nodes; ValueError where it still lives at the last of them."""
+    grid = spectral_grid().lam_nodes
+    mass = np.abs(density(grid)) * np.maximum(weight.density(grid), 0.0)
+    _check_resolved(mass, 32.0)
+    live = grid[mass > _LIVE * max(mass.max(), 1e-300)]
     if not live.size:
         return gauss_legendre_grid(np.linspace(0.0, grid[-1], 5), 16)
     return gauss_legendre_grid(np.linspace(
@@ -598,6 +603,8 @@ def orbit_quadrature(density: SpectralDensity,
     mass of |f|^2 still left beyond it exceeds RHO_TAIL_TOL of the total
     (rho_max = 8 for a zero profile).  An explicit rho_max overrides the
     cut; tail_fraction is the profile mass beyond rho_max either way.
+    ValueError where the weighted density has not decayed by lam = 32, the
+    end of the grid's lam rule.
     """
     grid = spectral_grid()
     if weight is None:
@@ -709,38 +716,22 @@ def gutzmer_check(density: SpectralDensity, r: float,
 
 # -- invariant kernels --------------------------------------------------------
 
-#: the exponents c at which KernelMeasure.admissible tests Int e^{c lam} d mu
-_ADMISSIBLE_C = (0.5, 1.0, 1.9)
-
-
-@dataclass
+@dataclass(frozen=True)
 class KernelMeasure:
     """Measure on the tempered ray defining an invariant kernel.
 
-    Admissible when Int e^{c lam} d mu is finite for every c < 2; tested
-    at c in _ADMISSIBLE_C from the samples plus the decay tag.
+    Admissible when Int e^{c lam} d mu is finite for every c < 2, which the
+    density's decay decides: always when super-exponential, at a rate of 2
+    or more when exponential, never when polynomial.
     """
 
     density: SpectralDensity
 
     def admissible(self) -> bool:
-        if self.density.decay_tag == "polynomial":
-            return False
-        nodes = self.density.lambda_grid
-        vals = np.abs(self.density.values)
-        if self.density.decay_tag == "exponential":
-            rate = self.density.decay_rate
-            if rate is None or rate <= max(_ADMISSIBLE_C):
-                return False
-        for c in _ADMISSIBLE_C:
-            integrand = vals * np.exp(c * nodes)
-            tail = nodes > 0.5 * nodes[-1]
-            if np.count_nonzero(tail) >= 4 and integrand[tail].max() > 1e-280:
-                slope = np.polyfit(nodes[tail],
-                                   np.log(integrand[tail] + 1e-300), 1)[0]
-                if slope >= 0:
-                    return False
-        return True
+        tag, rate = self.density.decay_tag, self.density.decay_rate
+        if tag == "exponential":
+            return rate is not None and rate >= 2.0
+        return tag == "super-exponential"
 
 
 def invariant_kernel(measure: KernelMeasure, z: PairPoint,
@@ -748,33 +739,32 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
     """K(z, w) = Int <pi(z)v, pi(w)v> d mu(lam); Hermitian and G-invariant.
 
     Every spectral slice <pi(z)v_K, pi(w)v_K> is P_nu at the invariant of
-    the pair, so one `_legendre` row over the kernel's lam nodes gives all
-    of them; K(w, z) is conj K(z, w) exactly.
+    the pair, so one `LegendreRule` row over the kernels' lam rule gives
+    all of them; K(w, z) is conj K(z, w) exactly.  ValueError where the
+    density has not decayed by KERNEL_LAM_MAX.
     """
     if not measure.admissible():
-        raise AdmissibilityFailure("kernel measure fails the e^{c lam} test")
-    return _kernel_sum(measure, z, w)
-
-
-def _kernel_sum(measure: KernelMeasure, z: PairPoint, w: PairPoint
-                ) -> complex:
-    """K(z, w) of a measure already found admissible."""
+        raise AdmissibilityFailure("the kernel measure decays too slowly")
     grid = spectral_grid()
     nodes, lam_w = grid.lam_rule(KERNEL_LAM_MAX)
+    dens = measure.density(nodes)
+    _check_resolved(np.abs(dens), KERNEL_LAM_MAX)
     row = grid.kernel_legendre.values(*_pair_invariant(z, w))[:, 0]
-    return complex(np.sum(lam_w * measure.density(nodes) * row))
+    return complex(np.sum(lam_w * dens * row))
 
 
 def hardy_density() -> SpectralDensity:
-    """lam tanh(pi lam/2)/cosh(pi lam) on the kernels' lam nodes (positive
-    scale)."""
-    grid = default_lambda_grid(KERNEL_LAM_MAX)
-    vals = grid * np.tanh(0.5 * math.pi * grid) / np.cosh(math.pi * grid)
-    return SpectralDensity(grid, vals, "exponential", decay_rate=math.pi)
+    """lam tanh(pi lam/2)/cosh(pi lam) (positive scale), which decays like
+    e^{-pi lam}."""
+    return SpectralDensity(lambda lam: (lam * np.tanh(0.5 * math.pi * lam)
+                                        / np.cosh(math.pi * lam)),
+                           "exponential", decay_rate=math.pi)
+
+
+_HARDY_MEASURE = KernelMeasure(hardy_density())
 
 
 def hardy_kernel(z: PairPoint, w: PairPoint) -> complex:
     """Reproducing kernel of the holomorphic Hardy space attached to the
-    most-continuous spectrum of the hyperboloid, up to positive scale; its
-    measure is the grid's, checked admissible once."""
-    return _kernel_sum(spectral_grid().hardy_measure, z, w)
+    most-continuous spectrum of the hyperboloid, up to positive scale."""
+    return invariant_kernel(_HARDY_MEASURE, z, w)

@@ -123,6 +123,13 @@ def test_gutzmer_reports_its_orbit_grid(capsys):
     assert grid["n_rho"] > 0 and grid["n_theta"] > 0 and grid["n_lambda"] > 0
 
 
+def test_kernel_command_on_a_resolved_gaussian(capsys):
+    code = main(["kernel", "--center", "2", "--width", "0.7"])
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert code == 0 and out["admissible"] is True
+    assert out["value_at_base"] == {"re": 1.7508894830878177, "im": 0.0}
+
+
 def test_hardy_kernel_point_form(capsys):
     code = main(["hardy-kernel", "--z1=0.3+1.2i", "--z2=-0.4-0.8i"])
     doc = json.loads(capsys.readouterr().out)
@@ -133,8 +140,9 @@ def test_hardy_kernel_point_form(capsys):
 
 
 # well-typed but out-of-range arguments, each rejected before any
-# phi-matrix or calibration work; the value is the exit code when the
-# case pins one (bad argument values exit 1, domain failures 2)
+# phi-matrix or calibration work but the gutzmer density past the lam rule,
+# rejected once calibrated; the value is the exit code when the case pins
+# one (bad argument values exit 1, domain failures 2)
 FUZZ = {
     ("crown-check", "--z1=nan", "--z2=0-1i"): 1,
     ("crown-check", "--z1=inf", "--z2=0-1i"): 1,
@@ -201,6 +209,7 @@ FUZZ = {
     ("gutzmer", "--width", "nan"): 1,
     ("gutzmer", "--r", "-1"): 2,
     ("gutzmer", "--r", "0.7854"): 2,
+    ("gutzmer", "--r", "0.3", "--center", "40", "--width", "1"): 1,
     ("hardy-kernel", "--z1=0", "--z2=0-1i"): None,
     ("hardy-kernel", "--z1=nan", "--z2=0-1i"): 1,
     ("hardy-kernel", "--z1=1e300", "--z2=0-1i"): None,
@@ -210,6 +219,7 @@ FUZZ = {
     ("kernel", "--width", "0"): 1,
     ("kernel", "--width", "-1"): 1,
     ("kernel", "--width", "nan"): 1,
+    ("kernel", "--center", "2", "--width", "10"): 1,
     ("maass", "--y", "0"): None,
     ("maass", "--y", "-1"): None,
     ("maass", "--y", "nan"): 1,

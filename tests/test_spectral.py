@@ -233,6 +233,29 @@ def test_gutzmer_identity_and_monotone_rhs(weight):
     assert rhs_vals[0] < rhs_vals[1] < rhs_vals[2]
 
 
+@pytest.mark.parametrize("center, width, r", [(2.0, 0.7, 0.3927),
+                                              (3.0, 1.0, 0.3),
+                                              (0.5, 0.7, 0.6),
+                                              (1.2, 0.4, 0.1)])
+def test_gutzmer_rhs_against_mpmath(weight, center, width, r):
+    # C Int |d(lam)|^2 lam tanh(pi lam/2) P_nu(cos 4r) d lam for the exact
+    # Gaussian d; linear interpolation of its samples on the default lam
+    # grid put the rhs 6e-5 to 4.4e-4 off
+    x = mpmath.cos(4 * mpmath.mpf(r))
+
+    def integrand(lam):
+        return (mpmath.exp(-((lam - center) / width) ** 2) * lam
+                * mpmath.tanh(mpmath.pi * lam / 2)
+                * mpmath.re(mpmath.legenp((1j * lam - 1) / 2, 0, x, type=2)))
+
+    ends = sorted({0.0, max(0.0, center - 3 * width), center,
+                   center + 3 * width, center + 9 * width})
+    oracle = weight.calibration_constant * float(mpmath.quad(integrand, ends))
+    chk = spectral.gutzmer_check(spectral.gaussian_density(center, width), r,
+                                 weight)
+    assert abs(chk.rhs - oracle) < 1e-12 * oracle
+
+
 def test_strip_norm_at_small_r_is_l2_mass(weight):
     dens = spectral.gaussian_density(2.0, 0.7)
     nodes, lam_w = spectral._adapted_lambda_quad(dens, weight)
@@ -334,7 +357,8 @@ def test_automatic_radial_cut_matches_a_long_range(weight):
 
 
 def test_csv_roundtrip(tmp_path):
-    dens = spectral.gaussian_density(1.5, 0.5)
+    dens = spectral.spherical_transform(
+        lambda r: np.exp(-0.5 * (r / 0.7) ** 2))
     path = tmp_path / "density.csv"
     dens.to_csv(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -343,13 +367,16 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_pinned_spectral_numbers():
-    # the README gutzmer example and the `hardy-kernel --gram 5 --seed 7`
-    # Gram matrix, as computed before the lam tables moved into
-    # LegendreRule and the theta rule onto its mirror half
+    # the README gutzmer example, as computed once the density was a
+    # closed form rather than interpolated samples (rhs within 4e-15 of
+    # test_gutzmer_rhs_against_mpmath's oracle), and the
+    # `hardy-kernel --gram 5 --seed 7` Gram matrix, as computed before the
+    # lam tables moved into LegendreRule and the theta rule onto its mirror
+    # half
     chk = spectral.gutzmer_check(spectral.gaussian_density(2.0, 0.7), 0.3927)
-    assert abs(chk.lhs - 0.2245154326828079) < 1e-14 * chk.lhs
-    assert abs(chk.rhs - 0.22451545270240802) < 1e-14 * chk.rhs
-    assert abs(chk.gap - 8.916802774856431e-08) < 1e-14
+    assert abs(chk.lhs - 0.2245291709552214) < 1e-14 * chk.lhs
+    assert abs(chk.rhs - 0.2245291770268346) < 1e-14 * chk.rhs
+    assert abs(chk.gap - 2.704153315325428e-08) < 1e-14
     pinned = np.array([
         [0.13178207641240042, 0.10570205098869426 + 0.011704495086595726j,
          0.12440513883650069 + 0.01588741834044582j,
@@ -375,8 +402,7 @@ def test_pinned_spectral_numbers():
 
 def test_kernel_measure_admissibility():
     assert spectral.KernelMeasure(spectral.hardy_density()).admissible()
-    grid = spectral.default_lambda_grid(16.0)
-    fat = spectral.SpectralDensity(grid, np.exp(-0.5 * grid),
+    fat = spectral.SpectralDensity(lambda lam: np.exp(-0.5 * lam),
                                    "exponential", decay_rate=0.5)
     assert not spectral.KernelMeasure(fat).admissible()
     with pytest.raises(AdmissibilityFailure):

@@ -18,11 +18,11 @@ Appl. Math. 211, 2008; QUADPACK's global strategy and its roundoff floor
 on each panel's error, Piessens et al., 1983).
 
 An integrand may return a stack of m components at once, such as the
-squared moduli of all monomials of a Sobolev norm from one jet of the
-vector.  They share the panels: each component must meet its own request
-max(abs_tol, rel_tol |value_i|), and a panel's claim to a split is its
-error summed over the components, each in units of that component's
-tolerance.  One component is the scalar case.
+squared moduli of all monomials of a Sobolev norm from one set of Taylor
+rows of the vector.  They share the panels: each component must meet its
+own request max(abs_tol, rel_tol |value_i|), and a panel's claim to a
+split is its error summed over the components, each in units of that
+component's tolerance.  One component is the scalar case.
 
 Everything here is pure and deterministic: the final reduction is an
 ordered sum over the panels.

@@ -141,35 +141,34 @@ DIRECTIONS = {"h": H_VEC, "e": E_VEC, "f": F_VEC, "u": U_VEC,
               "e+f": LieVector(c_e=1.0, c_f=1.0)}
 
 
-def action_jets(param: SpectralParam, direction: LieVector, x):
-    """alpha, alpha', beta, beta' and beta'' at x of the derived action
-    alpha f + beta f' of D = c_h h + c_e e + c_f f, where
+def action_taylor(param: SpectralParam, direction: LieVector, x):
+    """Taylor rows (alpha_0, alpha_1, beta_0, beta_1, beta_2) at x of the
+    derived action alpha f + beta f' of D = c_h h + c_e e + c_f f, where
     alpha = c_h (i lam - 1) + c_f (1 - i lam) x and
-    beta = -c_e - 2 c_h x + c_f x^2; higher derivatives vanish."""
+    beta = -c_e - 2 c_h x + c_f x^2; higher rows vanish."""
     il = 1j * param.lam
     c_h, c_e, c_f = direction.c_h, direction.c_e, direction.c_f
     a0, a1 = c_h * (il - 1.0), c_f * (1.0 - il)
     b1, b2 = -2.0 * c_h, c_f
-    return (a0 + a1 * x, a1, (b2 * x + b1) * x - c_e, 2.0 * b2 * x + b1,
-            2.0 * b2)
+    return (a0 + a1 * x, a1, (b2 * x + b1) * x - c_e, 2.0 * b2 * x + b1, b2)
 
 
-def derived_jet(ab, fj: np.ndarray) -> np.ndarray:
-    """Jets to order n of alpha f + beta f' from the jets fj of f to order
-    n + 1 and ab = action_jets(...) at the same points, by Leibniz:
-    (alpha f + beta f')^(k) = alpha f^(k) + beta f^(k+1)
-        + k beta' f^(k) + (k alpha' + C(k, 2) beta'') f^(k-1)."""
-    a, da, b, db, ddb = ab
-    out = a * fj[:-1] + b * fj[1:]
-    for k in range(1, fj.shape[0] - 1):
-        lower = k * da + 0.5 * k * (k - 1) * ddb
-        out[k] += k * db * fj[k] + lower * fj[k - 1]
+def derived_taylor(ab, f: np.ndarray) -> np.ndarray:
+    """Taylor rows to order n of alpha f + beta f' from the rows f of f to
+    order n + 1 and ab = action_taylor(...) at the same points:
+    (alpha f + beta f')_k = alpha_0 f_k + (k + 1) beta_0 f_(k+1)
+        + k beta_1 f_k + (alpha_1 + (k - 1) beta_2) f_(k-1)."""
+    a0, a1, b0, b1, b2 = ab
+    out = a0 * f[:-1] + b0 * f[1:]
+    for k in range(1, f.shape[0] - 1):
+        out[k] += (k * (b0 * f[k + 1] + b1 * f[k])
+                   + (a1 + (k - 1) * b2) * f[k - 1])
     return out
 
 
 class DPi(SmoothVector):
     """Derived action of D = c_h h + c_e e + c_f f on a vector, the
-    first-order operator alpha(x) f + beta(x) f' of `action_jets`."""
+    first-order operator alpha(x) f + beta(x) f' of `action_taylor`."""
 
     def __init__(self, param: SpectralParam, direction: LieVector,
                  child: SmoothVector):
@@ -179,10 +178,9 @@ class DPi(SmoothVector):
         self.support = child.support
         self.hints = child.hints
 
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return derived_jet(action_jets(self.param, self.direction, x),
-                           self.child.jet(x, order + 1))
+    def taylor(self, x, order):
+        return derived_taylor(action_taylor(self.param, self.direction, x),
+                              self.child.taylor(x, order + 1))
 
 
 def d_pi(param: SpectralParam, direction: str, f: SmoothVector) -> DPi:

@@ -19,10 +19,11 @@ partition and the derivative identity tau_m^(l) = -2^{lm} phi^(l)(2^m x)
 hold exactly on the support of tau_m.
 
 A norm is one quadrature with a stacked integrand.  Each round evaluates
-the jet of v to order k once and walks the monomial tree, f-powers first,
-then e, then h: each node is one jet-level step of the derived action
-from its parent.  The squared moduli of all nodes share one panel pool,
-each to its own tolerance, and ||v|| is component 0.
+the Taylor rows of v to order k once and walks the monomial tree,
+f-powers first, then e, then h: each node is one step of the derived
+action on Taylor rows from its parent.  The squared moduli of all nodes
+share one panel pool, each to its own tolerance, and ||v|| is
+component 0.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 
 from .liecore import GroupElement, K0, b_t
 from .numerics import REPRESENTATION_CFG, IdentityCheck, integrate
-from .repn import (DIRECTIONS, SpectralParam, action_jets, apply_pi,
-                   derived_jet)
+from .repn import (DIRECTIONS, SpectralParam, action_taylor, apply_pi,
+                   derived_taylor)
 from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
                       SmoothVector, Sum)
 
@@ -47,7 +48,10 @@ _SUBGROUP_DIRECTION = {
     "H": "e+f",
 }
 
-MAX_ORDER = 4  # jet composition depth bounds the usable derivative order
+#: the highest Sobolev order: no caller asks for more, and at k = 4 the
+#: norm of v_K already raises NonConvergence, since d_pi(f)^3 v_K and
+#: d_pi(f)^4 v_K evaluate to noise that grows with |x|
+MAX_ORDER = 4
 _M_MAX = 64    # deepest dyadic depth choose_m tries
 
 
@@ -85,17 +89,17 @@ def _word_norms(param: SpectralParam, f: SmoothVector,
     in the order of `words`, all integrated in one quadrature on f's
     support with f's hints.  The words form a tree: a word's parent, the
     word without its last letter, is listed before it, and each word is
-    one jet-level step of the derived action from its parent, so one jet
-    of f per quadrature round serves every word."""
+    one step of the derived action on Taylor rows from its parent, so
+    one set of Taylor rows of f per quadrature round serves every word."""
     directions = {d: DIRECTIONS[d] for w in words for d in w}
     order = max(map(len, words))
 
     def rows(x):
-        ab = {d: action_jets(param, vec, x) for d, vec in directions.items()}
-        jets = {(): f.jet(x, order)}
+        ab = {d: action_taylor(param, vec, x) for d, vec in directions.items()}
+        tree = {(): f.taylor(x, order)}
         for w in words[1:]:
-            jets[w] = derived_jet(ab[w[-1]], jets[w[:-1]])
-        return np.abs(np.array([jets[w][0] for w in words])) ** 2
+            tree[w] = derived_taylor(ab[w[-1]], tree[w[:-1]])
+        return np.abs(np.array([tree[w][0] for w in words])) ** 2
 
     lo, hi = f.support if f.support is not None else (-math.inf, math.inf)
     res = integrate(rows, lo, hi, REPRESENTATION_CFG.with_hints(f.hints))

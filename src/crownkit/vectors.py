@@ -1,13 +1,22 @@
-"""Closed-form vectors with exact derivative jets.
+"""Closed-form vectors with exact Taylor coefficients.
 
 Everything the representation-theoretic modules integrate is built from a
-small expression algebra whose nodes evaluate Taylor jets (f, f', ...,
-f^(n)) at arrays of real points.  The key node is the complex power of a
-quadratic, kappa * q(x)^sigma, which its complex roots rho describe: the
-derivatives of log q are (-1)^(k-1) (k-1)! sum_rho (x - rho)^(-k), and
-the roots mark where the power peaks and how wide the peak is.  This
-covers the spherical vector, all of its analytic continuations, and their
-images under the group action, with no finite-difference noise anywhere.
+small expression algebra whose nodes evaluate normalized Taylor
+coefficients f^(k)/k!, k = 0..n, at arrays of real points, one row per k
+(`SmoothVector.taylor`; `jet` turns row k into f^(k)).  Four operations on
+truncated series (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+ch. 13) give every node's rows from its parts: the Cauchy product
+`_mul`, the exponential `_exp` from k e_k = sum_j j g_j e_(k-j), the
+quotient `_div`, and the composition `_compose`, Horner in m - m_0;
+`_poly_taylor` gives a polynomial's rows.
+
+The key node is the complex power of a quadratic, kappa * q(x)^sigma =
+kappa exp(sigma log q), which its complex roots rho describe: the
+derivatives of log q are (log q)^(k) = (-1)^(k-1) (k-1)! sum_rho
+(x - rho)^(-k), and the roots mark where the power peaks and how wide the
+peak is.  This covers the spherical vector, all of its analytic
+continuations, and their images under the group action, with no
+finite-difference noise anywhere.
 
 Branch discipline: a quadratic power is only admitted when q(R) avoids the
 cut (-inf, 0], in which case the principal branch is the continuous one.
@@ -28,47 +37,58 @@ from numpy.polynomial import polynomial as P
 from .errors import BranchCut
 
 
-def _binom(n, k):
-    return math.comb(n, k)
-
-
-def _leibniz(aj: np.ndarray, bj: np.ndarray) -> np.ndarray:
-    """Jets of a product from jets of the factors."""
-    n = min(aj.shape[0], bj.shape[0]) - 1
-    out = np.zeros((n + 1,) + aj.shape[1:], dtype=complex)
-    for k in range(n + 1):
-        for j in range(k + 1):
-            out[k] += _binom(k, j) * aj[j] * bj[k - j]
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Taylor rows of a product: the Cauchy product of the rows."""
+    n = min(a.shape[0], b.shape[0])
+    out = a[:n] * b[0]
+    for k in range(1, n):
+        for j in range(k):
+            out[k] += a[j] * b[k - j]
     return out
 
 
-def _compose_jets(fj: np.ndarray, mj: np.ndarray) -> np.ndarray:
-    """Jets of f o m from jets of f at m(x) and jets of m at x (order <= 4)."""
-    n = min(fj.shape[0], mj.shape[0]) - 1
-    out = np.zeros((n + 1,) + fj.shape[1:], dtype=complex)
-    out[0] = fj[0]
-    if n >= 1:
-        out[1] = fj[1] * mj[1]
-    if n >= 2:
-        out[2] = fj[2] * mj[1] ** 2 + fj[1] * mj[2]
-    if n >= 3:
-        out[3] = (fj[3] * mj[1] ** 3 + 3.0 * fj[2] * mj[1] * mj[2]
-                  + fj[1] * mj[3])
-    if n >= 4:
-        out[4] = (fj[4] * mj[1] ** 4 + 6.0 * fj[3] * mj[1] ** 2 * mj[2]
-                  + fj[2] * (4.0 * mj[1] * mj[3] + 3.0 * mj[2] ** 2)
-                  + fj[1] * mj[4])
-    if n >= 5:
-        raise ValueError("jet composition implemented up to order 4")
+def _exp(g: np.ndarray) -> np.ndarray:
+    """Taylor rows of exp(g), from k e_k = sum_{j=1..k} j g_j e_(k-j)."""
+    e = np.empty_like(g)
+    e[0] = np.exp(g[0])
+    for k in range(1, g.shape[0]):
+        e[k] = g[1] * e[k - 1]
+        for j in range(2, k + 1):
+            e[k] += j * g[j] * e[k - j]
+        e[k] /= k
+    return e
+
+
+def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Taylor rows of a / b, from a = b (a / b) solved row by row."""
+    c = np.empty(a.shape, dtype=np.result_type(a, b))
+    for k in range(a.shape[0]):
+        c[k] = a[k]
+        for j in range(1, k + 1):
+            c[k] -= b[j] * c[k - j]
+        c[k] /= b[0]
+    return c
+
+
+def _compose(f: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Taylor rows of f o m from the rows of f at m_0 and the rows of m:
+    sum_k f_k (m - m_0)^k by Horner, where m - m_0 has no constant row."""
+    out = np.zeros_like(f)
+    out[0] = f[-1]
+    for k in range(f.shape[0] - 2, -1, -1):
+        out[1:] = _mul(m[1:], out[:-1])
+        out[0] = f[k]
     return out
 
 
-def _poly_jets(coeffs, x: np.ndarray, order: int) -> np.ndarray:
+def _poly_taylor(coeffs, x: np.ndarray, order: int) -> np.ndarray:
+    """Taylor rows at x of the polynomial with ascending coefficients c, by
+    Horner in the series x + h: c_0 + (x + h)(c_1 + (x + h)(c_2 + ...))."""
     out = np.zeros((order + 1, x.size), dtype=complex)
-    c = np.asarray(coeffs, dtype=complex)
-    for k in range(order + 1):
-        out[k] = P.polyval(x, c) if c.size else 0.0
-        c = P.polyder(c)
+    for c in np.asarray(coeffs, dtype=complex)[::-1]:
+        if order:
+            out[1:] = out[1:] * x + out[:-1]
+        out[0] = out[0] * x + c
     return out
 
 
@@ -119,7 +139,7 @@ def _offcut_ok(q) -> bool:
 
 
 class SmoothVector:
-    """Base class: complex-valued function on R with jets up to order 4.
+    """Base class: complex-valued function on R with exact Taylor rows.
 
     support None means the whole line.
     """
@@ -127,11 +147,19 @@ class SmoothVector:
     support: tuple[float, float] | None = None
     hints: tuple[float, ...] = ()
 
-    def jet(self, x: np.ndarray, order: int) -> np.ndarray:
+    def taylor(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Rows f^(k)(x)/k!, k = 0..order, at a 1-d array of points."""
         raise NotImplementedError
 
+    def jet(self, x: np.ndarray, order: int) -> np.ndarray:
+        """Rows f^(k)(x), k = 0..order."""
+        rows = self.taylor(np.atleast_1d(np.asarray(x, dtype=float)), order)
+        for k in range(2, order + 1):
+            rows[k] *= math.factorial(k)
+        return rows
+
     def value(self, x):
-        return self.jet(np.atleast_1d(np.asarray(x, dtype=float)), 0)[0]
+        return self.taylor(np.atleast_1d(np.asarray(x, dtype=float)), 0)[0]
 
     def __call__(self, x):
         scalar = np.isscalar(x)
@@ -168,30 +196,24 @@ class QuadraticPower(SmoothVector):
         return QuadraticPower(self.kappa, pull_quadratic(self.q, ginv),
                               self.sigma)
 
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x))
-        out = np.zeros((order + 1, x.size), dtype=complex)
-        # principal log; valid by the off-cut invariant
-        out[0] = self.kappa * np.exp(self.sigma * np.log(P.polyval(x, self.q)))
-        # dlog[k] = (log q)^(k+1) = (-1)^k k! sum_rho (x - rho)^(-k-1)
-        dlog = []
+    def taylor(self, x, order):
+        # kappa exp(sigma log q): the principal log, valid by the off-cut
+        # invariant, and its rows (-1)^(k-1)/k sum_rho (x - rho)^(-k)
+        log_q = np.empty((order + 1, x.size), dtype=complex)
+        log_q[0] = np.log(P.polyval(x, self.q))
         power = 1.0
-        for k in range(order):
+        for k in range(1, order + 1):
             power = power / (x - self.roots[:, None])
-            dlog.append((-1) ** k * math.factorial(k) * power.sum(axis=0))
-        # f' = sigma (log q)' f, differentiated n times by Leibniz
-        for n in range(order):
-            out[n + 1] = self.sigma * sum(_binom(n, k) * dlog[k] * out[n - k]
-                                          for k in range(n + 1))
-        return out
+            log_q[k] = (-1) ** (k - 1) / k * power.sum(axis=0)
+        return self.kappa * _exp(self.sigma * log_q)
 
 
 class PolyVector(SmoothVector):
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
-    def jet(self, x, order):
-        return _poly_jets(self.coeffs, np.atleast_1d(np.asarray(x)), order)
+    def taylor(self, x, order):
+        return _poly_taylor(self.coeffs, x, order)
 
 
 class ExpPoly(SmoothVector):
@@ -202,23 +224,12 @@ class ExpPoly(SmoothVector):
         if quad.shape != (3,) or quad[2].real <= 0:
             raise ValueError("Gaussian needs Re(leading coefficient) > 0")
         self.kappa = complex(kappa)
+        self.poly = np.asarray(poly, dtype=complex)
         self.quad = quad
-        self._polys = [np.asarray(poly, dtype=complex)]
 
-    def _p(self, n):
-        dq = P.polyder(self.quad)
-        while len(self._polys) <= n:
-            pk = self._polys[-1]
-            self._polys.append(P.polysub(P.polyder(pk), P.polymul(pk, dq)))
-        return self._polys[n]
-
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x))
-        gauss = np.exp(-P.polyval(x, self.quad))
-        out = np.zeros((order + 1, x.size), dtype=complex)
-        for n in range(order + 1):
-            out[n] = self.kappa * P.polyval(x, self._p(n)) * gauss
-        return out
+    def taylor(self, x, order):
+        return _mul(self.kappa * _poly_taylor(self.poly, x, order),
+                    _exp(-_poly_taylor(self.quad, x, order)))
 
 
 class Sum(SmoothVector):
@@ -232,11 +243,10 @@ class Sum(SmoothVector):
             self.support = (min(s[0] for s in sups), max(s[1] for s in sups))
         self.hints = tuple(sorted({h for _, v in self.terms for h in v.hints}))
 
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x))
+    def taylor(self, x, order):
         out = np.zeros((order + 1, x.size), dtype=complex)
         for c, v in self.terms:
-            out += c * v.jet(x, order)
+            out += c * v.taylor(x, order)
         return out
 
 
@@ -251,9 +261,8 @@ class Product(SmoothVector):
             self.support = u.support if u.support is not None else v.support
         self.hints = tuple(sorted(set(u.hints) | set(v.hints)))
 
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x))
-        return _leibniz(self.u.jet(x, order), self.v.jet(x, order))
+    def taylor(self, x, order):
+        return _mul(self.u.taylor(x, order), self.v.taylor(x, order))
 
 
 class DilatedArg(SmoothVector):
@@ -273,11 +282,10 @@ class DilatedArg(SmoothVector):
             self.support = (min(a, b), max(a, b))
         self.hints = tuple(sorted((h - beta) / alpha for h in child.hints))
 
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x))
-        cj = self.child.jet(self.alpha * x + self.beta, order)
+    def taylor(self, x, order):
+        rows = self.child.taylor(self.alpha * x + self.beta, order)
         scale = self.prefactor * self.alpha ** np.arange(order + 1)
-        return cj * scale[:, None]
+        return rows * scale[:, None]
 
 
 def _interval_preimage(lo, hi, ginv):
@@ -302,10 +310,10 @@ def _interval_preimage(lo, hi, ginv):
 class MobiusPulled(SmoothVector):
     """Unitary principal-series action of a real group element.
 
-    f(x) = |c x + d|^(-1 + i lam) child((a x + b)/(c x + d)) where
-    (a, b; c, d) is the *inverse* of the acting element.  Jets combine the
-    closed-form derivatives of the Mobius map, order-4 composition, and
-    the modulus factor |u|^nu with u = c x + d.
+    f(x) = |u|^(-1 + i lam) child(m(x)), u = c x + d and m = (a x + b)/u,
+    where (a, b; c, d) is the *inverse* of the acting element.  Its rows
+    are the modulus rows |u|^nu binom(nu, k) (c/u)^k times the child's
+    rows at m(x) composed with those of m, m_k = (-c)^(k-1) u^(-k-1).
     """
 
     def __init__(self, child: SmoothVector, ginv: np.ndarray, lam: float):
@@ -324,64 +332,17 @@ class MobiusPulled(SmoothVector):
             pts = [(d * h - b) / (a - c * h) for h in child.hints] + [-d / c]
         self.hints = tuple(sorted(h for h in pts if np.isfinite(h)))
 
-    def _mobius_jets(self, x, order):
+    def taylor(self, x, order):
         a, b, c, d = self.gi.ravel()
         u = c * x + d
-        mj = np.zeros((order + 1, x.size), dtype=complex)
-        mj[0] = (a * x + b) / u
-        sign = 1.0
-        fact = 1.0
-        for n in range(1, order + 1):
-            # m^(n) = (-1)^(n-1) n! c^(n-1) u^(-n-1)
-            mj[n] = sign * fact * c ** (n - 1) * u ** (-(n + 1))
-            sign = -sign
-            fact *= (n + 1)
-        return mj
-
-    def _modulus_jets(self, x, order):
-        a, b, c, d = self.gi.ravel()
-        u = c * x + d
-        au = np.abs(u)
-        sgn = np.sign(u)
-        out = np.zeros((order + 1, x.size), dtype=complex)
-        coeff = 1.0 + 0.0j
-        for n in range(order + 1):
-            out[n] = coeff * (c * sgn) ** n * au ** (self.nu - n)
-            coeff *= (self.nu - n)
-        return out
-
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        mj = self._mobius_jets(x, order)
-        fj_at_m = self.child.jet(mj[0].real, order)
-        comp = _compose_jets(fj_at_m, mj)
-        return _leibniz(self._modulus_jets(x, order), comp)
-
-
-#: ascending coefficients of p_n, n <= 4, with (d/dt)^n exp(-1/t) =
-#: exp(-1/t) p_n(1/t): p_0 = 1 and p_n(u) = u^2 (p_{n-1}(u) - p_{n-1}'(u))
-_GLUE_POLYS = (np.array([1.0]),
-               np.array([0.0, 0.0, 1.0]),
-               np.array([0.0, 0.0, 0.0, -2.0, 1.0]),
-               np.array([0.0, 0.0, 0.0, 0.0, 6.0, -6.0, 1.0]),
-               np.array([0.0, 0.0, 0.0, 0.0, 0.0, -24.0, 36.0, -12.0, 1.0]))
-
-
-def _glue_jets(t: np.ndarray, order: int) -> np.ndarray:
-    """Jets of exp(-1/t) for t > 0 (zero extended for t <= 0)."""
-    if order >= len(_GLUE_POLYS):
-        raise ValueError("glue jets tabulated up to order 4")
-    t = np.asarray(t, dtype=float)
-    pos = t > 0
-    out = np.zeros((order + 1, t.size), dtype=complex)
-    if not np.any(pos):
-        return out
-    u = 1.0 / t[pos]
-    e = np.exp(-u)
-    out[0][pos] = e
-    for n in range(1, order + 1):
-        out[n][pos] = e * P.polyval(u, _GLUE_POLYS[n])
-    return out
+        m = np.empty((order + 1, x.size))
+        modulus = np.empty((order + 1, x.size), dtype=complex)
+        m[0] = (a * x + b) / u
+        modulus[0] = np.abs(u) ** self.nu
+        for k in range(1, order + 1):
+            m[k] = (-c) ** (k - 1) * u ** (-k - 1)
+            modulus[k] = modulus[k - 1] * ((self.nu - (k - 1)) / k) * (c / u)
+        return _mul(modulus, _compose(self.child.taylor(m[0], order), m))
 
 
 class RadialStep(SmoothVector):
@@ -400,8 +361,7 @@ class RadialStep(SmoothVector):
         self.support = (-b, b)
         self.hints = (-b, -a, a, b)
 
-    def jet(self, x, order):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def taylor(self, x, order):
         ax = np.abs(x)
         out = np.zeros((order + 1, x.size), dtype=complex)
         out[0][ax <= self.a] = 1.0
@@ -410,19 +370,14 @@ class RadialStep(SmoothVector):
             return out
         width = self.b - self.a
         t = (self.b - ax[trans]) / width
-        g1 = _glue_jets(t, order)
-        g2 = _glue_jets(1.0 - t, order)
-        denom = g1 + g2 * (-1.0) ** np.arange(order + 1)[:, None]
-        # quotient jets s = g1 / (g1 + g(1-t)) via Leibniz on s * denom = g1
-        sj = np.zeros_like(g1)
-        sj[0] = g1[0] / denom[0]
-        for n in range(1, order + 1):
-            acc = g1[n].copy()
-            for j in range(n):
-                acc -= _binom(n, j) * sj[j] * denom[n - j]
-            sj[n] = acc / denom[0]
-        # chain through t(x) = (b - |x|)/width, dt/dx = -sign(x)/width
-        slope = -np.sign(x[trans]) / width
-        for n in range(order + 1):
-            out[n][trans] = sj[n] * slope ** n
+        slope = -np.sign(x[trans]) / width   # dt/dx
+        k = np.arange(order + 1)[:, None]
+
+        def glue(s, ds):
+            # rows in x of g(s) = exp(-1/s) for s linear in x, 0 < s < 1:
+            # -1/s has rows -(1/s) (-ds/s)^k
+            return _exp(-(1.0 / s) * (-ds / s) ** k)
+
+        g = glue(t, slope)
+        out[:, trans] = _div(g, g + glue(1.0 - t, -slope))
         return out

@@ -1,17 +1,27 @@
 """Command line interface: parsing, JSON shape, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from crownkit.cli import main, parse_complex
 
+# child processes import crownkit from this checkout's src, which they
+# would not find without an installed package or PYTHONPATH
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+             else []))}
+
 
 def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "crownkit.cli", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=CHILD_ENV)
     return proc
 
 
@@ -22,7 +32,7 @@ def test_cli_import_leaves_scipy_out():
     code = ("import sys, crownkit.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=300, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 

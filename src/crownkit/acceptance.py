@@ -220,11 +220,8 @@ def criterion_10(quick=False, seed=None):
     n_inv = 5 if quick else 20
     herm_worst, min_eig_ratio, ok = 0.0, math.inf, True
     for _ in range(n_sets):
-        pts = [crown.random_crown_point(rng, 0.6) for _ in range(5)]
-        gram = np.zeros((5, 5), dtype=complex)
-        for i in range(5):
-            for j in range(5):
-                gram[i, j] = spectral.hardy_kernel(pts[i], pts[j])
+        gram = spectral.hardy_gram([crown.random_crown_point(rng, 0.6)
+                                    for _ in range(5)])
         herm_worst = max(herm_worst,
                          float(np.max(np.abs(gram - gram.conj().T))))
         eigs = np.linalg.eigvalsh(gram)

@@ -11,8 +11,9 @@ summary line instead.
 Exit codes:
     0  the command ran and its status is not `fail`;
     1  usage error: the arguments do not parse (argparse prints the usage
-       to stderr, nothing to stdout), or an argument value is non-finite
-       or out of range (a JSON document with status `fail` and the error);
+       to stderr, nothing to stdout), or an argument value is non-finite,
+       out of range or a count too large to allocate (`MemoryError`) (a
+       JSON document with status `fail` and the error);
     2  numerical or domain failure: the status is `fail`, or a crownkit
        error or an arithmetic error (overflow, division by zero) was
        raised (a JSON document with the error).
@@ -282,16 +283,16 @@ def cmd_transform(args):
 
 def cmd_parseval(args):
     _check_width(args.width)
-    weight = spectral.calibrate_parseval()
     check = spectral.parseval_check(
-        lambda r: np.exp(-0.5 * (r / args.width) ** 2), weight)
-    out = {"constant": weight.calibration_constant, "lhs": check.lhs,
-           "rhs": check.rhs, "gap": check.gap}
+        lambda r: np.exp(-0.5 * (r / args.width) ** 2))
+    out = {"constant": spectral.PLANCHEREL.calibration_constant,
+           "lhs": check.lhs, "rhs": check.rhs, "gap": check.gap}
     if args.verdict:
         out["verdict"] = spectral.plancherel_verdict()
     status = "pass" if check.gap < 1e-3 else "fail"
     return emit("parseval", {"width": args.width}, out, status,
-                provenance="one-time calibrated tempered weight")
+                provenance="closed-form tempered weight "
+                           "lam tanh(pi lam/2)/(8 pi)")
 
 
 def cmd_gutzmer(args):
@@ -307,13 +308,12 @@ def cmd_gutzmer(args):
 
 
 def cmd_hardy_kernel(args):
+    if args.gram < 0:
+        raise ValueError(f"gram needs a nonnegative count, got {args.gram}")
     if args.gram:
         rng = np.random.default_rng(args.seed)
-        pts = [crown.random_crown_point(rng, 0.6) for _ in range(args.gram)]
-        gram = np.zeros((args.gram, args.gram), dtype=complex)
-        for i in range(args.gram):
-            for j in range(args.gram):
-                gram[i, j] = spectral.hardy_kernel(pts[i], pts[j])
+        gram = spectral.hardy_gram([crown.random_crown_point(rng, 0.6)
+                                    for _ in range(args.gram)])
         eigs = np.linalg.eigvalsh(gram)
         out = {"seed": args.seed, "min_eigenvalue": float(eigs.min()),
                "trace": float(np.trace(gram).real)}
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=str, default="")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("parseval", help="Parseval identity with calibration")
+    p = sub.add_parser("parseval", help="Parseval identity")
     p.add_argument("--width", type=float, default=0.7)
     p.add_argument("--verdict", action="store_true",
                    help="report both tempered-weight variants")
@@ -518,11 +518,11 @@ def main(argv=None) -> int:
             if numeric and not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         result = args.func(args)
-    except (CrownkitError, ArithmeticError, ValueError) as exc:
+    except (CrownkitError, ArithmeticError, ValueError, MemoryError) as exc:
         print(json.dumps({"command": args.command, "status": "fail",
                           "error": type(exc).__name__,
                           "message": str(exc)}, sort_keys=True))
-        return 1 if isinstance(exc, ValueError) else 2
+        return 1 if isinstance(exc, (ValueError, MemoryError)) else 2
     if isinstance(result, int):
         return result
     return 0 if result.get("status") != "fail" else 2

@@ -157,6 +157,8 @@ def pipeline_demo(F: PeriodicStripFunction, y: float, B: SupBoundModel,
     """
     if not y > 2.0:
         raise DomainError("the demo needs y > 2")
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max}: the demo needs n_max >= 1")
     eps = 1.0 / y
     # beyond this |n| the bound e^{-2 pi |n| y (1 - eps)} leaves the normal
     # double range: the ratios lose their precision, then divide by zero

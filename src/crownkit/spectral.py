@@ -5,11 +5,13 @@ Conventions.  The hyperbolic area element is dx dy / y^2; the geodesic
 radius r relates to the torus by a_t x0 at distance r = 2 log t, so radial
 integrals carry the factor 2 pi sinh(r).  The transform of a radial f is
     F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr.
-The tempered weight is lam * tanh(pi lam / 2) d lam up to one overall
-constant, which is not normalized here but calibrated once against a
-direct Parseval computation on a reference Gaussian and then validated on
-held-out profiles.  (Written with tanh(pi lam), no constant fits two
-different reference widths at once; the calibration harness reports this.)
+The Plancherel measure of nu = -1/2 + i lam/2 on lam >= 0 is |c(lam)|^-2
+d lam = lam tanh(pi lam/2)/(8 pi) d lam in this normalization (Helgason,
+Groups and Geometric Analysis, Ch. IV; Koornwinder 1984): `PLANCHEREL`, the
+default weight of every spectral side.  `calibrate_parseval` recovers the
+constant from a direct Parseval computation on a reference Gaussian, as a
+check; written with tanh(pi lam), no constant fits two reference widths at
+once, which `plancherel_verdict` reports.
 
 On the crown every matrix coefficient <pi(z)v_K, pi(w)v_K> is P_nu(c),
 nu = -1/2 + i lam/2, at one invariant c of the pair (cosh d(z, w) on real
@@ -21,10 +23,10 @@ A spectral density is a vectorized closed form in lam with its decay
 (`SpectralDensity`), which decides a kernel measure's admissibility; a lam
 rule integrates it only where it has decayed by the rule's end.
 
-The lam and r rules, the phi matrix on them, the calibrated Plancherel
-constant and the kernels' `LegendreRule` live in one `SpectralGrid`, built
-once per process by the first reader of the phi matrix: the transform,
-Parseval, the orbital mass or `calibrate_parseval`.
+The lam and r rules, the phi matrix on them and the kernels'
+`LegendreRule` live in one `SpectralGrid`, built once per process by the
+first reader of the phi matrix: the transform, Parseval or the orbital
+mass.
 
 The orbital identity moves the group integral of |f|^2 over a shifted
 copy of X inside the crown to the spectral side, weighted by the doubled
@@ -62,8 +64,7 @@ KERNEL_LAM_MAX = 16.0
 
 
 class SpectralGrid:
-    """The fixed rules of the spectral side, the phi matrix on them and the
-    Plancherel weight calibrated there.
+    """The fixed rules of the spectral side and the phi matrix on them.
 
     - lam: graded Gauss-Legendre rule on [0, 32], 40 nodes on each panel
       of [0, 1/4, 1/2, 1, 2, 4, 8, 16, 32], dense near 0 where the tempered
@@ -71,9 +72,9 @@ class SpectralGrid:
       kernels on [0, KERNEL_LAM_MAX];
     - r: graded rule on the radial range [0, 36], 48 nodes per panel.
 
-    The phi matrix (`phi_radial_matrix`), the weight and the kernels'
-    `LegendreRule` are built on first access; through `spectral_grid` that
-    is at most once per process.
+    The phi matrix (`phi_radial_matrix`) and the kernels' `LegendreRule`
+    are built on first access; through `spectral_grid` that is at most
+    once per process.
     """
 
     def __init__(self):
@@ -91,11 +92,6 @@ class SpectralGrid:
     def phi(self) -> np.ndarray:
         """phi_lam(r) on the lam nodes by the r nodes."""
         return phi_radial_matrix(self.lam_nodes, self.r_nodes)
-
-    @cached_property
-    def weight(self) -> PlancherelWeight:
-        """The Plancherel weight calibrated on this grid."""
-        return calibrate_parseval()
 
     @cached_property
     def kernel_legendre(self) -> LegendreRule:
@@ -383,7 +379,7 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return _legendre(lams, -np.sinh(half) ** 2, np.cosh(half) ** 2)
 
 
-# -- transform, Parseval, calibration ----------------------------------------
+# -- transform, Parseval, the Plancherel weight ------------------------------
 
 @dataclass(frozen=True)
 class SampledTransform:
@@ -424,9 +420,9 @@ def radial_l2_mass(f_radial) -> float:
 @dataclass(frozen=True)
 class PlancherelWeight:
     """Tempered weight lam*tanh(pi lam/2) (or the tanh(pi lam) variant)
-    times one calibrated constant."""
+    times one constant, by default the closed form 1/(8 pi)."""
 
-    calibration_constant: float
+    calibration_constant: float = 1.0 / (8.0 * math.pi)
     form: str = "lambda_tanh_half"
 
     def density(self, lam):
@@ -435,40 +431,29 @@ class PlancherelWeight:
         return self.calibration_constant * lam * np.tanh(math.pi * lam * half)
 
 
-def _spectral_mass(density_values: np.ndarray, lam_nodes, lam_weights,
-                   weight: PlancherelWeight) -> float:
-    return float(np.sum(lam_weights * np.abs(density_values) ** 2
-                        * weight.density(lam_nodes)))
+#: the Plancherel weight |c(lam)|^-2 = lam tanh(pi lam/2)/(8 pi)
+PLANCHEREL = PlancherelWeight()
+
+
+def parseval_check(f_radial, weight: PlancherelWeight = PLANCHEREL
+                   ) -> IdentityCheck:
+    """Direct X-side mass of a radial function against its spectral mass."""
+    grid = spectral_grid()
+    dens = spherical_transform(f_radial).values
+    rhs = np.sum(grid.lam_weights * np.abs(dens) ** 2
+                 * weight.density(grid.lam_nodes))
+    return IdentityCheck(radial_l2_mass(f_radial), float(rhs))
 
 
 def calibrate_parseval(reference_width: float = 1.0,
                        form: str = "lambda_tanh_half") -> PlancherelWeight:
-    """Fix the overall Plancherel constant on a reference radial Gaussian.
-
-    The constant is the ratio of the direct X-side mass to the raw
-    spectral mass; Parseval then holds by construction on the reference
-    and is validated on held-out profiles by `parseval_check`.
-    """
-    f_ref = lambda r: np.exp(-0.5 * (r / reference_width) ** 2)
-    grid = spectral_grid()
-    lhs = radial_l2_mass(f_ref)
-    dens = spherical_transform(f_ref)
-    raw = _spectral_mass(dens.values, grid.lam_nodes, grid.lam_weights,
+    """The constant that makes Parseval exact on a reference radial
+    Gaussian: its X-side mass over its spectral mass under the unit weight
+    of the form.  A check of the closed form: for the half-angle form it
+    is 1/(8 pi) to 7e-16 at reference widths from 0.5 to 2."""
+    chk = parseval_check(lambda r: np.exp(-0.5 * (r / reference_width) ** 2),
                          PlancherelWeight(1.0, form))
-    return PlancherelWeight(lhs / raw, form)
-
-
-def parseval_check(f_radial, weight: PlancherelWeight | None = None
-                   ) -> IdentityCheck:
-    """Direct X-side mass of a radial function against its spectral mass."""
-    grid = spectral_grid()
-    if weight is None:
-        weight = grid.weight
-    lhs = radial_l2_mass(f_radial)
-    dens = spherical_transform(f_radial)
-    rhs = _spectral_mass(dens.values, grid.lam_nodes, grid.lam_weights,
-                         weight)
-    return IdentityCheck(lhs, rhs)
+    return PlancherelWeight(chk.lhs / chk.rhs, form)
 
 
 def plancherel_verdict() -> dict:
@@ -593,22 +578,20 @@ class OrbitQuadrature:
 
 
 def orbit_quadrature(density: SpectralDensity,
-                     weight: PlancherelWeight | None = None,
+                     weight: PlancherelWeight = PLANCHEREL,
                      rho_max: float | None = None) -> OrbitQuadrature:
     """The grids `orbital_mass` integrates on.
 
     The radial cut reads the profile f(r) = c Int d(lam) phi_lam(r) w(lam)
-    d lam off the default phi matrix, which calibration has built, and
-    ends the rho range one unit past the last radius at which the radial
-    mass of |f|^2 still left beyond it exceeds RHO_TAIL_TOL of the total
+    d lam off the default phi matrix of `spectral_grid`, and ends the rho
+    range one unit past the last radius at which the radial mass of |f|^2
+    still left beyond it exceeds RHO_TAIL_TOL of the total
     (rho_max = 8 for a zero profile).  An explicit rho_max overrides the
     cut; tail_fraction is the profile mass beyond rho_max either way.
     ValueError where the weighted density has not decayed by lam = 32, the
     end of the grid's lam rule.
     """
     grid = spectral_grid()
-    if weight is None:
-        weight = grid.weight
     nodes, lam_w = _adapted_lambda_quad(density, weight)
     coeff = lam_w * density(nodes) * weight.density(nodes)
 
@@ -665,7 +648,7 @@ def _integrate_orbit(quad: OrbitQuadrature, r: float
 
 
 def orbital_mass(density: SpectralDensity, r: float,
-                 weight: PlancherelWeight | None = None,
+                 weight: PlancherelWeight = PLANCHEREL,
                  rho_max: float | None = None) -> float:
     """Group integral of |f|^2 over the shifted orbit at torus angle r.
 
@@ -701,12 +684,10 @@ class GutzmerCheck(IdentityCheck):
 
 
 def gutzmer_check(density: SpectralDensity, r: float,
-                  weight: PlancherelWeight | None = None) -> GutzmerCheck:
+                  weight: PlancherelWeight = PLANCHEREL) -> GutzmerCheck:
     """Orbital mass at torus angle r against the spectral integral weighted
     by the doubled torus value."""
     _check_torus_angle(r)
-    if weight is None:
-        weight = spectral_grid().weight
     lhs, orbit = _integrate_orbit(orbit_quadrature(density, weight), r)
     nodes = orbit.lam_nodes             # coeff conj(d) = lam_w |d|^2 w(lam)
     rhs = np.sum(orbit.coeff * np.conj(density(nodes))
@@ -768,3 +749,13 @@ def hardy_kernel(z: PairPoint, w: PairPoint) -> complex:
     """Reproducing kernel of the holomorphic Hardy space attached to the
     most-continuous spectrum of the hyperboloid, up to positive scale."""
     return invariant_kernel(_HARDY_MEASURE, z, w)
+
+
+def hardy_gram(points) -> np.ndarray:
+    """The Hardy kernel's Gram matrix K(z_i, z_j), both triangles
+    evaluated."""
+    gram = np.empty((len(points), len(points)), dtype=complex)
+    for i, z in enumerate(points):
+        for j, w in enumerate(points):
+            gram[i, j] = hardy_kernel(z, w)
+    return gram

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from crownkit import horo
 from crownkit.cli import main, parse_complex
 
 # child processes import crownkit from this checkout's src, which they
@@ -86,6 +87,24 @@ def test_numerical_failure_exit_code(capsys):
     assert doc["status"] == "fail"
 
 
+@pytest.mark.parametrize("argv, callee", [
+    (["convexity", "--phi", "0.3", "--samples", "1000000000000"],
+     "convexity_scan"),
+    (["escape", "--phi", "1.1", "--grid", "5"], "escape_curve")])
+def test_memory_error_gives_one_json_document(argv, callee, monkeypatch,
+                                              capsys):
+    # a count too large to allocate is a bad argument value; the callee
+    # raises instead of allocating, so nothing large is ever requested
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(horo, callee, no_memory)
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["status"] == "fail"
+    assert doc["error"] == "MemoryError" and doc["command"] == argv[0]
+
+
 def test_escape_command(capsys):
     main(["escape", "--phi", "1.0", "--grid", "50"])
     doc = json.loads(capsys.readouterr().out)
@@ -150,9 +169,9 @@ def test_hardy_kernel_point_form(capsys):
 
 
 # well-typed but out-of-range arguments, each rejected before any
-# phi-matrix or calibration work but the gutzmer density past the lam rule,
-# rejected once calibrated; the value is the exit code when the case pins
-# one (bad argument values exit 1, domain failures 2)
+# phi-matrix work but the gutzmer density past the lam rule, rejected once
+# its weighted density is read on the lam nodes; the value is the exit code
+# when the case pins one (bad argument values exit 1, domain failures 2)
 FUZZ = {
     ("crown-check", "--z1=nan", "--z2=0-1i"): 1,
     ("crown-check", "--z1=inf", "--z2=0-1i"): 1,
@@ -235,6 +254,8 @@ FUZZ = {
     ("maass", "--y", "nan"): 1,
     ("maass", "--y", "1e300"): None,
     ("maass", "--nmax", "99"): 1,
+    ("maass", "--nmax", "0"): 1,
+    ("maass", "--nmax", "-1"): 1,
     ("suite", "--seed", "-1"): None,
 }
 

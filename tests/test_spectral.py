@@ -1,5 +1,6 @@
 """Spherical transform, Parseval calibration, orbital identity, kernels."""
 
+import json
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_crown_point, random_real_element
-from crownkit import crown, spectral
+from crownkit import cli, crown, spectral
 from crownkit.errors import AdmissibilityFailure, DomainError
 from crownkit.liecore import a_t, k_theta, n_x
 from crownkit.pairmodel import BASE_POINT, PairPoint
@@ -16,7 +17,7 @@ from crownkit.repn import SpectralParam, continue_vK, phi_lambda, rep_norm
 
 @pytest.fixture(scope="module")
 def weight():
-    return spectral.spectral_grid().weight
+    return spectral.PLANCHEREL
 
 
 def test_phi_radial_matrix_against_conical_oracle():
@@ -152,6 +153,37 @@ def test_plancherel_verdict_selects_half_angle_weight():
     assert verdict["verdict"] == "lambda_tanh_half"
     assert verdict["lambda_tanh_half"]["relative_spread"] < 1e-3
     assert verdict["lambda_tanh"]["relative_spread"] > 1e-2
+
+
+def test_plancherel_constant_is_one_over_eight_pi():
+    # |c(lam)|^-2 = lam tanh(pi lam/2)/(8 pi); calibration recovers it
+    assert spectral.PLANCHEREL.calibration_constant == 1.0 / (8.0 * math.pi)
+    assert spectral.PLANCHEREL.form == "lambda_tanh_half"
+    calibrated = spectral.calibrate_parseval().calibration_constant
+    assert abs(calibrated * 8.0 * math.pi - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("width", [0.5, 0.7, 1.0, 2.0])
+def test_parseval_holds_with_the_closed_form(width, capsys):
+    code = cli.main(["parseval", "--width", str(width)])
+    out = json.loads(capsys.readouterr().out)["outputs"]
+    assert code == 0 and out["constant"] == 1.0 / (8.0 * math.pi)
+    assert out["gap"] <= 1e-14
+
+
+def test_spectral_side_runs_without_calibration(monkeypatch, capsys):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("the spectral side calibrated its weight")
+
+    monkeypatch.setattr(spectral, "calibrate_parseval", no_calibration)
+    dens = spectral.gaussian_density(2.0, 0.7)
+    assert spectral.gutzmer_check(dens, 0.3).gap < 1e-6
+    assert spectral.orbital_mass(dens, 0.3) > 0
+    assert spectral.parseval_check(
+        lambda r: np.exp(-0.5 * (r / 0.7) ** 2)).gap < 1e-14
+    for argv in (["gutzmer"], ["parseval", "--width", "0.7"]):
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_parseval_held_out_profiles(weight):

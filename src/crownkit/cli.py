@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=int, default=0,
+                   help="dyadic depth, 1..64; 0 picks it by choose_m")
     p.set_defaults(func=cmd_invariant_bound)
 
     p = sub.add_parser("transform", help="radial spherical transform")

@@ -212,7 +212,7 @@ def boundary_classify(z: PairPoint, tol: float = 1e-8) -> BoundaryClass:
         cone = None
         if not (is_infinity(z.first) or is_infinity(z.second)):
             q = to_quadric(z)
-            if np.max(np.abs(q.z.real)) > 100.0 * max(tol, 1e-12) * (
+            if not np.max(np.abs(q.z.real)) <= 100.0 * max(tol, 1e-12) * (
                     1.0 + np.max(np.abs(q.z.imag))):
                 raise NumericalDrift(
                     "distinguished candidate is not purely imaginary "
@@ -238,7 +238,7 @@ class QuadricPoint:
             raise ValueError("quadric point needs three coordinates")
         # cancellation in Q scales with the squared coordinate size
         scale = max(1.0, float(np.max(np.abs(self.z))) ** 2)
-        if abs(self.quadric_form() - 1.0) > 1e-10 * scale:
+        if not abs(self.quadric_form() - 1.0) <= 1e-10 * scale:
             raise NumericalDrift(f"Q(z) = {self.quadric_form()} != 1")
 
     def quadric_form(self) -> complex:
@@ -247,8 +247,12 @@ class QuadricPoint:
 
 
 def _sym_coords(s: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * (s[0, 0] + s[1, 1]), s[0, 1],
-                     0.5 * (s[0, 0] - s[1, 1])])
+    with np.errstate(all="ignore"):  # inf * 0 is refused below
+        coords = np.array([0.5 * (s[0, 0] + s[1, 1]), s[0, 1],
+                           0.5 * (s[0, 0] - s[1, 1])])
+    if not np.all(np.isfinite(coords)):
+        raise NumericalDrift("quadric coordinates overflow")
+    return coords
 
 
 def quadric_of_sym(s: np.ndarray) -> QuadricPoint:
@@ -265,7 +269,7 @@ def to_quadric(z: PairPoint) -> QuadricPoint:
     coords = _sym_coords(pair_sym(z))
     form = coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2
     scale = max(1.0, float(np.max(np.abs(coords))) ** 2)
-    if abs(form - 1.0) > 1e-8 * scale:
+    if not abs(form - 1.0) <= 1e-8 * scale:
         raise NumericalDrift("quadric constraint drifted beyond 1e-8")
     # project exactly back onto the quadric before constructing
     return QuadricPoint(coords / np.sqrt(form))

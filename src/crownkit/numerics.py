@@ -24,6 +24,9 @@ own request max(abs_tol, rel_tol |value_i|), and a panel's claim to a
 split is its error summed over the components, each in units of that
 component's tolerance.  One component is the scalar case.
 
+A real integrand stays real: its samples, panel sums and error estimates
+are float64, and only the returned value is complex.
+
 Everything here is pure and deterministic: the final reduction is an
 ordered sum over the panels.
 """
@@ -192,7 +195,7 @@ def _split(piece, lo, hi, k):
 
 
 def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
-    """Integrate a complex-valued f over (a, b), either endpoint may be inf.
+    """Integrate a real or complex f over (a, b), either endpoint may be inf.
 
     `f` is called with a 1-d numpy array of n sample points, once per
     round, and returns n values, or a stack of shape (m, n) whose m
@@ -231,7 +234,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
         x[far] = c[piece[far], None] + d[piece[far], None] * t / (1.0 - t)
         jac[far] /= (1.0 - t) ** 2
         with np.errstate(all="ignore"):  # non-finite samples are policed below
-            vals = np.asarray(f(x.ravel()), dtype=complex)
+            vals = np.asarray(f(x.ravel()))
+            vals = vals.astype(np.result_type(vals, float), copy=False)
             y = jac * vals.reshape((-1,) + x.shape)
         stacked = vals.ndim == 2
         _ensure_finite(y, (float(x.min()), float(x.max())))
@@ -252,7 +256,7 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
             raise NonConvergence(
                 f"quadrature error {total_err[worst]:.3e} above tolerance "
                 f"after {added} added panels",
-                estimate=sign * (total if stacked else total[0]),
+                estimate=sign * (total if stacked else total[0]) + 0j,
                 error=total_err if stacked else total_err[0])
         # each panel's error in units of its component's tolerance, summed
         # over the components; split the fewest worst panels that carry
@@ -273,7 +277,7 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
             for old, part in zip((piece, lo, hi, val, err), new))
 
     # ordered sum for a deterministic, refinement-independent reduction
-    value = sign * val[:, np.lexsort((lo, piece))].sum(axis=1)
+    value = sign * val[:, np.lexsort((lo, piece))].sum(axis=1) + 0j
     if not stacked:
         return IntegralResult(value[0], total_err[0], val.shape[1])
     return IntegralResult(value, total_err, val.shape[1])

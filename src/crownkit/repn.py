@@ -94,8 +94,12 @@ def apply_pi(param: SpectralParam, g: GroupElement, f):
 def rep_norm(vec) -> float:
     """L^2 norm of a representation vector."""
     lo, hi = vec.support if vec.support is not None else (-math.inf, math.inf)
-    res = integrate(lambda x: np.abs(vec.value(x)) ** 2, lo, hi,
-                    REPRESENTATION_CFG.with_hints(vec.hints))
+
+    def density(x):
+        v = vec.value(x)
+        return v.real ** 2 + v.imag ** 2
+
+    res = integrate(density, lo, hi, REPRESENTATION_CFG.with_hints(vec.hints))
     return math.sqrt(max(res.value.real, 0.0))
 
 

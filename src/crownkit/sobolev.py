@@ -18,12 +18,23 @@ phi = psi - psi(2 .), tau = 1 - psi, tau_m = psi(2^{m+1} .), so the
 partition and the derivative identity tau_m^(l) = -2^{lm} phi^(l)(2^m x)
 hold exactly on the support of tau_m.
 
+The blocks are built at unit scale in closed form.  pi(b_t) pulls a
+vector back along the dilation x -> t x, up to a constant factor and with
+no Mobius pole, so it carries the dilated cutoffs back to the fixed ones:
+pi(b_{2^-j})(phi_j f) = phi pi(b_{2^-j}) f and pi(b_{2^-(m+1)})(tau_m f)
+= psi pi(b_{2^-(m+1)}) f, where pi(b_t) f is again a quadratic power for
+the continued vectors.
+
 A norm is one quadrature with a stacked integrand.  Each round evaluates
 the Taylor rows of v to order k once and walks the monomial tree,
 f-powers first, then e, then h: each node is one step of the derived
 action on Taylor rows from its parent.  The squared moduli of all nodes
 share one panel pool, each to its own tolerance, and ||v|| is
-component 0.
+component 0.  Cutoffs times v can share the pool and v's Taylor rows:
+f and the outer block (tau + phi) f are one quadrature, which also gives
+the display at f, so a bound at depth m takes m + 3 quadratures: that
+one, the inner block, the m dyadic blocks and the display after the
+rotation k0.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from .numerics import REPRESENTATION_CFG, IdentityCheck, integrate
 from .repn import (DIRECTIONS, SpectralParam, action_taylor, apply_pi,
                    derived_taylor)
 from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
-                      SmoothVector, Sum)
+                      SmoothVector, Sum, _mul)
 
 _SUBGROUP_DIRECTION = {
     "A": "h",
@@ -52,7 +63,11 @@ _SUBGROUP_DIRECTION = {
 #: norm of v_K already raises NonConvergence, since d_pi(f)^3 v_K and
 #: d_pi(f)^4 v_K evaluate to noise that grows with |x|
 MAX_ORDER = 4
-_M_MAX = 64    # deepest dyadic depth choose_m tries
+#: the deepest dyadic depth: choose_m tries no deeper and build_dyadic
+#: refuses more (2^(m+1) overflows at m = 1023).  For v_K continued to
+#: eps = 1e-3 at lam = 1, k = 2, going on from m = 64 to m = 200 moves
+#: dyadic_rhs by 1.6e-14 relative
+_M_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -83,27 +98,35 @@ def _chain(direction: str, k: int):
     return [(direction,) * j for j in range(k + 1)]
 
 
-def _word_norms(param: SpectralParam, f: SmoothVector,
-                words) -> list[float]:
-    """Norms of d_pi(w_n) ... d_pi(w_1) f for each word (w_1, ..., w_n),
-    in the order of `words`, all integrated in one quadrature on f's
-    support with f's hints.  The words form a tree: a word's parent, the
-    word without its last letter, is listed before it, and each word is
-    one step of the derived action on Taylor rows from its parent, so
-    one set of Taylor rows of f per quadrature round serves every word."""
+def _word_norms(param: SpectralParam, f: SmoothVector, words,
+                cuts=()) -> list[list[float]]:
+    """Norms of d_pi(w_n) ... d_pi(w_1) v for each word (w_1, ..., w_n), in
+    the order of `words`, for v = f and for v = c f with each cutoff c of
+    `cuts`: one list per vector, f's first.  All of them are integrated in
+    one quadrature on f's support with the hints of f and of the cutoffs.
+    The words form a tree: a word's parent, the word without its last
+    letter, is listed before it, and each word is one step of the derived
+    action on Taylor rows from its parent, so one set of Taylor rows of f
+    per quadrature round serves every word of every vector."""
     directions = {d: DIRECTIONS[d] for w in words for d in w}
     order = max(map(len, words))
 
     def rows(x):
         ab = {d: action_taylor(param, vec, x) for d, vec in directions.items()}
-        tree = {(): f.taylor(x, order)}
+        base = f.taylor(x, order)
+        # rows by Taylor order, vector and point
+        tree = {(): np.stack([base] + [_mul(c.taylor(x, order), base)
+                                       for c in cuts], axis=1)}
         for w in words[1:]:
             tree[w] = derived_taylor(ab[w[-1]], tree[w[:-1]])
-        return np.abs(np.array([tree[w][0] for w in words])) ** 2
+        top = np.array([tree[w][0] for w in words]).reshape(-1, x.size)
+        return top.real ** 2 + top.imag ** 2
 
     lo, hi = f.support if f.support is not None else (-math.inf, math.inf)
-    res = integrate(rows, lo, hi, REPRESENTATION_CFG.with_hints(f.hints))
-    return [math.sqrt(max(v.real, 0.0)) for v in res.value]
+    hints = sorted({*f.hints, *(h for c in cuts for h in c.hints)})
+    res = integrate(rows, lo, hi, REPRESENTATION_CFG.with_hints(hints))
+    squares = res.value.reshape(len(words), 1 + len(cuts)).T
+    return [[math.sqrt(max(v.real, 0.0)) for v in row] for row in squares]
 
 
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
@@ -112,7 +135,7 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
         words = _monomials(spec.k)
     else:
         words = _chain(_SUBGROUP_DIRECTION[spec.subgroup], spec.k)
-    return sum(_word_norms(param, f, words))
+    return sum(_word_norms(param, f, words)[0])
 
 
 @dataclass
@@ -120,11 +143,23 @@ class DyadicDecomposition:
     """Littlewood-Paley cutoff family at depth m with its dilation elements."""
 
     m: int
+    psi: SmoothVector               # smoothstep: 1 on |x|<=1, 0 on |x|>=2
     tau: SmoothVector
+    outer: SmoothVector             # tau + phi = 1 - psi(2x)
     phis: list[SmoothVector]        # phi_j = phi(2^j x), j = 0..m
     tau_m: SmoothVector
     inner_element: GroupElement     # b_{2^{-(m+1)}} for the tau_m block
     block_elements: list[GroupElement] = field(default_factory=list)
+
+    def inner_block(self, param: SpectralParam, f) -> SmoothVector:
+        """pi(b_{2^-(m+1)})(tau_m f) at unit scale: psi pi(b_{2^-(m+1)}) f."""
+        return Product(self.psi, apply_pi(param, self.inner_element, f))
+
+    def blocks(self, param: SpectralParam, f) -> list[SmoothVector]:
+        """pi(b_{2^-j})(phi_j f) at unit scale, phi pi(b_{2^-j}) f, for
+        j = 1..m."""
+        return [Product(self.phis[0], apply_pi(param, g, f))
+                for g in self.block_elements]
 
     def partition_residual(self, grid: np.ndarray) -> float:
         """max |tau + tau_m + sum phi_j - 1| over the grid."""
@@ -146,16 +181,17 @@ class DyadicDecomposition:
 
 def build_dyadic(m: int) -> DyadicDecomposition:
     """Construct the cutoff family: smooth, nonnegative, exact partition."""
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if not 1 <= m <= _M_MAX:
+        raise ValueError(f"dyadic depth m = {m} outside 1..{_M_MAX}")
     psi = RadialStep(1.0, 2.0)
+    psi2 = DilatedArg(psi, 2.0)
     one = PolyVector([1.0])
-    tau = Sum([(1.0, one), (-1.0, psi)])
-    phi = Sum([(1.0, psi), (-1.0, DilatedArg(psi, 2.0))])
-    phis = [phi] + [DilatedArg(phi, 2.0 ** j) for j in range(1, m + 1)]
-    tau_m = DilatedArg(psi, 2.0 ** (m + 1))
+    phi = Sum([(1.0, psi), (-1.0, psi2)])
     return DyadicDecomposition(
-        m=m, tau=tau, phis=phis, tau_m=tau_m,
+        m=m, psi=psi, tau=Sum([(1.0, one), (-1.0, psi)]),
+        outer=Sum([(1.0, one), (-1.0, psi2)]),
+        phis=[phi] + [DilatedArg(phi, 2.0 ** j) for j in range(1, m + 1)],
+        tau_m=DilatedArg(psi, 2.0 ** (m + 1)),
         inner_element=b_t(2.0 ** (-(m + 1))),
         block_elements=[b_t(2.0 ** (-j)) for j in range(1, m + 1)])
 
@@ -173,27 +209,12 @@ class InvariantBound:
     m: int
 
 
-def _dyadic_rhs(param, f, k, m):
-    dec = build_dyadic(m)
-    psi2 = DilatedArg(RadialStep(1.0, 2.0), 2.0)  # tau + phi = 1 - psi(2x)
-    one = PolyVector([1.0])
-    outer_cut = Sum([(1.0, one), (-1.0, psi2)])
-    outer = sobolev_norm(param, Product(outer_cut, f), SobolevSpec(k))
-    inner_vec = apply_pi(param, dec.inner_element, Product(dec.tau_m, f))
-    inner = sobolev_norm(param, inner_vec, SobolevSpec(k))
-    blocks = []
-    for j in range(1, m + 1):
-        piece = apply_pi(param, dec.block_elements[j - 1],
-                         Product(dec.phis[j], f))
-        blocks.append(sobolev_norm(param, piece, SobolevSpec(k)))
-    return outer, inner, tuple(blocks)
-
-
-def _display_norms(param, h, k):
-    """The norms of d_pi(f)^j h and of d_pi(h)^j h, j <= k, from one
-    quadrature: S_{k,Nbar}(h) and S_{k,A}(h) both start at ||h||."""
-    norms = _word_norms(param, h, _chain("f", k) + _chain("h", k)[1:])
-    return norms[:k + 1], norms[:1] + norms[k + 1:]
+def _display(words, norms, k):
+    """The display terms of a vector from the norms of its words: the norms
+    of d_pi(f)^j h and of d_pi(h)^j h, j <= k, for S_{k,Nbar}(h) and
+    S_{k,A}(h); both start at ||h||."""
+    at = dict(zip(words, norms))
+    return [at[w] for w in _chain("f", k)], [at[w] for w in _chain("h", k)]
 
 
 def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
@@ -212,16 +233,25 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     restricted Nbar-norm onto the plain norm.  The reported bound is the
     smallest display value over this canonical move family, each member
     of which dominates the invariant norm up to the same uniform constant.
+    The depth m must lie in 1..64, the depths `choose_m` tries.
     """
-    outer, inner, blocks = _dyadic_rhs(param, f, k, m)
+    dec = build_dyadic(m)
+    words = _monomials(k)
+    f_norms, outer_norms = _word_norms(param, f, words, [dec.outer])
+    outer = sum(outer_norms)
+    inner = sobolev_norm(param, dec.inner_block(param, f), SobolevSpec(k))
+    blocks = tuple(sobolev_norm(param, b, SobolevSpec(k))
+                   for b in dec.blocks(param, f))
     dyadic_rhs = outer + inner + sum(blocks)
-    nbar_f, a_f = _display_norms(param, f, k)
+    nbar_f, a_f = _display(words, f_norms, k)
     norm_f = nbar_f[0]
     comparison = sum(nbar_f) + norm_f + sum(a_f)
 
     # rotate so the singular circle points land on the contraction fixed
     # points, then push with a_t until the Nbar block collapses to ~||f||
-    nbar_norms, a_rot = _display_norms(param, apply_pi(param, K0, f), k)
+    chains = _chain("f", k) + _chain("h", k)[1:]
+    [rot_norms] = _word_norms(param, apply_pi(param, K0, f), chains)
+    nbar_norms, a_rot = _display(chains, rot_norms, k)
     s_a_rot = sum(a_rot)
     t = 1.0
     for _ in range(64):
@@ -246,9 +276,8 @@ def choose_m(param: SpectralParam, f: SmoothVector, k: int) -> int:
     target = sobolev_norm(param, f, SobolevSpec(0))
     m = 1
     while m <= _M_MAX:
-        dec = build_dyadic(m)
-        inner_vec = apply_pi(param, dec.inner_element, Product(dec.tau_m, f))
-        if sobolev_norm(param, inner_vec, SobolevSpec(k)) <= target:
+        inner = build_dyadic(m).inner_block(param, f)
+        if sobolev_norm(param, inner, SobolevSpec(k)) <= target:
             return m
         m *= 2
     return _M_MAX

@@ -186,11 +186,11 @@ FUZZ = {
     ("match", "--phi", "1e300"): None,
     ("boundary", "--z1=nan", "--z2=-1"): 1,
     ("boundary", "--z1=1", "--z2=-1", "--tol", "-1"): None,
-    ("boundary", "--z1=1e300", "--z2=-1"): None,
+    ("boundary", "--z1=1e300", "--z2=-1"): 2,
     ("boundary", "--z1=1", "--z2=-1", "--tol", "nan"): 1,
     ("quadric", "--z1=0", "--z2=0-1i"): None,
     ("quadric", "--z1=nan", "--z2=0-1i"): 1,
-    ("quadric", "--z1=1e300", "--z2=0-1i"): None,
+    ("quadric", "--z1=1e300", "--z2=0-1i"): 2,
     ("aproj", "--z1=1e300", "--z2=0-1i"): None,
     ("aproj", "--z1=-1", "--z2=0-1i"): None,
     ("aproj", "--z1=nan", "--z2=0-1i"): 1,
@@ -227,6 +227,8 @@ FUZZ = {
     ("invariant-bound", "--k", "5"): 1,
     ("invariant-bound", "--eps", "-1"): None,
     ("invariant-bound", "--eps", "1e300"): None,
+    ("invariant-bound", "--m", "65"): 1,
+    ("invariant-bound", "--m", "1100"): 1,
     ("transform", "--width", "0"): 1,
     ("transform", "--width", "-1"): 1,
     ("transform", "--width", "nan"): 1,

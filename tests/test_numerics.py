@@ -70,6 +70,31 @@ def test_complex_values():
     assert abs(res.value - 2j) < 1e-10
 
 
+@pytest.mark.parametrize("stack", [False, True], ids=["scalar", "stack"])
+def test_real_integrand_stays_real_and_returns_complex(stack):
+    # float64 samples give the numbers of their complex cast: the same
+    # panels, and value and error to rounding of the rule sums.  An error
+    # estimate is the difference K15 - G7 of two such sums, so its rounding
+    # is relative to the value, not to itself
+    vec = continue_vK(SpectralParam(1.0), 1e-4)
+
+    def real(x):
+        v = vec.value(x)
+        rows = v.real ** 2 + v.imag ** 2
+        if not stack:
+            return rows
+        return np.array([rows, x * x * rows / (1.0 + x ** 4)])
+
+    cfg = REPRESENTATION_CFG.with_hints(vec.hints)
+    res = integrate(real, -math.inf, math.inf, cfg)
+    ref = integrate(lambda x: real(x).astype(complex), -math.inf, math.inf,
+                    cfg)
+    assert np.iscomplexobj(res.value)
+    assert res.n_panels == ref.n_panels
+    assert np.all(np.abs(res.value - ref.value) <= 1e-15 * np.abs(ref.value))
+    assert np.all(np.abs(res.error - ref.error) <= 1e-15 * np.abs(ref.value))
+
+
 def test_reported_error_within_request():
     # the norm integrals of the continued spherical vector: hinted, doubly
     # infinite, with logarithmic mass gathering at x = +-1 as eps falls

@@ -2,8 +2,9 @@
 the coordinate round trips, the off-cut invariant of quadratic powers, the
 closed-form group action on them and the norms it keeps, Sobolev norms
 from one stacked quadrature against one quadrature per monomial, the
-rotation invariance of the spherical function and its agreement with the
-closed form up to the crown's edge, the invariance and
+closed-form unit-scale dyadic blocks against their Mobius-pulled
+construction, the rotation invariance of the spherical function and its
+agreement with the closed form up to the crown's edge, the invariance and
 Hermitian symmetry of the Hardy kernel, and Parseval for the radial
 spherical transform.
 
@@ -168,6 +169,36 @@ def test_stacked_sobolev_norm_is_the_sum_of_monomial_norms(lam, eps, k,
         tol += min(math.sqrt(2.0 * t), 2.0 * t / max(n, 1e-300))
     stacked = sobolev.sobolev_norm(param, f, sobolev.SobolevSpec(k, subgroup))
     assert abs(stacked - sum(norms)) <= tol
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.floats(0.25, 2.5),
+       st.floats(math.log(1e-6), math.log(1e-2)).map(math.exp),
+       st.integers(1, 8), st.integers(0, 2))
+def test_unit_scale_blocks_match_the_pulled_products(lam, eps, j, k):
+    # b_t is the dilation x -> t x, so pi(b_{2^-j})(phi_j f) is
+    # phi pi(b_{2^-j}) f, and the inner block at depth j is
+    # psi pi(b_{2^-(j+1)}) f; the reference pulls the product of cutoff and
+    # vector through MobiusPulled
+    param = repn.SpectralParam(lam)
+    f = repn.continue_vK(param, eps)
+    dec = sobolev.build_dyadic(j)
+    pairs = [(dec.inner_block(param, f),
+              repn.apply_pi(param, dec.inner_element, Product(dec.tau_m, f))),
+             (dec.blocks(param, f)[j - 1],
+              repn.apply_pi(param, dec.block_elements[j - 1],
+                            Product(dec.phis[j], f)))]
+    xs = np.linspace(-2.0, 2.0, 401)
+    for closed, pulled in pairs:
+        assert isinstance(pulled, MobiusPulled)
+        rows, ref = closed.taylor(xs, 2), pulled.taylor(xs, 2)
+        for order in range(3):
+            scale = np.max(np.abs(ref[order]))
+            assert np.max(np.abs(rows[order] - ref[order])) <= 1e-12 * scale
+        spec = sobolev.SobolevSpec(k)
+        norm = sobolev.sobolev_norm(param, pulled, spec)
+        closed_norm = sobolev.sobolev_norm(param, closed, spec)
+        assert abs(closed_norm - norm) <= 1e-12 * norm
 
 
 # interior points of the crown, and points (-1, 1) g of the distinguished

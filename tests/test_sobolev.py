@@ -195,9 +195,10 @@ def test_sobolev_norm_takes_few_rounds(monkeypatch, rotated):
 
 
 def test_invariant_bound_quadrature_count(monkeypatch):
-    # one quadrature per dyadic block (outer, inner and m blocks) and one
-    # per display: at f, which also gives ||f||, and after the rotation k0
+    # one quadrature per dyadic block (inner and m blocks), one for the
+    # outer block together with the display at f, which also gives ||f||,
+    # and one for the display after the rotation k0
     f, m = continue_vK(PARAM, 1e-3), 4
     calls = _count_integrate(monkeypatch)
     invariant_upper_bound(PARAM, f, 2, m)
-    assert len(calls) == (m + 2) + 2
+    assert len(calls) == m + 3

@@ -259,20 +259,44 @@ def quadric_of_sym(s: np.ndarray) -> QuadricPoint:
     return QuadricPoint(_sym_coords(s))
 
 
+#: the quadric form of a point's coordinates is 1 to this tolerance, times
+#: their squared size
+_FORM_TOL = 1e-8
+
+
 def to_quadric(z: PairPoint) -> QuadricPoint:
     """Quadric coordinates of an affine pair point.
 
     Fixed by x0 -> (1, 0, 0), with the A-direction flowing in (z0, z2),
     the boost direction of SO(1,1) in (z0, z1), and K rotating (z1, z2);
-    under this isogeny the elliptic angle doubles.
+    under this isogeny the elliptic angle doubles.  The form of the
+    coordinates is 1 to _FORM_TOL times their squared size, the cancellation
+    QuadricPoint allows; NumericalDrift where it is off by more, or where the
+    roundoff of the coordinates alone may move it by more (at z2 = -i, from
+    z1 ~ 5.6e6 on).
     """
-    coords = _sym_coords(pair_sym(z))
-    form = coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2
-    scale = max(1.0, float(np.max(np.abs(coords))) ** 2)
-    if not abs(form - 1.0) <= 1e-8 * scale:
-        raise NumericalDrift("quadric constraint drifted beyond 1e-8")
-    # project exactly back onto the quadric before constructing
-    return QuadricPoint(coords / np.sqrt(form))
+    s = pair_sym(z)
+    coords = _sym_coords(s)
+    # a numpy scalar, so that scale ** 2 overflows to inf, not OverflowError
+    scale = np.float64(max(1.0, float(np.max(np.abs(coords)))))
+    with np.errstate(all="ignore"):
+        # s[0, 0] = a + w^2/a sums terms of size (1 + |s01|^2)/|s11|, which
+        # cancel for large z; rounding there moves the form at the
+        # coordinates by up to about 8 eps |coords| times that size
+        size = (1.0 + np.abs(s[0, 1]) ** 2) / np.abs(s[1, 1])
+        roundoff = 8.0 * np.finfo(float).eps * scale * size
+        tol = _FORM_TOL * scale ** 2
+        form = coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2
+        # project exactly back onto the quadric before constructing
+        point = coords / np.sqrt(form)
+    if not roundoff <= tol:
+        raise NumericalDrift(f"the roundoff {roundoff:.2g} of the quadric "
+                             f"coordinates exceeds {tol:.2g}")
+    if not abs(form - 1.0) <= tol:
+        raise NumericalDrift(f"quadric constraint drifted beyond {tol:.2g}")
+    if not np.all(np.isfinite(point)):
+        raise NumericalDrift(f"the quadric form {form} cannot be scaled to 1")
+    return QuadricPoint(point)
 
 
 def from_quadric(q: QuadricPoint, _depth: int = 0) -> PairPoint:

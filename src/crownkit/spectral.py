@@ -17,7 +17,10 @@ On the crown every matrix coefficient <pi(z)v_K, pi(w)v_K> is P_nu(c),
 nu = -1/2 + i lam/2, at one invariant c of the pair (cosh d(z, w) on real
 points, p(z)/2 at w = x0; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159
 (2004)), and every caller reads it from one evaluator, `LegendreRule`,
-which owns the lam-side series coefficients of one lam array.
+which owns the lam-side series coefficients of one lam array.  It sums
+the points in blocks of a bounded number of (lam, point) cells, and forms
+sin and cos of the Harish-Chandra series in real arithmetic, so that
+conj c gives the conjugate value bit for bit.
 
 A spectral density is a vectorized closed form in lam with its decay
 (`SpectralDensity`), which decides a kernel measure's admissibility; a lam
@@ -48,7 +51,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .crown import crown_contains, elliptic_point
-from .errors import AdmissibilityFailure, DomainError, NotInCrown
+from .errors import (AdmissibilityFailure, DomainError, NonConvergence,
+                     NotInCrown)
 from .liecore import GroupElement, check_band
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import BASE_POINT, PairPoint
@@ -242,10 +246,33 @@ def _log_coef(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _harish_chandra(mu: np.ndarray, rho: np.ndarray, coef: np.ndarray
                     ) -> np.ndarray:
+    """2 |i mu c(mu)| e^{-rho/2} (sin(mu rho)/mu U + cos(mu rho) V) in real
+    arithmetic: with rho = a + ib, sin(mu rho) = sin(mu a) cosh(mu b) + i
+    cos(mu a) sinh(mu b) and cos(mu rho) = cos(mu a) cosh(mu b) - i sin(mu a)
+    sinh(mu b), from one cos, sin, cosh and sinh per cell.  Each step is
+    even or odd in b, so conj rho gives the conjugate bit for bit.  The
+    parts are written in place: complex expressions of the same products
+    keep the symmetry but made four warm Gutzmer cases 9% slower."""
     u, v = np.split(_power_series(coef, np.exp(-2.0 * rho)), 2)
+    mu_a, mu_b = mu * rho.real, mu * rho.imag
+    cos_a, sin_a = np.cos(mu_a), np.sin(mu_a)
+    cosh_b, sinh_b = np.cosh(mu_b), np.sinh(mu_b)
+    inv = 1.0 / mu
+    sin_mu = np.empty(u.shape, dtype=complex)      # sin(mu rho)/mu
+    np.multiply(sin_a, cosh_b, out=sin_mu.real)
+    np.multiply(cos_a, sinh_b, out=sin_mu.imag)
+    sin_mu.real *= inv
+    sin_mu.imag *= inv
+    cos_mu = np.empty(u.shape, dtype=complex)
+    np.multiply(cos_a, cosh_b, out=cos_mu.real)
+    np.multiply(sin_a, sinh_b, out=cos_mu.imag)
+    np.negative(cos_mu.imag, out=cos_mu.imag)
+    sin_mu *= u
+    cos_mu *= v
+    sin_mu += cos_mu
     gmod = np.sqrt(mu / np.tanh(math.pi * mu) / math.pi)
-    return 2.0 * gmod * np.exp(-0.5 * rho) * (np.sin(mu * rho) / mu * u
-                                             + np.cos(mu * rho) * v)
+    sin_mu *= 2.0 * gmod * np.exp(-0.5 * rho)
+    return sin_mu
 
 
 def _log_series(mu: np.ndarray, y: np.ndarray, coef: np.ndarray
@@ -254,22 +281,42 @@ def _log_series(mu: np.ndarray, y: np.ndarray, coef: np.ndarray
     return np.cosh(math.pi * mu) / math.pi * (s - np.log(y) * f)
 
 
+def _series_error(s: int, mu: np.ndarray, ratio: np.ndarray,
+                  arc: np.ndarray, bound: np.ndarray, decay: np.ndarray
+                  ) -> np.ndarray:
+    """The error in nats of series s of `LegendreRule.values` on each
+    (lam, point) cell; within e^4 of the loss floor the ratio minus 1,
+    negative where the series converges, ranks the series instead."""
+    key = np.maximum(arc[s] * mu, _LOSS_NATS)
+    key += np.maximum(bound[s] - _MAX_TERMS * decay[s], 0.0)
+    return np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
+
+
+#: one block of `LegendreRule.blocks` holds at most this many (lam, point)
+#: cells, so its complex temporaries stay at 256 KB; on four Gutzmer cases
+#: blocks of 2^12 and 2^15 cells were 2% and 6% slower
+_CELLS = 2 ** 14
+
+
 class LegendreRule:
     """The lam side of P_nu, nu = -1/2 + i lam/2, on one array of lams.
 
     The rule owns the coefficient tables of the three series of `values`
     (the 2F1 t_k, the Harish-Chandra U and V rows, the log-series rows)
-    for all of its lams.  A table is built by the first call that sums its
-    series and rebuilt at least twice as long when a call needs more
-    terms, so any number of calls builds it a logarithmic number of times;
-    each call reads the rows and leading columns it needs.  Whoever
-    evaluates P_nu repeatedly on one lam array keeps one rule for it.
+    for all of its lams, with the first column at which each lam's rows
+    overflow.  A table is built by the first call that sums its series and
+    rebuilt at least twice as long when a call needs more terms, so any
+    number of calls builds it a logarithmic number of times; each call
+    reads the rows and leading columns it needs, in place when it reads
+    every row.  Whoever evaluates P_nu repeatedly on one lam array keeps
+    one rule for it.
     """
 
     def __init__(self, lams: np.ndarray):
         self.mu = np.maximum(0.5 * np.abs(np.asarray(lams, float)),
                              1e-30)[:, None]
         self._tables = [None, None, None]
+        self._overflow = [None, None, None]
 
     def _table(self, s: int, n: int) -> np.ndarray:
         """Series s's table through column n at least, grown if needed."""
@@ -283,15 +330,19 @@ class LegendreRule:
                          _harish_chandra_coef(self.mu, n) if s == 1 else
                          _log_coef(self.mu, self._table(0, n)[0, :, :n + 1]))
             table = self._tables[s] = table.reshape(-1, self.mu.size, n + 1)
+            # a cumulative product stays non-finite once it overflows
+            finite = np.isfinite(table)
+            self._overflow[s] = np.where(finite.all(axis=-1), n + 1,
+                                       finite.argmin(axis=-1)).min(axis=0)
         return table
 
     def _coef(self, s: int, rows: np.ndarray, n: int) -> np.ndarray:
         """Columns 0 .. n of series s's table on the rows, as one matrix;
         ValueError where they overflow."""
-        coef = self._table(s, n)[:, rows, :n + 1].reshape(-1, n + 1)
-        if not np.all(np.isfinite(coef)):
+        table = self._table(s, n)[:, :, :n + 1]
+        if n >= self._overflow[s][rows].min():
             raise ValueError("the series coefficients of P_nu overflow")
-        return coef
+        return (table if rows.all() else table[:, rows]).reshape(-1, n + 1)
 
     def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """P_nu(c), mu = lam/2, rho = arccosh c, lams by points given as
@@ -306,7 +357,9 @@ class LegendreRule:
           1)(2k - 1 - 2i mu)/(4k (k - i mu)).  With |i mu c(mu)|^2 = mu
           coth(pi mu)/pi and the phases divided by mu it is 2|i mu c(mu)|
           e^{-rho/2} (sin(mu rho)/mu U + cos(mu rho) V), U, V real series
-          in e^{-2 rho}: exact at mu = 0.
+          in e^{-2 rho}: exact at mu = 0.  sin and cos of mu rho are formed
+          in real arithmetic from cos, sin of mu Re rho and cosh, sinh of
+          mu Im rho.
         - Near c = -1 (DLMF 15.8.10): (cosh(pi mu)/pi) sum t_k [2 psi(k +
           1) - 2 Re psi(k + 1/2 + i mu) - log y] y^k, the same t_k; its
           terms reach about e^{mu (pi + 2 asin sqrt|y| - |Im rho|)} |P|.
@@ -323,7 +376,23 @@ class LegendreRule:
         lam ~ 450.
         P is even in mu and Harish-Chandra terms are divided by mu: flooring
         mu at 1e-30 moves P by O(mu^2).
+        Every step is conjugate-symmetric, so values(conj x, conj y) is
+        conj values(x, y) bit for bit.  The work goes in `blocks` of at
+        most _CELLS (lam, point) cells.
         """
+        out = np.empty((self.mu.size, np.size(x)), dtype=complex)
+        for blk, val in self.blocks(x, y):
+            out[:, blk] = val
+        return out
+
+    def blocks(self, x: np.ndarray, y: np.ndarray):
+        """`values` block by block: (slice of the points, P_nu on the lams
+        by those points), each block at most _CELLS cells.  The series of
+        every cell is picked, the guard checked and each table sized for
+        all the points before the first block is summed, so the picks are
+        held, one byte per cell, until their block is summed.  Picking and
+        summing each block in one pass, with the tables grown as blocks
+        need, made four warm Gutzmer cases 3-7% slower."""
         mu = self.mu
         x, y = np.asarray(x, complex), np.asarray(y, complex)
         rho = np.arccosh(np.where(np.abs(x) <= np.abs(y), 1.0 - 2.0 * x,
@@ -336,31 +405,48 @@ class LegendreRule:
         with np.errstate(divide="ignore"):    # -inf where a series diverges
             decay = -np.log(np.where(ratio < 1.0, ratio, np.inf))
             spread = np.log1p(np.abs(np.log(ratio[2])))
-        best = np.full((mu.size, x.size), np.inf)
-        pick = np.zeros(best.shape, dtype=np.int8)
-        for s in range(3):      # error in nats; within e^4, ratio - 1 < 0
-            key = (np.maximum(arc[s] * mu, _LOSS_NATS)
-                   + np.maximum(bound[s] - _MAX_TERMS * decay[s], 0.0))
-            key = np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
-            pick[key < best] = s
-            best = np.minimum(best, key)
-        if not np.all(np.where(pick == 2, best + spread, best)
-                      <= 0.5 * _TAIL_NATS):
-            raise ValueError("no series reaches 1e-8 of P_nu on or near the "
-                             "cut")
 
-        out = np.empty((mu.size, x.size), dtype=complex)
+        step = max(1, _CELLS // mu.size)
+        slices = [slice(i, min(i + step, x.size))
+                  for i in range(0, x.size, step)]
+        picks, terms = [], []
+        for blk in slices:
+            best = np.full((mu.size, blk.stop - blk.start), np.inf)
+            pick = np.zeros(best.shape, dtype=np.int8)
+            for s in range(3):  # error in nats; within e^4, ratio - 1 < 0
+                key = _series_error(s, mu, ratio[:, blk], arc[:, blk], bound,
+                                    decay[:, blk])
+                pick[key < best] = s
+                np.minimum(best, key, out=best)
+            if not np.all(np.where(pick == 2, best + spread[blk], best)
+                          <= 0.5 * _TAIL_NATS):
+                raise ValueError("no series reaches 1e-8 of P_nu on or near "
+                                 "the cut")
+            need = [(bound[s] / decay[s, blk])[pick == s] for s in range(3)]
+            picks.append(pick)
+            terms.append([math.ceil(min(n.max(), _MAX_TERMS)) if n.size
+                          else None for n in need])
+        for s in range(3):
+            longest = [n[s] for n in terms if n[s] is not None]
+            if longest:
+                self._table(s, max(longest))
+
         hyper = lambda mu, x, coef: _power_series(coef, x)
-        for s, (series, arg) in enumerate(((hyper, x), (_harish_chandra, rho),
-                                           (_log_series, y))):
-            sel = pick == s
-            rows, cols = sel.any(axis=1), sel.any(axis=0)
-            if cols.any():
-                inner = sel[np.ix_(rows, cols)]
-                need = (bound[s][rows] / decay[s][cols])[inner].max()
-                coef = self._coef(s, rows, math.ceil(min(need, _MAX_TERMS)))
-                out[sel] = series(mu[rows], arg[cols], coef)[inner]
-        return out
+        series = ((hyper, x), (_harish_chandra, rho), (_log_series, y))
+        for blk, pick, ns in zip(slices, picks, terms):
+            out = np.empty(pick.shape, dtype=complex)
+            for s, (evaluate, arg) in enumerate(series):
+                if ns[s] is None:
+                    continue
+                sel = pick == s
+                rows, cols = sel.any(axis=1), sel.any(axis=0)
+                val = evaluate(mu[rows], arg[blk][cols],
+                               self._coef(s, rows, ns[s]))
+                if sel.all():
+                    out = val
+                else:
+                    out[sel] = val[sel[np.ix_(rows, cols)]]
+            yield blk, out
 
 
 def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -549,6 +635,8 @@ def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
 #: the orbital mass drops the radial tail of |f|^2 beyond this fraction, and
 #: its theta rule doubles until the mass changes by less than this fraction
 RHO_TAIL_TOL = 1e-7
+#: the theta trapezoid doubles from 24 nodes up to this many
+_MAX_THETA = 1536
 
 
 @dataclass(frozen=True)
@@ -618,28 +706,35 @@ def _theta_sums(quad: OrbitQuadrature, r: float, n: int,
     over theta = (j + offset) pi/n, j < n, where the invariant is
     c = cosh(rho) cos 2r + i sinh(rho) sin 2r cos 2theta.  c is even about
     theta = pi/2, so only the nodes in [0, pi/2] are evaluated, with weight
-    2, or 1 at theta = 0 and pi/2, which are their own mirrors.  The
-    points go to the rule in blocks of 512, which bounds the arrays of one
-    call to a few MB."""
+    2, or 1 at theta = 0 and pi/2, which are their own mirrors.  The rule
+    sums all the points of a round in its blocks (`LegendreRule.blocks`),
+    and each block is contracted with the lam coefficients as it comes."""
     j = np.arange(n) + offset
     j = j[2 * j <= n]
     c = (np.cosh(quad.rho_nodes)[:, None] * math.cos(2 * r) + 1j * np.outer(
         np.sinh(quad.rho_nodes) * math.sin(2 * r),
         np.cos(2 * j * (math.pi / n)))).ravel()
-    f = np.concatenate([quad.coeff @ quad.legendre.values(0.5 * (1 - blk),
-                                                          0.5 * (1 + blk))
-                        for blk in np.split(c, range(512, c.size, 512))])
+    f = np.empty(c.size, dtype=complex)
+    for blk, val in quad.legendre.blocks(0.5 * (1 - c), 0.5 * (1 + c)):
+        f[blk] = quad.coeff @ val
     return ((np.abs(f) ** 2).reshape(-1, j.size)
             @ np.where((j == 0) | (2 * j == n), 1.0, 2.0))
 
 
 def _integrate_orbit(quad: OrbitQuadrature, r: float
                      ) -> tuple[float, OrbitQuadrature]:
-    """The orbital mass on quad's grids, and quad with its theta rule."""
+    """The orbital mass on quad's grids, and quad with its theta rule;
+    NonConvergence where the theta rule reaches _MAX_THETA nodes with the
+    mass still moving by more than RHO_TAIL_TOL of itself."""
     radial = TWO_PI * quad.rho_weights * np.sinh(quad.rho_nodes)
     n, sums = 24, _theta_sums(quad, r, 24, 0.0)
     mass, change = float(radial @ sums) / n, math.inf
-    while change > RHO_TAIL_TOL * mass and n < 1536:
+    while change > RHO_TAIL_TOL * mass:
+        if n >= _MAX_THETA:
+            raise NonConvergence(
+                f"the theta rule of the orbital mass at r = {r:g} still moves"
+                f" by {change / mass:.2g} of the mass at {n} nodes",
+                estimate=mass, error=change)
         sums += _theta_sums(quad, r, n, 0.5)
         n *= 2
         new = float(radial @ sums) / n
@@ -660,11 +755,13 @@ def orbital_mass(density: SpectralDensity, r: float,
     points are a_{e^{rho/2}} k_theta exp(i r h) x0, and the spherical
     values there are P_nu at their invariant, from the one `LegendreRule` of
     the mass's lam nodes.  The theta trapezoid converges spectrally on this
-    analytic pi-periodic integrand: it doubles from 24 nodes, up to 1536,
-    until the mass moves by RHO_TAIL_TOL or less.  The integrand reads theta
-    only through cos 2theta, so each round evaluates the nodes in
-    [0, pi/2] and counts each node inside it twice, once for its mirror in
-    (pi/2, pi).
+    analytic pi-periodic integrand: it doubles from 24 nodes until the mass
+    moves by RHO_TAIL_TOL or less, and raises NonConvergence where it still
+    moves by more at 1536 nodes (the (2, 0.7) Gaussian needs 384 at
+    r = 0.75, and at r = 0.785 still moves by 2.3e-2 of the mass).  The
+    integrand reads theta only through cos 2theta, so each round evaluates
+    the nodes in [0, pi/2] and counts each node inside it twice, once for
+    its mirror in (pi/2, pi).
 
     The rho range drops RHO_TAIL_TOL = 1e-7 of the radial mass of |f|^2
     (`orbit_quadrature`).  No smaller tolerance, because the cut is read

@@ -169,8 +169,9 @@ def test_hardy_kernel_point_form(capsys):
 
 
 # well-typed but out-of-range arguments, each rejected before any
-# phi-matrix work but the gutzmer density past the lam rule, rejected once
-# its weighted density is read on the lam nodes; the value is the exit code
+# phi-matrix work but two gutzmer cases: the density past the lam rule,
+# rejected once its weighted density is read on the lam nodes, and r = 0.785,
+# whose theta rule is still moving at its cap; the value is the exit code
 # when the case pins one (bad argument values exit 1, domain failures 2)
 FUZZ = {
     ("crown-check", "--z1=nan", "--z2=0-1i"): 1,
@@ -191,6 +192,8 @@ FUZZ = {
     ("quadric", "--z1=0", "--z2=0-1i"): None,
     ("quadric", "--z1=nan", "--z2=0-1i"): 1,
     ("quadric", "--z1=1e300", "--z2=0-1i"): 2,
+    ("quadric", "--z1=1e20", "--z2=0-1i"): 2,
+    ("quadric", "--z1=1e120", "--z2=0-1i"): 2,
     ("aproj", "--z1=1e300", "--z2=0-1i"): None,
     ("aproj", "--z1=-1", "--z2=0-1i"): None,
     ("aproj", "--z1=nan", "--z2=0-1i"): 1,
@@ -241,6 +244,7 @@ FUZZ = {
     ("gutzmer", "--r", "-1"): 2,
     ("gutzmer", "--r", "0.7854"): 2,
     ("gutzmer", "--r", "0.3", "--center", "40", "--width", "1"): 1,
+    ("gutzmer", "--r", "0.785", "--center", "2.0", "--width", "0.7"): 2,
     ("hardy-kernel", "--z1=0", "--z2=0-1i"): None,
     ("hardy-kernel", "--z1=nan", "--z2=0-1i"): 1,
     ("hardy-kernel", "--z1=1e300", "--z2=0-1i"): None,

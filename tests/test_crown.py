@@ -1,13 +1,15 @@
 """Crown membership, parameterizations, matching, boundary, quadric model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_crown_point, random_real_element
 from crownkit import crown
-from crownkit.errors import DomainError, NotInCrown, NotOnBoundary
+from crownkit.errors import (DomainError, NotInCrown, NotOnBoundary,
+                             NumericalDrift)
 from crownkit.liecore import IDENTITY, LieVector, k_theta
 from crownkit.pairmodel import (BASE_POINT, BOUNDARY_BASE, INFINITY,
                                 PairPoint)
@@ -169,6 +171,34 @@ def test_quadric_roundtrip_and_gindikin(rng):
             1.0, float(np.max(np.abs(q.z))) ** 2)
         assert crown.gindikin_contains(q) == crown.crown_contains(z)
         assert crown.pair_distance(crown.from_quadric(q), z) < 1e-9
+
+
+def test_quadric_refuses_a_form_it_cannot_certify():
+    # at z1 = 1e20 the entry a + w^2/a of the symmetric model cancels terms
+    # of size 5e19: the form still read 1, and the point came back 0.316
+    # away; at 1e120 the projection divided by zero first.  At n_1e6 x0 the
+    # coordinates do not cancel, but their form rounds to 0
+    for z in (PairPoint(1e20 + 0j, -1j), PairPoint(1e120 + 0j, -1j),
+              PairPoint(1e6 + 1j, 1e6 - 1j)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDrift):
+                crown.to_quadric(z)
+    z = PairPoint(1e6 + 0j, -1j)
+    assert crown.pair_distance(crown.from_quadric(crown.to_quadric(z)),
+                               z) < 1e-9
+
+
+def test_quadric_keeps_large_coordinates_without_cancellation():
+    # coordinates of size 1e4 round the form by about eps |coords|^2, which
+    # the quadric allows relative to their size: n_100 x0, and a distinguished
+    # boundary point with coordinates near 1e4
+    z = PairPoint(100 + 1j, 100 - 1j)
+    q = crown.to_quadric(z)
+    assert np.allclose(q.z, [5001.0, 100.0, 5000.0], rtol=1e-12)
+    assert crown.pair_distance(crown.from_quadric(q), z) < 1e-9
+    cls = crown.boundary_classify(PairPoint(101 + 0j, 100 + 0j))
+    assert cls.stratum == "distinguished" and cls.cone_data is not None
 
 
 def test_gindikin_rejects_outside():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import random_crown_point, random_real_element
 from crownkit import cli, crown, spectral
-from crownkit.errors import AdmissibilityFailure, DomainError
+from crownkit.errors import AdmissibilityFailure, DomainError, NonConvergence
 from crownkit.liecore import a_t, k_theta, n_x
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import SpectralParam, continue_vK, phi_lambda, rep_norm
@@ -107,6 +108,88 @@ def test_legendre_rule_grows_its_tables_bit_for_bit(first, second):
         assert all(a < b for a, b in zip(*widths))
     else:                       # and here read a prefix of each
         assert widths[0] == widths[1]
+
+
+def _force_series(monkeypatch, forced):
+    """Make `LegendreRule.values` sum series `forced` at every cell."""
+    def error(s, mu, ratio, *args):
+        return np.full((mu.size, ratio.shape[-1]),
+                       0.0 if s == forced else np.inf)
+    monkeypatch.setattr(spectral, "_series_error", error)
+
+
+def _seeded_invariants(n):
+    rng = np.random.default_rng(11)
+    pairs = [(random_crown_point(rng, 0.6), random_crown_point(rng, 0.6))
+             for _ in range(n)]
+    x, y = np.array([spectral._pair_invariant(z, w) for z, w in pairs]).T[0]
+    return x, y
+
+
+@pytest.mark.parametrize("forced", [0, 1, 2])
+def test_legendre_values_are_conjugate_symmetric_bit_for_bit(monkeypatch,
+                                                             forced):
+    # the spectral_orbital benchmark's hermitian_gap is exactly 0 only if
+    # every series maps conj c to the conjugate with the same rounding;
+    # sin and cos of mu rho from exp(i mu rho) and its reciprocal did not
+    x, y = _seeded_invariants(60)
+    rho = np.arccosh(np.where(np.abs(x) <= np.abs(y), 1 - 2 * x, 2 * y - 1))
+    ratio = np.stack([np.abs(x), np.exp(-2 * rho.real), np.abs(y)])[forced]
+    x, y = x[ratio < 0.9], y[ratio < 0.9]   # where the series converges
+    assert x.size >= 8 and np.all(x.imag != 0)
+    _force_series(monkeypatch, forced)
+    rule = spectral.LegendreRule(
+        spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)[0])
+    val = rule.values(x, y)
+    assert np.all(np.isfinite(val))
+    assert np.array_equal(rule.values(np.conj(x), np.conj(y)), np.conj(val))
+
+
+def test_hardy_kernel_is_hermitian_bit_for_bit(rng):
+    # perfbench's reference pair, then seeded pairs
+    pairs = [(crown.elliptic_point(k_theta(0.4) @ a_t(1.3) @ n_x(-0.2), 0.5),
+              crown.elliptic_point(k_theta(2.1) @ a_t(0.8) @ n_x(0.35),
+                                   -0.3))]
+    pairs += [(random_crown_point(rng, 0.8), random_crown_point(rng, 0.8))
+              for _ in range(10)]
+    for z, w in pairs:
+        assert spectral.hardy_kernel(w, z) == np.conj(
+            spectral.hardy_kernel(z, w))
+
+
+def test_harish_chandra_against_mpmath_at_orbital_invariants(monkeypatch):
+    # the invariants the orbital mass sums, c = cosh rho cos 2r + i sinh rho
+    # sin 2r cos 2 theta, far out on the orbit, where P_nu is the
+    # Harish-Chandra series
+    lams = np.array([0.0, 0.5, 2.0, 8.0, 16.0, 31.9])
+    theta = np.array([0.0, 0.3, 0.6, 1.0, 1.3, math.pi / 2])
+    _force_series(monkeypatch, 1)
+    rule = spectral.LegendreRule(lams)
+    for rho in (2.0, 8.0, 20.0, 30.0):
+        for r in (0.1, 0.4, 0.75):
+            c = (math.cosh(rho) * math.cos(2 * r) + 1j * math.sinh(rho)
+                 * math.sin(2 * r) * np.cos(2 * theta))
+            val = rule.values(0.5 * (1 - c), 0.5 * (1 + c))
+            with mpmath.workdps(30):
+                for i, lam in enumerate(lams):
+                    for j, cj in enumerate(c):
+                        oracle = complex(mpmath.legenp((1j * lam - 1) / 2, 0,
+                                                       complex(cj), type=3))
+                        assert abs(val[i, j] - oracle) < 1e-12 * max(
+                            1.0, abs(oracle)), (rho, r, theta[j], lam)
+
+
+def test_phi_matrix_build_keeps_a_small_working_set():
+    # LegendreRule.values sums at most _CELLS (lam, point) cells at a time;
+    # the whole matrix at once peaked at 14.25 MB
+    grid = spectral.SpectralGrid()
+    tracemalloc.start()
+    try:
+        spectral.phi_radial_matrix(grid.lam_nodes, grid.r_nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_pairing_row_where_both_series_are_slow():
@@ -376,6 +459,15 @@ def test_legendre_tables_are_built_per_owner_not_per_call(monkeypatch,
         assert len(ns) <= 2
         assert all(b >= min(2 * a, spectral._MAX_TERMS)
                    for a, b in zip(ns, ns[1:]))
+
+
+def test_orbital_mass_refuses_an_unconverged_theta_rule(weight):
+    # at r = 0.785 the theta rule is still moving by 2.3e-2 of the mass
+    # when it reaches its 1536 nodes; it used to report status pass
+    dens = spectral.gaussian_density(2.0, 0.7)
+    with pytest.raises(NonConvergence) as info:
+        spectral.gutzmer_check(dens, 0.785, weight)
+    assert info.value.error > spectral.RHO_TAIL_TOL * info.value.estimate
 
 
 def test_automatic_radial_cut_matches_a_long_range(weight):

@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from . import crown, horo, maass, sobolev, spectral
-from .liecore import LieVector, a_t, complex_na_decompose, k_theta, p_of_pair
+from .liecore import (OMEGA_RADIUS, LieVector, a_t, complex_na_decompose,
+                      k_theta, p_of_pair)
 from .repn import (DIRECTIONS, SpectralParam, continue_vK, doubling_check,
                    dpi_fd_gap, h_limit_gap, levi_form, norm_growth, rep_norm)
 from .vectors import ExpPoly
@@ -38,7 +39,7 @@ def criterion_1(quick=False, seed=None):
     """Closed-form torus parameter against brute-force decomposition."""
     n = 30 if quick else 100
     thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    phis = np.linspace(-0.9, 0.9, n) * (math.pi / 4.0)
+    phis = np.linspace(-0.9, 0.9, n) * OMEGA_RADIUS
     t0 = time.time()
     worst = 0.0
     for phi in phis:
@@ -62,7 +63,7 @@ def criterion_2(quick=False, seed=None):
     rows = []
     ok = True
     for frac in (0.1, 0.3, 0.7):
-        phi = frac * math.pi / 4.0
+        phi = frac * OMEGA_RADIUS
         scan = horo.convexity_scan(phi, n)
         contained = scan.violation <= 1e-9
         attained = scan.endpoint_gap <= 1e-6
@@ -78,7 +79,7 @@ def criterion_2(quick=False, seed=None):
 def criterion_3(quick=False, seed=None):
     """Orbit matching residuals across the elliptic band."""
     n = 20 if quick else 50
-    phis = np.linspace(0.0, 0.95, n) * (math.pi / 4.0)
+    phis = np.linspace(0.0, 0.95, n) * OMEGA_RADIUS
     worst = max(crown.match_orbits(float(p)).residual for p in phis)
     return {"id": "AC3", "description": "unipotent/elliptic orbit matching",
             "worst_residual": worst, "tolerance": 1e-9,
@@ -99,7 +100,7 @@ def criterion_4(quick=False, seed=None):
     endpoint_gap = 0.0
     monotone = True
     for _ in range(n_phi):
-        phi = rng.uniform(math.pi / 4.0 + 1e-6, math.pi / 2.0 - 1e-6)
+        phi = rng.uniform(OMEGA_RADIUS + 1e-6, math.pi / 2.0 - 1e-6)
         sig = [horo.escape_curve(phi, s).sigma
                for s in np.linspace(0.0, 1.0, 200)]
         endpoint_gap = max(endpoint_gap, abs(sig[0] - 2.0),
@@ -201,8 +202,8 @@ def criterion_9(quick=False, seed=None):
     rhs_values = [spectral.gutzmer_check(density, 0.0, weight).rhs]
     ok = held_out.gap < 1e-3
     for frac in fracs:
-        chk = spectral.gutzmer_check(density, frac * math.pi / 4.0, weight)
-        rows.append({"r": frac * math.pi / 4.0, "gap": chk.gap})
+        chk = spectral.gutzmer_check(density, frac * OMEGA_RADIUS, weight)
+        rows.append({"r": frac * OMEGA_RADIUS, "gap": chk.gap})
         rhs_values.append(chk.rhs)
         ok = ok and chk.gap < 1e-2
     monotone = all(b > a for a, b in zip(rhs_values, rhs_values[1:]))
@@ -293,7 +294,7 @@ def criterion_13(quick=False, seed=None):
     n_discs = 4 if quick else 10
     values = []
     for _ in range(n_discs):
-        phi0 = rng.uniform(0.0, 0.9) * math.pi / 4.0
+        phi0 = rng.uniform(0.0, 0.9) * OMEGA_RADIUS
         c_h = float(rng.normal(0.0, 0.7))
         c_sym = float(rng.normal(0.0, 0.7))
         direction = LieVector(c_h=c_h, c_e=c_sym, c_f=c_sym)

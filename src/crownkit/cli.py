@@ -31,7 +31,7 @@ import numpy as np
 
 from . import acceptance, crown, horo, maass, sobolev, spectral
 from .errors import CrownkitError
-from .liecore import a_t, complex_na_decompose, n_x
+from .liecore import OMEGA_RADIUS, a_t, complex_na_decompose, n_x
 from .pairmodel import BASE_POINT, PairPoint
 from .repn import (DIRECTIONS, SpectralParam, continue_vK, doubling_check,
                    dpi_fd_gap, norm_growth, phi_lambda, rep_norm)
@@ -130,12 +130,15 @@ def cmd_boundary(args):
 def cmd_quadric(args):
     z = _pair(args)
     q = crown.to_quadric(z)
-    back = crown.from_quadric(q)
+    residual = crown.pair_distance(z, crown.from_quadric(q))
     out = {"coordinates": list(q.z),
-           "quadric_residual": abs(q.quadric_form() - 1.0),
+           "quadric_residual": q.form_residual(),
            "gindikin": crown.gindikin_contains(q),
-           "roundtrip_residual": crown.pair_distance(z, back)}
-    return emit("quadric", {"z1": args.z1, "z2": args.z2}, out,
+           "roundtrip_residual": residual}
+    # the chart's limit: a coordinate near 0 opposite one near infinity
+    # falls below eps of the quadric coordinates
+    status = "pass" if residual <= 1e-9 else "fail"
+    return emit("quadric", {"z1": args.z1, "z2": args.z2}, out, status,
                 provenance="symmetric-model transfer to the complex quadric")
 
 
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace-domain", help="trace-image membership")
     p.add_argument("--value", type=parse_complex, required=True)
-    p.add_argument("--bound", type=float, default=math.pi / 4.0)
+    p.add_argument("--bound", type=float, default=OMEGA_RADIUS)
     p.add_argument("--doubled", action="store_true")
     p.set_defaults(func=cmd_trace_domain)
 
@@ -475,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parseval)
 
     p = sub.add_parser("gutzmer", help="orbital identity check")
-    p.add_argument("--r", type=float, default=0.5 * math.pi / 4.0)
+    p.add_argument("--r", type=float, default=0.5 * OMEGA_RADIUS)
     p.add_argument("--center", type=float, default=2.0)
     p.add_argument("--width", type=float, default=0.7)
     p.set_defaults(func=cmd_gutzmer)

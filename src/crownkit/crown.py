@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, NotInCrown, NotOnBoundary,
-                     NumericalDrift)
+                     NumericalDrift, PointAtInfinity)
 from .liecore import (OMEGA_RADIUS, GroupElement, LieVector, a_t, check_band,
                       k_theta, n_x, pair_sym)
 from .pairmodel import PairPoint, is_infinity
@@ -33,14 +33,16 @@ def _imag_or_none(z):
 
 
 def chordal_distance(z, w) -> float:
-    """Distance on the Riemann sphere; bounded, and handles infinity."""
+    """Distance on the Riemann sphere; bounded, and handles infinity.  The
+    factors sqrt(1 + |z|^2) are formed by hypot and divided out one at a
+    time, so that none overflows."""
     if is_infinity(z) and is_infinity(w):
         return 0.0
     if is_infinity(z):
-        return 1.0 / math.sqrt(1.0 + abs(w) ** 2)
+        return 1.0 / math.hypot(1.0, abs(w))
     if is_infinity(w):
-        return 1.0 / math.sqrt(1.0 + abs(z) ** 2)
-    return abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
+        return 1.0 / math.hypot(1.0, abs(z))
+    return abs(z - w) / math.hypot(1.0, abs(z)) / math.hypot(1.0, abs(w))
 
 
 def pair_distance(z: PairPoint, w: PairPoint) -> float:
@@ -237,13 +239,21 @@ class QuadricPoint:
         if self.z.shape != (3,):
             raise ValueError("quadric point needs three coordinates")
         # cancellation in Q scales with the squared coordinate size
-        scale = max(1.0, float(np.max(np.abs(self.z))) ** 2)
-        if not abs(self.quadric_form() - 1.0) <= 1e-10 * scale:
-            raise NumericalDrift(f"Q(z) = {self.quadric_form()} != 1")
+        residual = self.form_residual()
+        if not residual <= 1e-10:
+            raise NumericalDrift(f"|Q(z) - 1| is {residual:.2g} of the "
+                                 f"squared coordinate size")
 
     def quadric_form(self) -> complex:
         z0, z1, z2 = self.z
         return z0 * z0 - z1 * z1 - z2 * z2
+
+    def form_residual(self) -> float:
+        """|Q(z) - 1| / max(1, max |z_i|^2), formed on z / max(1, max |z_i|)
+        so that it does not overflow."""
+        scale = max(1.0, float(np.max(np.abs(self.z))))
+        z0, z1, z2 = self.z / scale
+        return float(abs(z0 * z0 - z1 * z1 - z2 * z2 - 1.0 / scale / scale))
 
 
 def _sym_coords(s: np.ndarray) -> np.ndarray:
@@ -255,79 +265,48 @@ def _sym_coords(s: np.ndarray) -> np.ndarray:
     return coords
 
 
-def quadric_of_sym(s: np.ndarray) -> QuadricPoint:
-    return QuadricPoint(_sym_coords(s))
-
-
-#: the quadric form of a point's coordinates is 1 to this tolerance, times
-#: their squared size
-_FORM_TOL = 1e-8
-
-
 def to_quadric(z: PairPoint) -> QuadricPoint:
     """Quadric coordinates of an affine pair point.
 
     Fixed by x0 -> (1, 0, 0), with the A-direction flowing in (z0, z2),
     the boost direction of SO(1,1) in (z0, z1), and K rotating (z1, z2);
-    under this isogeny the elliptic angle doubles.  The form of the
-    coordinates is 1 to _FORM_TOL times their squared size, the cancellation
-    QuadricPoint allows; NumericalDrift where it is off by more, or where the
-    roundoff of the coordinates alone may move it by more (at z2 = -i, from
-    z1 ~ 5.6e6 on).
+    under this isogeny the elliptic angle doubles.  The coordinates are read
+    off `pair_sym`, whose entries are products, so that they are accurate to
+    the rounding of the largest one; NumericalDrift where they overflow.
     """
-    s = pair_sym(z)
-    coords = _sym_coords(s)
-    # a numpy scalar, so that scale ** 2 overflows to inf, not OverflowError
-    scale = np.float64(max(1.0, float(np.max(np.abs(coords)))))
-    with np.errstate(all="ignore"):
-        # s[0, 0] = a + w^2/a sums terms of size (1 + |s01|^2)/|s11|, which
-        # cancel for large z; rounding there moves the form at the
-        # coordinates by up to about 8 eps |coords| times that size
-        size = (1.0 + np.abs(s[0, 1]) ** 2) / np.abs(s[1, 1])
-        roundoff = 8.0 * np.finfo(float).eps * scale * size
-        tol = _FORM_TOL * scale ** 2
-        form = coords[0] ** 2 - coords[1] ** 2 - coords[2] ** 2
-        # project exactly back onto the quadric before constructing
-        point = coords / np.sqrt(form)
-    if not roundoff <= tol:
-        raise NumericalDrift(f"the roundoff {roundoff:.2g} of the quadric "
-                             f"coordinates exceeds {tol:.2g}")
-    if not abs(form - 1.0) <= tol:
-        raise NumericalDrift(f"quadric constraint drifted beyond {tol:.2g}")
-    if not np.all(np.isfinite(point)):
-        raise NumericalDrift(f"the quadric form {form} cannot be scaled to 1")
-    return QuadricPoint(point)
+    return QuadricPoint(_sym_coords(pair_sym(z)))
 
 
-def from_quadric(q: QuadricPoint, _depth: int = 0) -> PairPoint:
+def _quotient(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """a/b = c/d, divided by the larger denominator; PointAtInfinity where
+    both vanish."""
+    if abs(b) < abs(d):
+        return c / d
+    if b == 0:
+        raise PointAtInfinity("the pair point leaves the affine chart")
+    return a / b
+
+
+def from_quadric(q: QuadricPoint) -> PairPoint:
     """Affine pair point with the given quadric coordinates.
 
-    Inverts via the symmetric model: with p = 2 z0 off the slit
-    (-inf, -2], the matrix (s + 1) / sqrt(p + 2) is the canonical
-    determinant-one square root of s.  On the slit a fixed boost moves the
-    point off it first.
+    The symmetric model has s00 = z0 + z2, s11 = z0 - z2 and s01 = z1, and
+    det s = 1 gives s00 s11 = (z1 + i)(z1 - i).  Inverting `pair_sym`, the
+    pair is w1 = (z1 + i)/s11 = s00/(z1 - i) and
+    w2 = (z1 - i)/s11 = s00/(z1 + i), each read off the form with the larger
+    denominator.
     """
-    z0, z1, z2 = q.z
-    s = np.array([[z0 + z2, z1], [z1, z0 - z2]])
-    p = 2.0 * z0
-    shifted = p + 2.0
-    if abs(shifted.imag) < 1e-12 and shifted.real <= 1e-12:
-        if _depth > 2:
-            raise NumericalDrift("could not move quadric point off the slit")
-        boost = a_t(2.0)
-        s_moved = boost.m.real @ s @ boost.m.real.T
-        moved = from_quadric(quadric_of_sym(s_moved), _depth + 1)
-        return moved.apply(boost.inverse().m)
-    root = cmath.sqrt(shifted)
-    g = (s + np.eye(2)) / root
-    return PairPoint(*(GroupElement(g, check=False).pair_point().finite()))
+    z0, z1, z2 = (complex(c) for c in q.z)
+    s00, s11 = z0 + z2, z0 - z2
+    return PairPoint(_quotient(z1 + 1j, s11, s00, z1 - 1j),
+                     _quotient(z1 - 1j, s11, s00, z1 + 1j))
 
 
 def gindikin_contains(q: QuadricPoint) -> bool:
     """Crown membership read off the quadric coordinates: the real part must
-    be a future-pointing timelike vector."""
+    be a future-pointing timelike vector, x0 > |(x1, x2)|."""
     x = q.z.real
-    return bool(x[0] > 0.0 and x[0] ** 2 - x[1] ** 2 - x[2] ** 2 > 0.0)
+    return bool(x[0] > math.hypot(x[1], x[2]))
 
 
 def random_real_element(rng, scale: float = 0.8) -> GroupElement:
@@ -341,5 +320,5 @@ def random_real_element(rng, scale: float = 0.8) -> GroupElement:
 def random_crown_point(rng, scale: float = 0.8) -> PairPoint:
     """g exp(i phi h) x0 with |phi| <= 0.85 pi/4 drawn first, then g from
     `random_real_element`."""
-    phi = rng.uniform(-0.85, 0.85) * math.pi / 4.0
+    phi = rng.uniform(-0.85, 0.85) * OMEGA_RADIUS
     return elliptic_point(random_real_element(rng, scale), phi)

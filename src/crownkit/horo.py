@@ -55,8 +55,9 @@ def log_aC(z: PairPoint) -> HoroProjection:
     return HoroProjection(0.5 * cmath.log(zeta_sq))
 
 
-def aC_closed_form(theta: float, phi: float) -> complex:
-    """Torus parameter of k_theta exp(i phi h) x0 in closed form.
+def aC_closed_form(theta, phi: float):
+    """Torus parameter of k_theta exp(i phi h) x0 in closed form, at one
+    theta or an array of them.
 
     zeta^2 = e^{2i phi} / (cos^2 theta + e^{4i phi} sin^2 theta); the
     radicand traverses the right half plane, so the principal square root
@@ -64,11 +65,11 @@ def aC_closed_form(theta: float, phi: float) -> complex:
     e^{i phi}.
     """
     check_band(phi)
-    c, s = math.cos(theta), math.sin(theta)
-    zeta_sq = cmath.exp(2j * phi) / (c * c + cmath.exp(4j * phi) * s * s)
-    if zeta_sq.real <= 0.0 and abs(zeta_sq.imag) < 1e-14:
-        raise BranchCut(f"radicand {zeta_sq} crossed the negative axis")
-    return cmath.sqrt(zeta_sq)
+    c, s = np.cos(theta), np.sin(theta)
+    zeta_sq = np.exp(2j * phi) / (c * c + np.exp(4j * phi) * s * s)
+    if np.any((zeta_sq.real <= 0.0) & (np.abs(zeta_sq.imag) < 1e-14)):
+        raise BranchCut("the radicand crossed the negative axis")
+    return np.sqrt(zeta_sq)
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,15 @@ class ConvexityScan:
 def convexity_scan(phi: float, n_samples: int) -> ConvexityScan:
     """Sweep Im log a_C over the rotation orbit of exp(i phi h) x0.
 
-    Complex convexity predicts the exact range [-phi, phi]; the scan
-    reports the observed extremes, the attainment gap, and any overshoot.
+    Im log a_C is the argument of `aC_closed_form`.  Complex convexity
+    predicts the exact range [-phi, phi]; the scan reports the observed
+    extremes, the attainment gap, and any overshoot.
     """
     check_band(phi)
     if n_samples < 2:
         raise ValueError("need at least two samples")
     thetas = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    c, s = np.cos(thetas), np.sin(thetas)
-    d = c * c + np.exp(4j * phi) * s * s
-    ims = 0.5 * (2.0 * phi - np.angle(d))
+    ims = np.angle(aC_closed_form(thetas, phi))
     lo, hi = float(np.min(ims)), float(np.max(ims))
     band = abs(phi)
     gap = max(abs(lo + band), abs(hi - band))

@@ -254,14 +254,16 @@ def p_invariant(g: GroupElement) -> complex:
 def pair_sym(z: PairPoint) -> np.ndarray:
     """Symmetric model of an affine pair point.
 
-    With zeta^2 = (z1-z2)/(2i) and w = (z1+z2)/2 the point is n_w a_zeta x0,
-    whose symmetric model is
-    [[zeta^2 + w^2/zeta^2, w/zeta^2], [w/zeta^2, 1/zeta^2]].
+    The point is n_w a_zeta x0 with w = (z1+z2)/2 and zeta^2 = (z1-z2)/(2i).
+    With d = 1/zeta^2 = 2i/(z1-z2) its symmetric model is
+    d [[z1 z2, w], [w, 1]], where zeta^2 + w^2/zeta^2 = d z1 z2 sums no terms
+    that cancel.  s00 is formed as z1 (z2 d), so that a far coordinate
+    opposite a finite one does not overflow.
     """
-    dec = complex_na_decompose(z)
-    a = dec.a_part * dec.a_part
-    w = dec.n_part
-    return np.array([[a + w * w / a, w / a], [w / a, 1.0 / a]])
+    z1, z2 = z.finite()
+    d = 2j / (z1 - z2)
+    s01 = d * (0.5 * (z1 + z2))
+    return np.array([[z1 * (z2 * d), s01], [s01, d]])
 
 
 def p_of_pair(z: PairPoint) -> complex:

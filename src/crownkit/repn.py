@@ -310,8 +310,8 @@ class HFunctional:
             return 0.0, 1.0
         lam = self.param.lam
         arg = 1.0 - 1j * lam if self.convention == "derived" else 1.0 - lam
-        c1 = cmath.exp(-1j * math.pi / 4.0 * arg)
-        c2 = cmath.exp(1j * math.pi / 4.0 * arg)
+        c1 = cmath.exp(-1j * OMEGA_RADIUS * arg)
+        c2 = cmath.exp(1j * OMEGA_RADIUS * arg)
         if self.kind == "v_H_bar":
             c1, c2 = c1.conjugate(), c2.conjugate()
         return c1, c2

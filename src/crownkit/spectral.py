@@ -109,9 +109,9 @@ def spectral_grid() -> SpectralGrid:
     return SpectralGrid()
 
 
-def default_lambda_grid(lam_max: float = 32.0) -> np.ndarray:
-    """The grid's lam nodes below lam_max (perfbench's spectral probe)."""
-    return spectral_grid().lam_rule(lam_max)[0]
+def default_lambda_grid() -> np.ndarray:
+    """The grid's lam nodes (perfbench's spectral probe)."""
+    return spectral_grid().lam_nodes
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import log_uniform_crown_pairs
 from crownkit import horo
 from crownkit.cli import main, parse_complex
 
@@ -187,14 +189,16 @@ FUZZ = {
     ("match", "--phi", "1e300"): None,
     ("boundary", "--z1=nan", "--z2=-1"): 1,
     ("boundary", "--z1=1", "--z2=-1", "--tol", "-1"): None,
-    ("boundary", "--z1=1e300", "--z2=-1"): 2,
+    ("boundary", "--z1=1e300", "--z2=-1"): 0,
     ("boundary", "--z1=1", "--z2=-1", "--tol", "nan"): 1,
     ("quadric", "--z1=0", "--z2=0-1i"): None,
     ("quadric", "--z1=nan", "--z2=0-1i"): 1,
-    ("quadric", "--z1=1e300", "--z2=0-1i"): 2,
-    ("quadric", "--z1=1e20", "--z2=0-1i"): 2,
-    ("quadric", "--z1=1e120", "--z2=0-1i"): 2,
-    ("aproj", "--z1=1e300", "--z2=0-1i"): None,
+    ("quadric", "--z1=1e300", "--z2=0-1i"): 0,
+    ("quadric", "--z1=1e20", "--z2=0-1i"): 0,
+    ("quadric", "--z1=1e120", "--z2=0-1i"): 0,
+    ("quadric", "--z1=1e300+1i", "--z2=1e300-1i"): 2,
+    ("quadric", "--z1=2e-20+1e-20i", "--z2=5e50-1e50i"): 2,
+    ("aproj", "--z1=1e300", "--z2=0-1i"): 0,
     ("aproj", "--z1=-1", "--z2=0-1i"): None,
     ("aproj", "--z1=nan", "--z2=0-1i"): 1,
     ("convexity", "--phi", "0.3", "--samples", "1"): 1,
@@ -264,6 +268,22 @@ FUZZ = {
     ("maass", "--nmax", "-1"): 1,
     ("suite", "--seed", "-1"): None,
 }
+
+
+def test_quadric_passes_only_a_roundtrip_within_1e_9(capsys):
+    # over 600 decades the chart loses a coordinate near 0 opposite one
+    # near infinity; such a pair must fail, never pass
+    rng = np.random.default_rng(5)
+    passed = 0
+    for z in log_uniform_crown_pairs(rng, 500, 1e-300, 1e300):
+        code = main(["quadric", f"--z1={z.first.real}{z.first.imag:+}i",
+                     f"--z2={z.second.real}{z.second.imag:+}i"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 2) and (doc["status"] == "fail") == (code == 2)
+        if code == 0:
+            passed += 1
+            assert doc["outputs"]["roundtrip_residual"] <= 1e-9
+    assert passed > 0
 
 
 @pytest.mark.parametrize("argv", list(FUZZ), ids=" ".join)

@@ -3,13 +3,15 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_crown_point, random_real_element
+from conftest import (log_uniform_crown_pairs, random_crown_point,
+                      random_real_element)
 from crownkit import crown
 from crownkit.errors import (DomainError, NotInCrown, NotOnBoundary,
-                             NumericalDrift)
+                             PointAtInfinity)
 from crownkit.liecore import IDENTITY, LieVector, k_theta
 from crownkit.pairmodel import (BASE_POINT, BOUNDARY_BASE, INFINITY,
                                 PairPoint)
@@ -173,20 +175,61 @@ def test_quadric_roundtrip_and_gindikin(rng):
         assert crown.pair_distance(crown.from_quadric(q), z) < 1e-9
 
 
-def test_quadric_refuses_a_form_it_cannot_certify():
-    # at z1 = 1e20 the entry a + w^2/a of the symmetric model cancels terms
-    # of size 5e19: the form still read 1, and the point came back 0.316
-    # away; at 1e120 the projection divided by zero first.  At n_1e6 x0 the
-    # coordinates do not cancel, but their form rounds to 0
+def test_quadric_matches_the_closed_form_far_out():
+    # the sum a + w^2/a for the entry s00 of the symmetric model cancels at
+    # z1 = 1e20 and 1e120, and the raw form rounds to 0 at n_1e6 x0; the
+    # coordinates are i(z1 z2 + 1, z1 + z2, z1 z2 - 1)/(z1 - z2)
     for z in (PairPoint(1e20 + 0j, -1j), PairPoint(1e120 + 0j, -1j),
-              PairPoint(1e6 + 1j, 1e6 - 1j)):
+              PairPoint(1e6 + 1j, 1e6 - 1j), PairPoint(1e6 + 0j, -1j)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalDrift):
-                crown.to_quadric(z)
-    z = PairPoint(1e6 + 0j, -1j)
-    assert crown.pair_distance(crown.from_quadric(crown.to_quadric(z)),
-                               z) < 1e-9
+            q = crown.to_quadric(z)
+        with mpmath.workdps(40):
+            u, v = mpmath.mpc(z.first), mpmath.mpc(z.second)
+            exact = [1j * (u * v + 1) / (u - v), 1j * (u + v) / (u - v),
+                     1j * (u * v - 1) / (u - v)]
+            size = max(1.0, float(np.max(np.abs(q.z))))
+            for got, want in zip(q.z, exact):
+                assert abs(mpmath.mpc(complex(got)) - want) <= 1e-15 * size
+        assert crown.pair_distance(crown.from_quadric(q), z) <= 1e-9
+
+
+def test_quadric_roundtrips_over_sixteen_decades():
+    # the sum a + w^2/a for s00 loses up to 4e-9 of the roundtrip here
+    rng = np.random.default_rng(3)
+    for z in log_uniform_crown_pairs(rng, 2000, 1e-8, 1e8):
+        back = crown.from_quadric(crown.to_quadric(z))
+        assert crown.pair_distance(back, z) <= 1e-9, z
+
+
+def test_from_quadric_at_real_z0_below_minus_one_and_at_infinity():
+    # real z0 <= -1 is the slit of a square-root inverse: s = -Id is the
+    # symmetric model of diag(i, -i), which sends (i, -i) to (-i, i), and
+    # (-2i, 2i) has z0 = -5/4
+    back = crown.from_quadric(crown.QuadricPoint([-1.0, 0.0, 0.0]))
+    assert back.first == -1j and back.second == 1j
+    z = PairPoint(-2j, 2j)
+    q = crown.to_quadric(z)
+    assert q.z[0] == -1.25
+    assert crown.pair_distance(crown.from_quadric(q), z) < 1e-15
+    # s11 = 0 and z1 = i: the first coordinate is at infinity
+    with pytest.raises(PointAtInfinity):
+        crown.from_quadric(crown.QuadricPoint([0.0, 1j, 0.0]))
+
+
+def test_chordal_distance_far_out_and_near_zero():
+    def chordal(z, w):
+        z, w = mpmath.mpc(z), mpmath.mpc(w)
+        return abs(z - w) / mpmath.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2))
+
+    with mpmath.workdps(40):
+        for z, w in ((1e300 + 0j, -1j), (1e300 + 1e300j, -2e300j),
+                     (1e-300 + 0j, -1e-300j), (1e-300j, 1e300 + 0j)):
+            want = chordal(z, w)
+            got = crown.chordal_distance(z, w)
+            assert abs(got - want) <= 4e-16 * want
+        assert crown.chordal_distance(INFINITY, 1e300 + 0j) == pytest.approx(
+            1e-300, rel=1e-15)
 
 
 def test_quadric_keeps_large_coordinates_without_cancellation():

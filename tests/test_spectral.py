@@ -449,9 +449,9 @@ def test_legendre_tables_are_built_per_owner_not_per_call(monkeypatch,
     for _ in range(3):
         assert spectral.hardy_kernel(z, w) == first
     assert all(not ns for ns in builds.values())
-    # one Gutzmer check through five theta rounds, 18 rule calls in all:
-    # the rounds, their 512-point blocks and the rhs share one rule, and
-    # each rebuild of a table at least doubles it
+    # one Gutzmer check through five theta rounds: the rounds, each summed
+    # in blocks of at most _CELLS (lam, point) cells, and the rhs share one
+    # rule, and each rebuild of a table at least doubles it
     chk = spectral.gutzmer_check(spectral.gaussian_density(2.0, 0.7), 0.75,
                                  weight)
     assert chk.gap < 1e-2 and chk.orbit.n_theta == 384

@@ -91,21 +91,18 @@ class OrbitMatch:
     boost: float  # hyperbolic parameter of the A-part, diverges at pi/4
 
 
-_MAX_BOOST_SCALE = 1e8
-
-
 def match_orbits(phi: float) -> OrbitMatch:
     """Group element carrying the unipotent orbit point onto the elliptic one.
 
     For |phi| < pi/4 the element g = k_{pi/4} a_s with s = cos(2 phi)^{-1/2}
     satisfies g n_{i sin 2 phi} x0 = exp(i phi h) x0.  Writing r = 2 log s,
     the boost solves tanh r = (y^2/2) / (1 - y^2/2) with y = sin 2 phi, and
-    r diverges as phi -> pi/4, where the scale is capped and the residual
-    reported as is.
+    r diverges as phi -> pi/4 but is finite on the band: at the last double
+    below pi/4, cos(2 phi) is 2.8e-16, so s = 5.9e7 and r = 35.8.
     """
     check_band(phi)
     c = math.cos(2.0 * phi)
-    s = min(c ** -0.5, _MAX_BOOST_SCALE)
+    s = c ** -0.5
     g = k_theta(math.pi / 4.0) @ a_t(s)
     y = math.sin(2.0 * phi)
     matched = PairPoint(1j * (1.0 + y), 1j * (y - 1.0)).apply(g.m)
@@ -141,40 +138,37 @@ def tangent_to_point(c: TangentBundleCoords) -> PairPoint:
 
 
 def point_to_tangent(z: PairPoint) -> TangentBundleCoords:
-    """Inverse disc-bundle coordinates of a crown point.
+    """Inverse disc-bundle coordinates [g, phi h] of a crown point, with
+    phi in [0, pi/4) and g = n_x a_t k_theta read off the pair.
 
-    Splits the symmetric model S = A + iB: the positive square root of A
-    moves the point over the base, and diagonalizing what remains recovers
-    the rotation, the radial part, and the elliptic angle.  Eigenvalues are
-    ordered largest first, which normalizes the angle to [0, pi/4).
+    z1 and conj(z2) are g(i e^{+-2i phi}), symmetric about their hyperbolic
+    midpoint g(i) = x + iy.  With y1 = Im z1, y2 = -Im z2 and
+    d = |z1 - conj(z2)|: tan(2 phi) = d/(2 sqrt(y1 y2)),
+    x = (x1 y2 + x2 y1)/(y1 + y2) and
+    y = sqrt(y1 y2) hypot(2 sqrt(y1 y2), d)/(y1 + y2).  Moved back over the
+    base, z1 is u = k_theta(i e^{2i phi}), and (u - i)/(u + i) =
+    e^{2i theta} i tan(phi) gives the rotation (theta = 0 at phi = 0).
+    NotInCrown where phi rounds to pi/4, NumericalDrift where the base point
+    overflows.
     """
     if not crown_contains(z):
         raise NotInCrown(f"{z} is outside the crown")
-    s_mat = pair_sym(z)
-    A = s_mat.real.copy()
-    B = s_mat.imag.copy()
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotInCrown("real part of the symmetric model is not positive "
-                         "definite") from exc
-    det_a = float(np.linalg.det(A))
-    g1 = L / det_a ** 0.25
-    Linv = np.linalg.inv(L)
-    b_tilde = Linv @ B @ Linv.T
-    evals, evecs = np.linalg.eigh(b_tilde)
-    order = np.argsort(evals)[::-1]  # largest first -> phi >= 0
-    evals = evals[order]
-    R = evecs[:, order]
-    if np.linalg.det(R) < 0:
-        R[:, 1] = -R[:, 1]
-    mu1 = math.sqrt(det_a) * (1.0 + 1j * evals[0])
-    t = abs(mu1) ** 0.5
-    phi = 0.5 * cmath.phase(mu1)
-    if abs(phi) >= OMEGA_RADIUS:
-        raise NotInCrown(f"recovered angle {phi} outside (-pi/4, pi/4)")
-    # the rotation is folded into g, leaving Y diagonal in this frame
-    g = GroupElement(g1) @ GroupElement(R) @ a_t(t)
+    (x1, y1), (x2, y2) = ((w.real, abs(w.imag)) for w in z.finite())
+    root = math.sqrt(y1) * math.sqrt(y2)
+    d = abs(complex(x1 - x2, y1 - y2))
+    phi = 0.5 * math.atan2(d, 2.0 * root)
+    if not phi < OMEGA_RADIUS:
+        raise NotInCrown(f"recovered angle {phi} is not < pi/4")
+    total = y1 + y2
+    x = x1 * (y2 / total) + x2 * (y1 / total)
+    y = root * (math.hypot(2.0 * root, d) / total)
+    if not (math.isfinite(x) and 0.0 < y < math.inf):
+        raise NumericalDrift(f"the base point of {z} overflows")
+    theta = 0.0
+    if d > 0.0:
+        u = (y1 / y) * complex((x1 - x2) / total, 1.0)
+        theta = 0.5 * (cmath.phase((u - 1j) / (u + 1j)) - 0.5 * math.pi)
+    g = n_x(x) @ a_t(math.sqrt(y)) @ k_theta(theta)
     return TangentBundleCoords(g=g, y=LieVector(c_h=phi))
 
 

@@ -11,8 +11,8 @@ Conventions:
 
 The complexified horospherical decomposition writes an affine point
 (z1, z2), z1 != z2, as n_w a_zeta K_C with w = (z1+z2)/2 and
-zeta^2 = (z1-z2)/(2i); zeta is defined modulo the two-group M = {+-1} and
-the stored representative has argument in (-pi/2, pi/2].
+zeta^2 = (z1-z2)/(2i), which is kept; zeta is defined modulo the two-group
+M = {+-1}, and its representative has argument in (-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -208,19 +208,25 @@ def iwasawa_na(g: GroupElement) -> HalfPlaneDecomposition:
 
 @dataclass(frozen=True)
 class ComplexNADecomposition:
-    """N_C A_C component of an affine point, torus part defined mod {+-1}.
+    """N_C A_C coordinates of an affine point: w = (z1+z2)/2 and the A_C/M
+    coordinate a_sq = (z1-z2)/(2i) as formed, which reassembles the point
+    without squaring a root (that loses the small part of a_sq).
 
-    a_part is the representative with argument in (-pi/2, pi/2]; the flag
+    a_part is its principal root, with argument in (-pi/2, pi/2]; the flag
     records that -a_part describes the same coset.
     """
 
     n_part: complex
-    a_part: complex
+    a_sq: complex
     sign_ambiguity: bool = True
 
+    @property
+    def a_part(self) -> complex:
+        return cmath.sqrt(self.a_sq)
+
     def reassemble(self) -> PairPoint:
-        sq = self.a_part * self.a_part
-        return PairPoint(1j * sq + self.n_part, -1j * sq + self.n_part)
+        return PairPoint(1j * self.a_sq + self.n_part,
+                         -1j * self.a_sq + self.n_part)
 
 
 def complex_na_decompose(z: PairPoint) -> ComplexNADecomposition:
@@ -234,10 +240,8 @@ def complex_na_decompose(z: PairPoint) -> ComplexNADecomposition:
     diff = z.first - z.second
     if diff == 0:
         raise DiagonalPoint("coordinates coincide")
-    w = 0.5 * (z.first + z.second)
-    zeta_sq = diff / 2j
-    zeta = cmath.sqrt(zeta_sq)  # principal: argument in (-pi/2, pi/2]
-    return ComplexNADecomposition(n_part=w, a_part=zeta)
+    return ComplexNADecomposition(n_part=0.5 * (z.first + z.second),
+                                  a_sq=diff / 2j)
 
 
 def sym_model(g: GroupElement) -> np.ndarray:

@@ -286,6 +286,24 @@ def test_quadric_passes_only_a_roundtrip_within_1e_9(capsys):
     assert passed > 0
 
 
+@pytest.mark.parametrize("z1", ["1e300", "1e20", "1e8+1i"])
+def test_aproj_reassembles_far_out(z1, capsys):
+    # the principal root of zeta^2 = 0.5 - 5e299i drops the real part
+    # 0.5 when squared, which would put the second coordinate at -0.5i
+    code = main(["aproj", f"--z1={z1}", "--z2=0-1i"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["outputs"]["reassembly_residual"] <= 1e-15
+
+
+def test_suite_quick_passes(capsys):
+    code = main(["suite", "--level", "quick"])
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0
+    assert summary["passed"] == summary["total"] == 13
+    assert summary["all_passed"] is True
+
+
 @pytest.mark.parametrize("argv", list(FUZZ), ids=" ".join)
 def test_out_of_range_arguments_give_one_json_document(argv, capsys):
     code = main(list(argv))

@@ -11,7 +11,7 @@ from conftest import (log_uniform_crown_pairs, random_crown_point,
                       random_real_element)
 from crownkit import crown
 from crownkit.errors import (DomainError, NotInCrown, NotOnBoundary,
-                             PointAtInfinity)
+                             NumericalDrift, PointAtInfinity)
 from crownkit.liecore import IDENTITY, LieVector, k_theta
 from crownkit.pairmodel import (BASE_POINT, BOUNDARY_BASE, INFINITY,
                                 PairPoint)
@@ -75,6 +75,15 @@ def test_match_orbits_blowup_scan():
     assert boosts[0] < boosts[1] < boosts[2]  # diverges toward the corner
 
 
+def test_match_orbits_at_the_last_double_below_pi_over_4():
+    # cos(2 phi) = 2.8e-16 there, so the boost scale is 5.9e7: finite
+    for phi in (np.nextafter(math.pi / 4.0, 0.0),
+                -np.nextafter(math.pi / 4.0, 0.0)):
+        m = crown.match_orbits(float(phi))
+        assert m.residual < 1e-15
+        assert m.boost == pytest.approx(35.8, abs=1e-3)
+
+
 def test_match_boost_solves_tanh_equation(rng):
     # transported to the quadric, the boost r solves
     # tanh r = (y^2/2)/(1 - y^2/2) with y = sin(2 phi)
@@ -119,6 +128,49 @@ def test_tangent_forward_diagonal_vs_rotated(rng):
         c2 = crown.TangentBundleCoords(g @ k, LieVector(c_h=phi))
         assert crown.pair_distance(crown.tangent_to_point(c1),
                                    crown.tangent_to_point(c2)) < 1e-12
+
+
+def _far_points(rng, scale, n=2000):
+    for _ in range(n):
+        g = random_real_element(rng, scale)
+        phi = rng.uniform(-0.99, 0.99) * crown.OMEGA_RADIUS
+        yield phi, crown.elliptic_point(g, phi)
+
+
+def test_tangent_roundtrip_far_from_the_base():
+    # log t and x of the base have deviation 4: far enough out that a
+    # factorization of the symmetric model loses its determinant (a
+    # ValueError) or its angle (NotInCrown) on a quarter of these points
+    rng = np.random.default_rng(24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, z in _far_points(rng, 4.0):
+            back = crown.tangent_to_point(crown.point_to_tangent(z))
+            assert crown.pair_distance(z, back) <= 1e-12, z
+
+
+def test_tangent_angle_near_the_base():
+    rng = np.random.default_rng(8)
+    for phi, z in _far_points(rng, 0.8):
+        assert abs(crown.point_to_tangent(z).y.c_h - abs(phi)) <= 1e-13
+
+
+def test_tangent_roundtrips_over_sixteen_decades():
+    rng = np.random.default_rng(3)
+    for z in log_uniform_crown_pairs(rng, 2000, 1e-8, 1e8):
+        back = crown.tangent_to_point(crown.point_to_tangent(z))
+        assert crown.pair_distance(back, z) <= 1e-9, z
+
+
+def test_tangent_refuses_the_band_edge_and_overflow():
+    # the angle of (3 + 1e-300i, 3.1 - 1e-300i) rounds to pi/4, and the base
+    # point of the last pair overflows; neither may return coordinates
+    with pytest.raises(NotInCrown):
+        crown.point_to_tangent(PairPoint(3 + 1e-300j, 3.1 - 1e-300j))
+    with pytest.raises(NumericalDrift):
+        crown.point_to_tangent(PairPoint(1.5e308 + 1e308j, 1.5e308 - 1e308j))
+    z = crown.elliptic_point(IDENTITY, float(np.nextafter(math.pi / 4.0, 0)))
+    assert crown.point_to_tangent(z).y.c_h < crown.OMEGA_RADIUS
 
 
 def test_boundary_classification():

@@ -1,11 +1,11 @@
 """Command line front end: every operation as a subcommand with JSON output.
 
 Complex numbers are written `a+bi` (also `a`, `bi`, `a-bi`).  Output is a
-single JSON document on stdout with the command, its inputs, its outputs
-(values and, for identity checks, both sides and their relative gap), a
-provenance note and a status; only `gutzmer` reports an error estimate.  Random
-sampling is seeded (seed echoed in the output) so identical invocations
-print identical bytes.  `suite` prints one JSON line per criterion and a
+single JSON document on stdout with the command, its inputs (every parsed
+argument), its outputs (values and, for identity checks, both sides and
+their relative gap), a provenance note and a status; only `gutzmer`
+reports an error estimate.  Random sampling is seeded (seed echoed in the
+output) so identical invocations print identical bytes.  `suite` prints one JSON line per criterion and a
 summary line instead.
 
 Exit codes:
@@ -66,9 +66,13 @@ def _fmt(value):
     return value
 
 
-def emit(command: str, inputs: dict, outputs: dict, status: str = "pass",
+def emit(args, outputs: dict, status: str = "pass",
          provenance: str = "") -> dict:
-    doc = {"command": command, "inputs": _fmt(inputs),
+    """Print the subcommand's JSON document; its inputs are every parsed
+    argument."""
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("func", "command")}
+    doc = {"command": args.command, "inputs": _fmt(inputs),
            "outputs": _fmt(outputs), "provenance": provenance,
            "status": status}
     print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=True))
@@ -89,23 +93,27 @@ def cmd_crown_check(args):
     out = {"inside": crown.crown_contains(z),
            "xi_plus": crown.xi_pm_contains(z, "+"),
            "xi_minus": crown.xi_pm_contains(z, "-")}
-    return emit("crown-check", {"z1": args.z1, "z2": args.z2}, out,
-                provenance="pair-model membership test")
+    return emit(args, out, provenance="pair-model membership test")
 
 
 def cmd_param(args):
     g = a_t(args.t) @ n_x(args.x_shift)
     if args.kind == "elliptic":
         z = crown.elliptic_point(g, args.phi)
+        angle = abs(args.phi)
     else:
         z = crown.unipotent_point(g, args.x)
+        angle = 0.5 * math.asin(abs(args.x))  # sin(2 phi) = |x|
     tangent = crown.point_to_tangent(z)
     back = crown.tangent_to_point(tangent)
+    # far out, rounding in g can lose the angle before the inverse sees it
+    residual = abs(tangent.y.c_h - angle)
     out = {"point": {"z1": z.first, "z2": z.second},
            "tangent_angle": tangent.y.c_h,
+           "angle_residual": residual,
            "roundtrip_residual": crown.pair_distance(z, back)}
-    inputs = {k: v for k, v in vars(args).items() if k != "func"}
-    return emit("param", inputs, out,
+    status = "pass" if residual <= 1e-9 else "fail"
+    return emit(args, out, status,
                 provenance="orbit parameterization with disc-bundle inverse")
 
 
@@ -114,16 +122,15 @@ def cmd_match(args):
     out = {"residual": m.residual, "boost": m.boost,
            "g": [[v for v in row] for row in m.g.m.real.tolist()]}
     status = "pass" if m.residual < 1e-9 else "warn"
-    return emit("match", {"phi": args.phi}, out, status,
+    return emit(args, out, status,
                 provenance="rotation/boost transporter between orbit models")
 
 
 def cmd_boundary(args):
     z = _pair(args)
     cls = crown.boundary_classify(z, args.tol)
-    return emit("boundary", {"z1": args.z1, "z2": args.z2, "tol": args.tol},
-                {"stratum": cls.stratum,
-                 "has_cone_data": cls.cone_data is not None},
+    return emit(args, {"stratum": cls.stratum,
+                       "has_cone_data": cls.cone_data is not None},
                 provenance="boundary stratification with quadric check")
 
 
@@ -138,7 +145,7 @@ def cmd_quadric(args):
     # the chart's limit: a coordinate near 0 opposite one near infinity
     # falls below eps of the quadric coordinates
     status = "pass" if residual <= 1e-9 else "fail"
-    return emit("quadric", {"z1": args.z1, "z2": args.z2}, out, status,
+    return emit(args, out, status,
                 provenance="symmetric-model transfer to the complex quadric")
 
 
@@ -155,7 +162,7 @@ def cmd_aproj(args):
            "sign_ambiguity": dec.sign_ambiguity,
            "reassembly_residual": crown.pair_distance(dec.reassemble(), z)}
     out.update(extra)
-    return emit("aproj", {"z1": args.z1, "z2": args.z2}, out,
+    return emit(args, out,
                 provenance="horospherical projection, principal branch")
 
 
@@ -164,8 +171,8 @@ def cmd_convexity(args):
     out = {"min_im": scan.min_im, "max_im": scan.max_im,
            "endpoint_gap": scan.endpoint_gap, "violation": scan.violation}
     status = "pass" if scan.violation <= 1e-9 else "fail"
-    return emit("convexity", {"phi": args.phi, "samples": args.samples}, out,
-                status, provenance="rotation-orbit sweep of Im log a_C")
+    return emit(args, out, status,
+                provenance="rotation-orbit sweep of Im log a_C")
 
 
 def cmd_trace_domain(args):
@@ -173,9 +180,7 @@ def cmd_trace_domain(args):
     inside = horo.trace_domain_contains(spec, args.value)
     out = {"contains": inside,
            "minimal_angle": horo.minimal_trace_angle(args.value)}
-    return emit("trace-domain",
-                {"value": args.value, "bound": args.bound,
-                 "doubled": args.doubled}, out,
+    return emit(args, out,
                 provenance="closed-form threshold angle of the trace image")
 
 
@@ -189,24 +194,21 @@ def cmd_escape(args):
                                            zip(sigmas, sigmas[1:])))}
     if args.values:
         out["sigma"] = sigmas
-    return emit("escape", {"phi": args.phi, "grid": args.grid}, out,
-                provenance="two-leg trace curve to the slit tip")
+    return emit(args, out, provenance="two-leg trace curve to the slit tip")
 
 
 def cmd_phi(args):
     param = SpectralParam(args.lam)
     value = phi_lambda(param, _pair(args))
-    return emit("phi", {"lam": args.lam, "z1": args.z1, "z2": args.z2},
-                {"value": value},
+    return emit(args, {"value": value},
                 provenance="rotation average of the horospherical character")
 
 
 def cmd_doubling(args):
     res = doubling_check(SpectralParam(args.lam), a_t(args.t), args.phi)
     status = "pass" if res.gap < 1e-5 else "fail"
-    return emit("doubling", {"lam": args.lam, "t": args.t, "phi": args.phi},
-                {"lhs": res.lhs, "rhs": res.rhs, "gap": res.gap}, status,
-                provenance="spherical value vs split pairing")
+    return emit(args, {"lhs": res.lhs, "rhs": res.rhs, "gap": res.gap},
+                status, provenance="spherical value vs split pairing")
 
 
 def cmd_norm_growth(args):
@@ -218,7 +220,7 @@ def cmd_norm_growth(args):
     out = {"samples": [{"eps": s.eps, "norm": s.norm} for s in samples],
            "ratio_sq_over_log": ratios,
            "band": max(ratios) / min(ratios)}
-    return emit("norm-growth", {"lam": args.lam, "eps": eps_list}, out,
+    return emit(args, out,
                 provenance="hinted quadrature of the continued vector norm")
 
 
@@ -232,8 +234,7 @@ def cmd_dpi_check(args):
         f = ExpPoly(1.0, rng.normal(size=deg + 1), (0.0, 0.0, 1.0))
         worst[name] = dpi_fd_gap(param, name, f, xs)
     status = "pass" if max(worst.values()) < 1e-6 else "fail"
-    return emit("dpi-check", {"lam": args.lam, "seed": args.seed},
-                {"worst_relative": worst}, status,
+    return emit(args, {"worst_relative": worst}, status,
                 provenance="derived action vs central differences")
 
 
@@ -242,10 +243,7 @@ def cmd_sobolev(args):
     f = continue_vK(param, args.eps)
     spec = sobolev.SobolevSpec(args.k, args.subgroup)
     value = sobolev.sobolev_norm(param, f, spec)
-    return emit("sobolev",
-                {"lam": args.lam, "eps": args.eps, "k": args.k,
-                 "subgroup": args.subgroup},
-                {"norm": value, "vector_norm": rep_norm(f)},
+    return emit(args, {"norm": value, "vector_norm": rep_norm(f)},
                 provenance="derived-action monomial norms")
 
 
@@ -260,8 +258,7 @@ def cmd_invariant_bound(args):
            "rotated_pushed": bound.rotated_pushed,
            "push_scale": bound.push_scale,
            "vector_norm": rep_norm(f)}
-    return emit("invariant-bound",
-                {"lam": args.lam, "eps": args.eps, "k": args.k, "m": m}, out,
+    return emit(args, out,
                 provenance="dyadic decomposition with invariance moves")
 
 
@@ -280,8 +277,7 @@ def cmd_transform(args):
     if args.csv:
         density.to_csv(args.csv)
         out["csv"] = args.csv
-    return emit("transform", {"width": args.width}, out,
-                provenance="radial spherical transform")
+    return emit(args, out, provenance="radial spherical transform")
 
 
 def cmd_parseval(args):
@@ -293,7 +289,7 @@ def cmd_parseval(args):
     if args.verdict:
         out["verdict"] = spectral.plancherel_verdict()
     status = "pass" if check.gap < 1e-3 else "fail"
-    return emit("parseval", {"width": args.width}, out, status,
+    return emit(args, out, status,
                 provenance="closed-form tempered weight "
                            "lam tanh(pi lam/2)/(8 pi)")
 
@@ -303,10 +299,8 @@ def cmd_gutzmer(args):
     density = spectral.gaussian_density(args.center, args.width)
     check = spectral.gutzmer_check(density, args.r)
     status = "pass" if check.gap < 1e-2 else "fail"
-    return emit("gutzmer",
-                {"r": args.r, "center": args.center, "width": args.width},
-                {"lhs": check.lhs, "rhs": check.rhs, "gap": check.gap,
-                 "orbit_grid": check.orbit.summary()},
+    return emit(args, {"lhs": check.lhs, "rhs": check.rhs, "gap": check.gap,
+                       "orbit_grid": check.orbit.summary()},
                 status, provenance="orbital mass vs spectral integral")
 
 
@@ -322,12 +316,11 @@ def cmd_hardy_kernel(args):
                "trace": float(np.trace(gram).real)}
         status = ("pass" if eigs.min() >= -1e-7 * np.trace(gram).real
                   else "fail")
-        return emit("hardy-kernel", {"gram": args.gram}, out, status,
+        return emit(args, out, status,
                     provenance="positive-definite invariant kernel")
     z = _pair(args)
     value = spectral.hardy_kernel(z, z)
-    return emit("hardy-kernel", {"z1": args.z1, "z2": args.z2},
-                {"value": value},
+    return emit(args, {"value": value},
                 provenance="diagonal value K(z, z) of the tempered kernel "
                            "with sech spectral damping")
 
@@ -340,7 +333,7 @@ def cmd_kernel(args):
     if out["admissible"]:
         out["value_at_base"] = spectral.invariant_kernel(
             measure, BASE_POINT, BASE_POINT)
-    return emit("kernel", {"center": args.center, "width": args.width}, out,
+    return emit(args, out,
                 provenance="admissibility-tested spectral measure")
 
 
@@ -355,8 +348,8 @@ def cmd_maass(args):
            "reconstructed_sup": report.reconstructed_sup,
            "decay_bound": report.decay_bound, "passes": report.passes}
     status = "pass" if report.passes == (not args.violator) else "fail"
-    return emit("maass", {"y": args.y, "violator": args.violator}, out,
-                status, provenance="contour-shifted coefficient pipeline")
+    return emit(args, out, status,
+                provenance="contour-shifted coefficient pipeline")
 
 
 def cmd_suite(args):

@@ -27,6 +27,9 @@ from .errors import BranchCut, DomainError, NotInCrown
 from .liecore import OMEGA_RADIUS, GroupElement, check_band
 from .pairmodel import PairPoint
 
+#: margin of trace_domain_contains at the slit and at the threshold angle
+_TRACE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class HoroProjection:
@@ -115,7 +118,6 @@ class TraceDomainSpec:
             raise ValueError("omega_bound must lie in (0, pi/4]")
 
 
-FULL_OMEGA = TraceDomainSpec(OMEGA_RADIUS)
 DOUBLED_OMEGA = TraceDomainSpec(OMEGA_RADIUS, doubled=True)
 
 
@@ -138,18 +140,19 @@ def minimal_trace_angle(value: complex) -> float:
     return 0.5 * math.acos(math.sqrt(c_sq))
 
 
-def trace_domain_contains(spec: TraceDomainSpec, value: complex,
-                          tol: float = 1e-6) -> bool:
-    """Membership of a trace value in the torus-tube image.
+def trace_domain_contains(spec: TraceDomainSpec, value: complex) -> bool:
+    """Membership of a trace value in the torus-tube image, with a margin of
+    _TRACE_TOL.
 
     Doubled domains are the slit plane C minus (-inf, -2]; undoubled ones
-    use the closed-form threshold angle with a small tolerance margin.
+    use the closed-form threshold angle.
     """
     value = complex(value)
     if spec.doubled:
-        on_slit = (abs(value.imag) <= tol and value.real <= -2.0 + tol)
+        on_slit = (abs(value.imag) <= _TRACE_TOL
+                   and value.real <= -2.0 + _TRACE_TOL)
         return not on_slit
-    return minimal_trace_angle(value) < spec.omega_bound + tol
+    return minimal_trace_angle(value) < spec.omega_bound + _TRACE_TOL
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,6 @@ class GroupElement:
         a, b, c, d = self.m.ravel()
         return GroupElement(np.array([[d, -b], [-c, a]]), check=False)
 
-    def det(self) -> complex:
-        return self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0]
-
     # -- actions -------------------------------------------------------------
 
     def act(self, z):
@@ -78,9 +75,6 @@ class GroupElement:
     def pair_point(self) -> PairPoint:
         """Image of the base point: g |-> (g(i), g(-i))."""
         return PairPoint(self.act(1j), self.act(-1j))
-
-    def isclose(self, other: "GroupElement", tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.m - other.m)) <= tol)
 
     def __repr__(self):
         return f"GroupElement({self.m.tolist()})"
@@ -126,29 +120,7 @@ class LieVector:
     def matrix(self) -> np.ndarray:
         return self.c_h * H_MAT + self.c_e * E_MAT + self.c_f * F_MAT
 
-    def weyl(self) -> "LieVector":
-        """Weyl group action on the torus direction: c_h -> -c_h."""
-        return LieVector(-self.c_h, self.c_e, self.c_f)
-
-    # -- the three convexity domains --------------------------------------
-
-    def in_omega(self, tol: float = 0.0) -> bool:
-        """Diagonal segment: c_e = c_f = 0 and |c_h| < pi/4."""
-        if abs(self.c_e) > 1e-14 or abs(self.c_f) > 1e-14:
-            return False
-        if abs(complex(self.c_h).imag) > 1e-14:
-            return False
-        return abs(complex(self.c_h).real) < OMEGA_RADIUS - tol
-
-    def in_lambda(self, tol: float = 0.0) -> bool:
-        """Nilpotent segment: c_h = c_f = 0 and |c_e| < 1."""
-        if abs(self.c_h) > 1e-14 or abs(self.c_f) > 1e-14:
-            return False
-        if abs(complex(self.c_e).imag) > 1e-14:
-            return False
-        return abs(complex(self.c_e).real) < 1.0 - tol
-
-    def in_omega_hat(self, tol: float = 0.0) -> bool:
+    def in_omega_hat(self) -> bool:
         """Symmetric traceless with spectrum inside (-pi/4, pi/4)."""
         m = self.matrix()
         if np.max(np.abs(m.imag)) > 1e-14:
@@ -157,7 +129,7 @@ class LieVector:
             return False
         radius = math.sqrt(float(m[0, 0].real) ** 2
                            + float(m[0, 1].real) * float(m[1, 0].real))
-        return radius < OMEGA_RADIUS - tol
+        return radius < OMEGA_RADIUS
 
 
 H_VEC = LieVector(c_h=1.0)

@@ -60,9 +60,6 @@ class PeriodicStripFunction:
             raise StripExceeded("evaluation outside the strip of holomorphy")
         return np.asarray(self.evaluator(w), dtype=complex)
 
-    def periodicity_residual(self, samples: np.ndarray) -> float:
-        return float(np.max(np.abs(self(samples + 1.0) - self(samples))))
-
     @classmethod
     def from_coefficients(cls, coeffs: dict[int, complex], half_width: float):
         """Finite Fourier series sum a_n e^{2 pi i n w}."""
@@ -183,12 +180,11 @@ def pipeline_demo(F: PeriodicStripFunction, y: float, B: SupBoundModel,
                           passes=bool(0.5 <= fit <= 2.0))
 
 
-def saturating_strip_function(y: float, margin: float = 0.05
-                              ) -> PeriodicStripFunction:
-    """Synthetic form with coefficients e^{-2 pi |n| (y - 1 + margin)}:
-    holomorphic past the eps = 1/y contour and saturating the coefficient
-    bound up to the margin."""
-    rate = y - 1.0 + margin
+def saturating_strip_function(y: float) -> PeriodicStripFunction:
+    """Synthetic form with coefficients e^{-2 pi |n| (y - 0.95)}: holomorphic
+    past the eps = 1/y contour and saturating the coefficient bound up to a
+    margin of 0.05."""
+    rate = y - 1.0 + 0.05  # not y - 0.95, which rounds differently
 
     def evaluator(w):
         w = np.asarray(w, dtype=complex)

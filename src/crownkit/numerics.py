@@ -63,10 +63,12 @@ _G7_WEIGHTS = np.array([
     0.129484966168870,
 ])
 _G7_SLICE = slice(1, 15, 2)  # Gauss nodes sit at the odd Kronrod positions
-#: parts each refined panel is split into per round, and the equal panels
-#: each piece starts as
+#: parts each refined panel is split into per round, the equal panels each
+#: piece starts as, and the cap on the panels refinement adds over the
+#: whole range (_SPLIT - 1 for each panel split)
 _SPLIT = 8
 _INITIAL_PANELS = 4
+_MAX_ADDED = 4000
 _EPS = np.finfo(float).eps
 
 
@@ -75,25 +77,20 @@ class QuadratureConfig:
     """Tolerance policy for adaptive integration.
 
     abs_tol/rel_tol are the absolute and relative targets for the total
-    error; max_subdivisions caps the panels added by refinement over the
-    whole range, _SPLIT - 1 for each panel split; singularity_hints lists
-    interior points where the integrand (or a derivative) is singular.
+    error; singularity_hints lists interior points where the integrand (or
+    a derivative) is singular.  Refinement adds at most _MAX_ADDED panels.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 4000
     singularity_hints: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
     def with_hints(self, hints) -> "QuadratureConfig":
-        return QuadratureConfig(self.abs_tol, self.rel_tol,
-                                self.max_subdivisions, tuple(hints))
+        return QuadratureConfig(self.abs_tol, self.rel_tol, tuple(hints))
 
 
 #: closed-form geometry checks: cheap integrands, tight tolerances
@@ -203,9 +200,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     errors.  Listed singularities must sit at hinted points or endpoints.
     The reported error bounds the total over all panels and is within
     max(abs_tol, rel_tol |value|), for each component of a stack.  Raises
-    NonConvergence when the panels that cfg.max_subdivisions lets
-    refinement add do not meet that request and InvalidIntegrand on
-    NaN/Inf samples.
+    NonConvergence when the _MAX_ADDED panels that refinement may add do
+    not meet that request and InvalidIntegrand on NaN/Inf samples.
     """
     a = float(a)
     b = float(b)
@@ -244,13 +240,13 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     piece, lo, hi = _split(np.arange(width.size), np.zeros(width.size),
                            width, _INITIAL_PANELS)
     val, err = evaluate(piece, lo, hi)  # (components, panels)
-    added = 0  # panels added by splits, against cfg.max_subdivisions
+    added = 0  # panels added by splits, against _MAX_ADDED
     while True:
         total, total_err = val.sum(axis=1), err.sum(axis=1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         if np.all(total_err <= tol):
             break
-        budget = (cfg.max_subdivisions - added) // (_SPLIT - 1)
+        budget = (_MAX_ADDED - added) // (_SPLIT - 1)
         if budget < 1:
             worst = int(np.argmax(total_err / tol))
             raise NonConvergence(

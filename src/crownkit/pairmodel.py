@@ -8,11 +8,12 @@ linear maps act with explicit handling of the infinite point.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalPoint
+from .errors import DiagonalPoint, NumericalDrift
 
 #: marker for the point at infinity of P1(C)
 INFINITY = "inf"
@@ -24,24 +25,23 @@ def is_infinity(z) -> bool:
     return isinstance(z, str) and z == INFINITY
 
 
+@np.errstate(all="ignore")  # a non-finite result is refused below
 def mobius_apply(m: np.ndarray, z):
-    """Apply a 2x2 matrix to a point of P1(C) by fractional linear action."""
+    """Apply a 2x2 matrix to a point of P1(C) by fractional linear action.
+
+    Raises NumericalDrift where the denominator or the image is not finite.
+    """
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     if is_infinity(z):
-        return INFINITY if c == 0 else a / c
-    den = c * z + d
+        num, den = a, c
+    else:
+        num, den = a * z + b, c * z + d
     if den == 0:
         return INFINITY
-    return (a * z + b) / den
-
-
-def projective_equal(z, w, tol: float = 1e-9) -> bool:
-    if is_infinity(z) or is_infinity(w):
-        if is_infinity(z) and is_infinity(w):
-            return True
-        finite = w if is_infinity(z) else z
-        return abs(finite) > 1.0 / tol
-    return abs(z - w) <= tol * max(1.0, abs(z), abs(w))
+    w = num / den
+    if not (cmath.isfinite(den) and cmath.isfinite(w)):
+        raise NumericalDrift(f"the image of {z} is not finite")
+    return w
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class PairPoint:
         if is_infinity(self.first) or is_infinity(self.second):
             raise PointAtInfinity(f"{self} leaves the affine chart")
         return complex(self.first), complex(self.second)
-
-    def isclose(self, other: "PairPoint", tol: float = 1e-9) -> bool:
-        return (projective_equal(self.first, other.first, tol)
-                and projective_equal(self.second, other.second, tol))
 
 
 BASE_POINT = PairPoint(1j, -1j)

@@ -202,7 +202,6 @@ class InvariantBound:
     dyadic_rhs: float             # literal dyadic estimate at the given f
     outer_block: float            # S_k((tau + phi) f)
     inner_block: float            # S_k(pi(b)(tau_m f))
-    dyadic_blocks: tuple[float, ...]
     comparison: float             # S_{k,Nbar}(f) + ||f|| + S_{k,A}(f)
     rotated_pushed: float         # same display after the k0/torus moves
     push_scale: float             # torus parameter used by the push
@@ -264,7 +263,6 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     return InvariantBound(bound=min(dyadic_rhs, comparison, rotated_pushed),
                           dyadic_rhs=dyadic_rhs,
                           outer_block=outer, inner_block=inner,
-                          dyadic_blocks=blocks,
                           comparison=comparison,
                           rotated_pushed=rotated_pushed,
                           push_scale=t, m=m)

@@ -266,25 +266,22 @@ class Product(SmoothVector):
 
 
 class DilatedArg(SmoothVector):
-    """prefactor * child(alpha x + beta), real affine argument."""
+    """child(alpha x), real dilated argument."""
 
-    def __init__(self, child: SmoothVector, alpha: float, beta: float = 0.0,
-                 prefactor: complex = 1.0):
+    def __init__(self, child: SmoothVector, alpha: float):
         if alpha == 0:
             raise ValueError("alpha must be nonzero")
         self.child = child
         self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.prefactor = complex(prefactor)
         if child.support is not None:
-            a = (child.support[0] - beta) / alpha
-            b = (child.support[1] - beta) / alpha
+            a = child.support[0] / alpha
+            b = child.support[1] / alpha
             self.support = (min(a, b), max(a, b))
-        self.hints = tuple(sorted((h - beta) / alpha for h in child.hints))
+        self.hints = tuple(sorted(h / alpha for h in child.hints))
 
     def taylor(self, x, order):
-        rows = self.child.taylor(self.alpha * x + self.beta, order)
-        scale = self.prefactor * self.alpha ** np.arange(order + 1)
+        rows = self.child.taylor(self.alpha * x, order)
+        scale = self.alpha ** np.arange(order + 1)
         return rows * scale[:, None]
 
 

@@ -1,7 +1,9 @@
 """Command line interface: parsing, JSON shape, determinism, exit codes."""
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 from conftest import log_uniform_crown_pairs
 from crownkit import horo
-from crownkit.cli import main, parse_complex
+from crownkit.cli import build_parser, main, parse_complex
 
 # child processes import crownkit from this checkout's src, which they
 # would not find without an installed package or PYTHONPATH
@@ -184,6 +186,13 @@ FUZZ = {
     ("param", "--phi", "nan"): 1,
     ("param", "--phi", "1e300"): None,
     ("param", "--kind", "unipotent", "--x", "-1"): None,
+    # rounding in n_x loses the angle far out: residual 0.3 at 1e16,
+    # 2.3e-5 at 1e12, 2.7e-10 at 1e8; the unipotent point keeps it
+    ("param", "--x-shift", "1e16", "--phi", "0.3"): 2,
+    ("param", "--x-shift", "1e12", "--phi", "0.3"): 2,
+    ("param", "--x-shift", "1e8", "--phi", "0.3"): 0,
+    ("param", "--kind", "unipotent", "--x", "0.7", "--x-shift", "1e16"): 0,
+    ("param", "--t", "1e200", "--phi", "0.3"): 2,
     ("match", "--phi", "nan"): 1,
     ("match", "--phi", "-1"): None,
     ("match", "--phi", "1e300"): None,
@@ -302,6 +311,72 @@ def test_suite_quick_passes(capsys):
     assert code == 0
     assert summary["passed"] == summary["total"] == 13
     assert summary["all_passed"] is True
+
+
+def test_param_overflow_writes_nothing_to_stderr():
+    proc = run_cli(["param", "--t", "1e200", "--phi", "0.3"])
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "NumericalDrift"
+
+
+#: the cheapest valid invocation of each subcommand but `suite`
+MINIMAL = {
+    "crown-check": ["--z1=0+1i", "--z2=0-1i"],
+    "param": [],
+    "match": ["--phi", "0.3"],
+    "boundary": ["--z1=1", "--z2=-1"],
+    "quadric": ["--z1=0+1i", "--z2=0-1i"],
+    "aproj": ["--z1=0+1i", "--z2=0-1i"],
+    "convexity": ["--phi", "0.3", "--samples", "100"],
+    "trace-domain": ["--value=2"],
+    "escape": ["--phi", "1.1", "--grid", "5"],
+    "phi": ["--lam", "1.0", "--z1=0+1i", "--z2=0-1i"],
+    "doubling": [],
+    "norm-growth": ["--eps", "1e-2"],
+    "dpi-check": [],
+    "sobolev": ["--k", "1"],
+    "invariant-bound": ["--k", "1", "--m", "1"],
+    "transform": [],
+    "parseval": [],
+    "gutzmer": ["--r", "0.3", "--center", "3.0", "--width", "1.0"],
+    "hardy-kernel": [],
+    "kernel": [],
+    "maass": [],
+}
+
+
+def _subparsers():
+    [action] = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_minimal_invocations_cover_every_subcommand():
+    assert set(MINIMAL) == set(_subparsers()) - {"suite"}
+
+
+@pytest.mark.parametrize("command", list(MINIMAL))
+def test_inputs_echo_every_parsed_argument(command, capsys):
+    main([command, *MINIMAL[command]])
+    doc = json.loads(capsys.readouterr().out)
+    dests = {a.dest for a in _subparsers()[command]._actions
+             if a.dest != "help"}
+    assert doc["command"] == command
+    assert set(doc["inputs"]) == dests
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI examples", 1)[1].split("```")[1]
+    lines = [shlex.split(line) for line in block.splitlines()]
+    return [argv[1:] for argv in lines if argv and argv[1] != "suite"]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_cli_examples_pass(argv, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)  # raises unless one document
+    assert code == 0 and doc["status"] == "pass"
 
 
 @pytest.mark.parametrize("argv", list(FUZZ), ids=" ".join)

@@ -45,7 +45,8 @@ def test_g_invariance_of_membership(rng):
 
 
 def test_elliptic_point_values():
-    assert crown.elliptic_point(IDENTITY, 0.0).isclose(BASE_POINT)
+    assert crown.pair_distance(crown.elliptic_point(IDENTITY, 0.0),
+                               BASE_POINT) <= 1e-9
     z = crown.elliptic_point(IDENTITY, math.pi / 8.0)
     assert abs(z.first - np.exp(1j * math.pi / 4.0) * 1j) < 1e-15
     with pytest.raises(DomainError):
@@ -53,7 +54,8 @@ def test_elliptic_point_values():
 
 
 def test_unipotent_point_values(rng):
-    assert crown.unipotent_point(IDENTITY, 0.0).isclose(BASE_POINT)
+    assert crown.pair_distance(crown.unipotent_point(IDENTITY, 0.0),
+                               BASE_POINT) <= 1e-9
     z = crown.unipotent_point(IDENTITY, 0.5)
     assert abs(z.first - 1.5j) < 1e-15 and abs(z.second + 0.5j) < 1e-15
     for _ in range(100):

@@ -9,8 +9,8 @@ import pytest
 from conftest import random_crown_point, random_real_element
 from crownkit import crown, horo, spectral
 from crownkit.errors import DomainError, NotInCrown
-from crownkit.liecore import (IDENTITY, a_t, complex_na_decompose,
-                              k_theta, n_x, p_of_pair)
+from crownkit.liecore import (IDENTITY, OMEGA_RADIUS, a_t,
+                              complex_na_decompose, k_theta, n_x, p_of_pair)
 from crownkit.pairmodel import BASE_POINT, PairPoint
 
 
@@ -81,11 +81,12 @@ def test_convexity_orbit_values_within_band(rng):
 
 
 def test_trace_domain_base_cases():
-    assert horo.trace_domain_contains(horo.FULL_OMEGA, 2.0)
+    assert horo.trace_domain_contains(horo.TraceDomainSpec(OMEGA_RADIUS), 2.0)
     assert horo.trace_domain_contains(horo.DOUBLED_OMEGA, 2.0)
     assert not horo.trace_domain_contains(horo.DOUBLED_OMEGA, -3.0)
     assert horo.trace_domain_contains(horo.DOUBLED_OMEGA, -3.0 + 0.5j)
-    assert not horo.trace_domain_contains(horo.FULL_OMEGA, -1.0)
+    assert not horo.trace_domain_contains(
+        horo.TraceDomainSpec(OMEGA_RADIUS), -1.0)
 
 
 def test_trace_domain_inclusion_random_band(rng):
@@ -114,8 +115,7 @@ def test_trace_domain_sampled_region_oracle(rng):
     for phi in (1.3 * b, 1.8 * b):
         if phi < math.pi / 4:
             v = 2.0 * np.exp(2j * phi)
-            assert not horo.trace_domain_contains(
-                horo.TraceDomainSpec(b), v, tol=1e-9)
+            assert not horo.trace_domain_contains(horo.TraceDomainSpec(b), v)
 
 
 def test_escape_curve_endpoints_and_monotonicity(rng):

@@ -16,7 +16,7 @@ from crownkit import crown
 
 
 def test_exp_of_zero_is_identity():
-    assert exp_lie(LieVector(), 1.0).isclose(IDENTITY)
+    assert np.max(np.abs(exp_lie(LieVector(), 1.0).m - IDENTITY.m)) <= 1e-12
 
 
 def test_exp_h_gives_elliptic_phase():
@@ -36,7 +36,7 @@ def test_one_parameter_property(rng):
         v = LieVector(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
         s, t = rng.normal(size=2)
         left = exp_lie(v, s) @ exp_lie(v, t)
-        assert left.isclose(exp_lie(v, s + t), tol=1e-11)
+        assert np.max(np.abs(left.m - exp_lie(v, s + t).m)) <= 1e-11
 
 
 def test_exp_matches_scipy(rng):
@@ -137,14 +137,8 @@ def test_p_explicit_formula(rng):
 
 
 def test_lievector_domains():
-    assert LieVector(c_h=0.7).in_omega()
-    assert not LieVector(c_h=0.8).in_omega()
-    assert not LieVector(c_h=0.1, c_e=1e-3).in_omega()
-    assert LieVector(c_e=0.99).in_lambda()
-    assert not LieVector(c_e=1.01).in_lambda()
     assert LieVector(c_h=0.5, c_e=0.5, c_f=0.5).in_omega_hat()
     assert not LieVector(c_h=0.7, c_e=0.5, c_f=0.5).in_omega_hat()
-    assert LieVector(c_h=0.3).weyl().c_h == -0.3
 
 
 def test_group_element_determinant_check():

@@ -60,8 +60,8 @@ CASES = [
     pytest.param(Product(RadialStep(1.0, 2.0), CONTINUED),
                  lambda x: _mp_step(x) * _mp_power(CONTINUED)(x),
                  (1.3, -1.7), id="product"),
-    pytest.param(DilatedArg(CONTINUED, 2.5, -0.3, 0.5j),
-                 lambda x: 0.5j * _mp_power(CONTINUED)(2.5 * x - 0.3),
+    pytest.param(DilatedArg(CONTINUED, 2.5),
+                 lambda x: _mp_power(CONTINUED)(2.5 * x),
                  (0.2, 0.9, -0.5), id="dilated_arg"),
     pytest.param(apply_pi(PARAM, K0, GAUSS), _mp_pulled_gauss,
                  (0.4, -2.5, 1.7), id="mobius_pulled"),

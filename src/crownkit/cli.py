@@ -5,8 +5,14 @@ single JSON document on stdout with the command, its inputs (every parsed
 argument), its outputs (values and, for identity checks, both sides and
 their relative gap), a provenance note and a status; only `gutzmer`
 reports an error estimate.  Random sampling is seeded (seed echoed in the
-output) so identical invocations print identical bytes.  `suite` prints one JSON line per criterion and a
-summary line instead.
+output) so identical invocations print identical bytes.  `suite` prints one
+JSON line per criterion and a summary line instead.
+
+Each subcommand imports the modules it runs inside its `cmd_*` function;
+the module top imports only what the parser and the shared helpers need
+(`errors`, `liecore`, `pairmodel`), so a process loads only the command it
+runs: a geometry command never loads the spectral, representation or
+quadrature modules, and only `suite` loads `acceptance`.
 
 Exit codes:
     0  the command ran and its status is not `fail`;
@@ -29,13 +35,9 @@ import sys
 
 import numpy as np
 
-from . import acceptance, crown, horo, maass, sobolev, spectral
 from .errors import CrownkitError
 from .liecore import OMEGA_RADIUS, a_t, complex_na_decompose, n_x
 from .pairmodel import BASE_POINT, PairPoint
-from .repn import (DIRECTIONS, SpectralParam, continue_vK, doubling_check,
-                   dpi_fd_gap, norm_growth, phi_lambda, rep_norm)
-from .vectors import ExpPoly
 
 
 def parse_complex(text: str) -> complex:
@@ -88,7 +90,17 @@ def _check_width(width: float) -> None:
         raise ValueError(f"width must be positive, got {width}")
 
 
+def _radial_gaussian(width: float):
+    """The profile exp(-r^2 / (2 width^2)), 0 without a warning where the
+    square overflows."""
+    def profile(r):
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * (r / width) ** 2)
+    return profile
+
+
 def cmd_crown_check(args):
+    from . import crown
     z = _pair(args)
     out = {"inside": crown.crown_contains(z),
            "xi_plus": crown.xi_pm_contains(z, "+"),
@@ -97,6 +109,7 @@ def cmd_crown_check(args):
 
 
 def cmd_param(args):
+    from . import crown
     g = a_t(args.t) @ n_x(args.x_shift)
     if args.kind == "elliptic":
         z = crown.elliptic_point(g, args.phi)
@@ -118,6 +131,7 @@ def cmd_param(args):
 
 
 def cmd_match(args):
+    from . import crown
     m = crown.match_orbits(args.phi)
     out = {"residual": m.residual, "boost": m.boost,
            "g": [[v for v in row] for row in m.g.m.real.tolist()]}
@@ -127,6 +141,7 @@ def cmd_match(args):
 
 
 def cmd_boundary(args):
+    from . import crown
     z = _pair(args)
     cls = crown.boundary_classify(z, args.tol)
     return emit(args, {"stratum": cls.stratum,
@@ -135,6 +150,7 @@ def cmd_boundary(args):
 
 
 def cmd_quadric(args):
+    from . import crown
     z = _pair(args)
     q = crown.to_quadric(z)
     residual = crown.pair_distance(z, crown.from_quadric(q))
@@ -150,6 +166,7 @@ def cmd_quadric(args):
 
 
 def cmd_aproj(args):
+    from . import crown, horo
     z = _pair(args)
     if crown.crown_contains(z):
         proj = horo.log_aC(z)
@@ -167,6 +184,7 @@ def cmd_aproj(args):
 
 
 def cmd_convexity(args):
+    from . import horo
     scan = horo.convexity_scan(args.phi, args.samples)
     out = {"min_im": scan.min_im, "max_im": scan.max_im,
            "endpoint_gap": scan.endpoint_gap, "violation": scan.violation}
@@ -176,6 +194,7 @@ def cmd_convexity(args):
 
 
 def cmd_trace_domain(args):
+    from . import horo
     spec = horo.TraceDomainSpec(args.bound, doubled=args.doubled)
     inside = horo.trace_domain_contains(spec, args.value)
     out = {"contains": inside,
@@ -185,6 +204,7 @@ def cmd_trace_domain(args):
 
 
 def cmd_escape(args):
+    from . import horo
     if args.grid < 2:
         raise ValueError(f"grid needs at least two points, got {args.grid}")
     grid = np.linspace(0.0, 1.0, args.grid)
@@ -198,6 +218,7 @@ def cmd_escape(args):
 
 
 def cmd_phi(args):
+    from .repn import SpectralParam, phi_lambda
     param = SpectralParam(args.lam)
     value = phi_lambda(param, _pair(args))
     return emit(args, {"value": value},
@@ -205,6 +226,7 @@ def cmd_phi(args):
 
 
 def cmd_doubling(args):
+    from .repn import SpectralParam, doubling_check
     res = doubling_check(SpectralParam(args.lam), a_t(args.t), args.phi)
     status = "pass" if res.gap < 1e-5 else "fail"
     return emit(args, {"lhs": res.lhs, "rhs": res.rhs, "gap": res.gap},
@@ -212,6 +234,7 @@ def cmd_doubling(args):
 
 
 def cmd_norm_growth(args):
+    from .repn import SpectralParam, norm_growth
     eps_list = [float(e) for e in args.eps.split(",")]
     if not all(math.isfinite(e) for e in eps_list):
         raise ValueError(f"eps must be finite, got {args.eps}")
@@ -225,6 +248,8 @@ def cmd_norm_growth(args):
 
 
 def cmd_dpi_check(args):
+    from .repn import DIRECTIONS, SpectralParam, dpi_fd_gap
+    from .vectors import ExpPoly
     rng = np.random.default_rng(args.seed)
     param = SpectralParam(args.lam)
     xs = np.array([0.0, 0.7, -1.3, 2.1])
@@ -239,6 +264,8 @@ def cmd_dpi_check(args):
 
 
 def cmd_sobolev(args):
+    from . import sobolev
+    from .repn import SpectralParam, continue_vK, rep_norm
     param = SpectralParam(args.lam)
     f = continue_vK(param, args.eps)
     spec = sobolev.SobolevSpec(args.k, args.subgroup)
@@ -248,6 +275,8 @@ def cmd_sobolev(args):
 
 
 def cmd_invariant_bound(args):
+    from . import sobolev
+    from .repn import SpectralParam, continue_vK, rep_norm
     param = SpectralParam(args.lam)
     f = continue_vK(param, args.eps)
     m = args.m if args.m else sobolev.choose_m(param, f, args.k)
@@ -263,6 +292,7 @@ def cmd_invariant_bound(args):
 
 
 def cmd_transform(args):
+    from . import spectral
     _check_width(args.width)
     if args.csv:
         try:  # before the phi matrix is built
@@ -270,8 +300,7 @@ def cmd_transform(args):
         except OSError as exc:
             raise ValueError(f"cannot write --csv {args.csv!r}: "
                              f"{exc.strerror}") from exc
-    density = spectral.spherical_transform(
-        lambda r: np.exp(-0.5 * (r / args.width) ** 2))
+    density = spectral.spherical_transform(_radial_gaussian(args.width))
     out = {"lambda_max": float(density.lambda_grid[-1]),
            "peak": float(np.max(np.abs(density.values)))}
     if args.csv:
@@ -281,9 +310,9 @@ def cmd_transform(args):
 
 
 def cmd_parseval(args):
+    from . import spectral
     _check_width(args.width)
-    check = spectral.parseval_check(
-        lambda r: np.exp(-0.5 * (r / args.width) ** 2))
+    check = spectral.parseval_check(_radial_gaussian(args.width))
     out = {"constant": spectral.PLANCHEREL.calibration_constant,
            "lhs": check.lhs, "rhs": check.rhs, "gap": check.gap}
     if args.verdict:
@@ -295,6 +324,7 @@ def cmd_parseval(args):
 
 
 def cmd_gutzmer(args):
+    from . import spectral
     _check_width(args.width)
     density = spectral.gaussian_density(args.center, args.width)
     check = spectral.gutzmer_check(density, args.r)
@@ -305,6 +335,7 @@ def cmd_gutzmer(args):
 
 
 def cmd_hardy_kernel(args):
+    from . import crown, spectral
     if args.gram < 0:
         raise ValueError(f"gram needs a nonnegative count, got {args.gram}")
     if args.gram:
@@ -326,6 +357,7 @@ def cmd_hardy_kernel(args):
 
 
 def cmd_kernel(args):
+    from . import spectral
     _check_width(args.width)
     measure = spectral.KernelMeasure(
         spectral.gaussian_density(args.center, args.width))
@@ -338,6 +370,7 @@ def cmd_kernel(args):
 
 
 def cmd_maass(args):
+    from . import maass
     model = maass.SupBoundModel(args.C)
     if args.violator:
         F = maass.PeriodicStripFunction.from_coefficients({1: 1.0}, 4 * args.y)
@@ -353,6 +386,7 @@ def cmd_maass(args):
 
 
 def cmd_suite(args):
+    from . import acceptance
     rows = acceptance.run_suite(args.level, seed=args.seed)
     all_pass = all(r["passed"] for r in rows)
     for row in rows:

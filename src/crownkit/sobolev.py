@@ -232,14 +232,16 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     restricted Nbar-norm onto the plain norm.  The reported bound is the
     smallest display value over this canonical move family, each member
     of which dominates the invariant norm up to the same uniform constant.
-    The depth m must lie in 1..64, the depths `choose_m` tries.
+    The order k must lie in 0..MAX_ORDER and the depth m in 1..64, the
+    depths `choose_m` tries; both are checked before any work.
     """
+    spec = SobolevSpec(k)
     dec = build_dyadic(m)
     words = _monomials(k)
     f_norms, outer_norms = _word_norms(param, f, words, [dec.outer])
     outer = sum(outer_norms)
-    inner = sobolev_norm(param, dec.inner_block(param, f), SobolevSpec(k))
-    blocks = tuple(sobolev_norm(param, b, SobolevSpec(k))
+    inner = sobolev_norm(param, dec.inner_block(param, f), spec)
+    blocks = tuple(sobolev_norm(param, b, spec)
                    for b in dec.blocks(param, f))
     dyadic_rhs = outer + inner + sum(blocks)
     nbar_f, a_f = _display(words, f_norms, k)
@@ -270,12 +272,14 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
 
 def choose_m(param: SpectralParam, f: SmoothVector, k: int) -> int:
     """Smallest dyadic depth (by doubling search) whose innermost block is
-    dominated by ||f||; the localized low-frequency mass is then absorbed."""
+    dominated by ||f||; the localized low-frequency mass is then absorbed.
+    The order k must lie in 0..MAX_ORDER, checked before any work."""
+    spec = SobolevSpec(k)
     target = sobolev_norm(param, f, SobolevSpec(0))
     m = 1
     while m <= _M_MAX:
         inner = build_dyadic(m).inner_block(param, f)
-        if sobolev_norm(param, inner, SobolevSpec(k)) <= target:
+        if sobolev_norm(param, inner, spec) <= target:
             return m
         m *= 2
     return _M_MAX

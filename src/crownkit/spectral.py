@@ -137,9 +137,12 @@ class SpectralDensity:
 
 
 def gaussian_density(center: float, width: float) -> SpectralDensity:
-    """Smooth test density exp(-(lam-center)^2 / (2 width^2))."""
-    return SpectralDensity(
-        lambda lam: np.exp(-0.5 * ((lam - center) / width) ** 2))
+    """Smooth test density exp(-(lam-center)^2 / (2 width^2)), 0 without a
+    warning where the square overflows."""
+    def density(lam):
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * ((lam - center) / width) ** 2)
+    return SpectralDensity(density)
 
 
 # -- the spherical function in closed form ------------------------------------
@@ -613,21 +616,27 @@ _LIVE = 1e-13
 
 def _check_resolved(weighted: np.ndarray, lam_max: float) -> None:
     """ValueError where a density, weighted as it is integrated on the
-    nodes of a lam rule that ends at lam_max, lives at the last node."""
-    if weighted[-1] > _LIVE * weighted.max():
+    nodes of a lam rule that ends at lam_max, has no finite positive mass
+    there (its nonnegative values peak at 0, as where it underflows on
+    every node, or at inf or nan) or lives at the last node."""
+    peak = float(weighted.max())
+    if not (math.isfinite(peak) and peak > 0.0):
+        raise ValueError(f"the density peaks at {peak:g} on its lam rule "
+                         f"on [0, {lam_max:g}]: it has no finite positive "
+                         "mass there")
+    if weighted[-1] > _LIVE * peak:
         raise ValueError(f"the density has not decayed by lam = {lam_max:g},"
                          " where its lam rule ends")
 
 
 def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
     """GL rule concentrated where the weighted density lives on the grid's
-    lam nodes; ValueError where it still lives at the last of them."""
+    lam nodes; ValueError where it has no finite positive mass on them or
+    still lives at the last of them."""
     grid = spectral_grid().lam_nodes
     mass = np.abs(density(grid)) * np.maximum(weight.density(grid), 0.0)
     _check_resolved(mass, 32.0)
-    live = grid[mass > _LIVE * max(mass.max(), 1e-300)]
-    if not live.size:
-        return gauss_legendre_grid(np.linspace(0.0, grid[-1], 5), 16)
+    live = grid[mass > _LIVE * mass.max()]
     return gauss_legendre_grid(np.linspace(
         max(0.0, live.min() - 0.25), min(grid[-1], live.max() + 0.25), 5), 16)
 
@@ -676,8 +685,8 @@ def orbit_quadrature(density: SpectralDensity,
     still left beyond it exceeds RHO_TAIL_TOL of the total
     (rho_max = 8 for a zero profile).  An explicit rho_max overrides the
     cut; tail_fraction is the profile mass beyond rho_max either way.
-    ValueError where the weighted density has not decayed by lam = 32, the
-    end of the grid's lam rule.
+    ValueError where the weighted density has no finite positive mass on
+    the grid's lam rule or has not decayed by lam = 32, where it ends.
     """
     grid = spectral_grid()
     nodes, lam_w = _adapted_lambda_quad(density, weight)
@@ -819,7 +828,8 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
     Every spectral slice <pi(z)v_K, pi(w)v_K> is P_nu at the invariant of
     the pair, so one `LegendreRule` row over the kernels' lam rule gives
     all of them; K(w, z) is conj K(z, w) exactly.  ValueError where the
-    density has not decayed by KERNEL_LAM_MAX.
+    density has no finite positive mass on the kernels' lam rule or has
+    not decayed by KERNEL_LAM_MAX.
     """
     if not measure.admissible():
         raise AdmissibilityFailure("the kernel measure decays too slowly")

@@ -41,6 +41,36 @@ def test_cli_import_leaves_scipy_out():
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
+#: modules that no geometry command (`crown-check`, `param`, `match`,
+#: `boundary`, `quadric`, `aproj`, `convexity`, `trace-domain`, `escape`)
+#: needs
+NOT_GEOMETRY = {"spectral", "repn", "sobolev", "vectors", "numerics",
+                "maass", "acceptance"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["crown-check", "--z1=0+1i", "--z2=0-1i"], NOT_GEOMETRY),
+    (["sobolev", "--k", "1"], {"acceptance"}),
+    (["kernel"], {"acceptance"}),
+    (["maass"], {"acceptance"})], ids=["crown-check", "sobolev", "kernel",
+                                      "maass"])
+def test_a_command_loads_only_the_modules_it_runs(argv, absent):
+    # each cmd_* imports what it runs, so a fresh process pays only for
+    # its own command; only `suite` loads the acceptance suite
+    code = ("import contextlib, io, json, sys\n"
+            "from crownkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(json.dumps([code, [m.split('.')[1] for m in sys.modules\n"
+            "                         if m.startswith('crownkit.')]]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=CHILD_ENV)
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code == 0 and proc.stderr == ""
+    assert {"cli", "liecore", "pairmodel"} <= set(loaded)
+    assert not set(loaded) & absent
+
+
 def test_parse_complex_forms():
     assert parse_complex("0+1i") == 1j
     assert parse_complex("2-3i") == 2 - 3j
@@ -173,8 +203,9 @@ def test_hardy_kernel_point_form(capsys):
 
 
 # well-typed but out-of-range arguments, each rejected before any
-# phi-matrix work but two gutzmer cases: the density past the lam rule,
-# rejected once its weighted density is read on the lam nodes, and r = 0.785,
+# phi-matrix work but two gutzmer cases: the density past the lam rule or
+# with no mass on it, rejected once its weighted density is read on the
+# lam nodes, and r = 0.785,
 # whose theta rule is still moving at its cap; the value is the exit code
 # when the case pins one (bad argument values exit 1, domain failures 2)
 FUZZ = {
@@ -245,10 +276,16 @@ FUZZ = {
     ("invariant-bound", "--eps", "1e300"): None,
     ("invariant-bound", "--m", "65"): 1,
     ("invariant-bound", "--m", "1100"): 1,
+    # the order is checked before the C(k+3, 3) words are integrated
+    ("invariant-bound", "--k", "24", "--m", "2"): 1,
+    ("invariant-bound", "--k", "64", "--m", "1"): 1,
     ("transform", "--width", "0"): 1,
     ("transform", "--width", "-1"): 1,
     ("transform", "--width", "nan"): 1,
     ("transform", "--csv", "/dev/null/density.csv"): 1,
+    # the profile underflows to 0 at every radius: a correctly rounded 0
+    ("transform", "--width=1e-300"): 0,
+    ("parseval", "--width=1e-300"): 0,
     ("parseval", "--width", "0"): 1,
     ("parseval", "--width", "nan"): 1,
     ("gutzmer", "--width", "0"): 1,
@@ -258,6 +295,9 @@ FUZZ = {
     ("gutzmer", "--r", "0.7854"): 2,
     ("gutzmer", "--r", "0.3", "--center", "40", "--width", "1"): 1,
     ("gutzmer", "--r", "0.785", "--center", "2.0", "--width", "0.7"): 2,
+    # the density underflows on every lam node: no mass to integrate
+    ("gutzmer", "--r", "0.3", "--center=1e200", "--width", "1.0"): 1,
+    ("gutzmer", "--r", "0.3", "--center", "3.0", "--width=1e-300"): 1,
     ("hardy-kernel", "--z1=0", "--z2=0-1i"): None,
     ("hardy-kernel", "--z1=nan", "--z2=0-1i"): 1,
     ("hardy-kernel", "--z1=1e300", "--z2=0-1i"): None,
@@ -268,6 +308,8 @@ FUZZ = {
     ("kernel", "--width", "-1"): 1,
     ("kernel", "--width", "nan"): 1,
     ("kernel", "--center", "2", "--width", "10"): 1,
+    ("kernel", "--center=1e200"): 1,
+    ("kernel", "--width=1e-300"): 1,
     ("maass", "--y", "0"): None,
     ("maass", "--y", "-1"): None,
     ("maass", "--y", "nan"): 1,

@@ -534,6 +534,18 @@ def test_kernel_measure_admissibility():
                                   BASE_POINT, BASE_POINT)
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+def test_a_density_with_no_finite_mass_is_refused(value, weight):
+    # a density that is 0 on every node once read a kernel and an orbital
+    # mass of 0 with status pass; nan or inf would reach the sums
+    dens = spectral.SpectralDensity(lambda lam: np.full_like(lam, value))
+    with pytest.raises(ValueError, match="no finite positive mass"):
+        spectral.invariant_kernel(spectral.KernelMeasure(dens),
+                                  BASE_POINT, BASE_POINT)
+    with pytest.raises(ValueError, match="no finite positive mass"):
+        spectral.gutzmer_check(dens, 0.3, weight)
+
+
 def test_kernel_base_value_is_total_mass(weight):
     value = spectral.hardy_kernel(BASE_POINT, BASE_POINT)
     nodes, lam_w = spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)

@@ -16,20 +16,13 @@ once, which `plancherel_verdict` reports.
 On the crown every matrix coefficient <pi(z)v_K, pi(w)v_K> is P_nu(c),
 nu = -1/2 + i lam/2, at one invariant c of the pair (cosh d(z, w) on real
 points, p(z)/2 at w = x0; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159
-(2004)), and every caller reads it from one evaluator, `LegendreRule`,
-which owns the lam-side series coefficients of one lam array.  It sums
-the points in blocks of a bounded number of (lam, point) cells, and forms
-sin and cos of the Harish-Chandra series in real arithmetic, so that
-conj c gives the conjugate value bit for bit.
+(2004)), and every caller reads it from one evaluator, `LegendreRule`.
 
-A spectral density is a vectorized closed form in lam with its decay
-(`SpectralDensity`), which decides a kernel measure's admissibility; a lam
-rule integrates it only where it has decayed by the rule's end.
-
-The lam and r rules, the phi matrix on them and the kernels'
-`LegendreRule` live in one `SpectralGrid`, built once per process by the
-first reader of the phi matrix: the transform, Parseval or the orbital
-mass.
+Every lam rule is a `LamRule`: TRANSFORM_RULE, with its phi matrix, for
+the transform, Parseval and the orbital mass's radial cut; KERNEL_RULE for
+the kernels; an orbital mass's own rule on the live range of its density.
+A rule integrates a density (`SpectralDensity`, a vectorized closed form
+in lam with its decay) only where it has decayed by the rule's end.
 
 The orbital identity moves the group integral of |f|^2 over a shifted
 copy of X inside the crown to the spectral side, weighted by the doubled
@@ -46,7 +39,7 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -60,58 +53,80 @@ from .pairmodel import BASE_POINT, PairPoint
 TWO_PI = 2.0 * math.pi
 
 
-# -- the spectral grid -------------------------------------------------------
+# -- lam rules ----------------------------------------------------------------
 
-#: the lam range of the invariant kernels; the grid's lam rule restricted
-#: to its first seven panels
-KERNEL_LAM_MAX = 16.0
+#: a density lives where, weighted as it is integrated, it exceeds this
+#: fraction of its peak on the nodes of its lam rule
+_LIVE = 1e-13
 
 
-class SpectralGrid:
-    """The fixed rules of the spectral side and the phi matrix on them.
+class LamRule:
+    """A Gauss-Legendre rule in lam on [0, lam_max].  Its nodes and weights
+    (from `build`), their `LegendreRule` and its phi matrix are each built
+    on first use, so importing the module builds no rule."""
 
-    - lam: graded Gauss-Legendre rule on [0, 32], 40 nodes on each panel
-      of [0, 1/4, 1/2, 1, 2, 4, 8, 16, 32], dense near 0 where the tempered
-      weight vanishes linearly; its first seven panels are the rule of the
-      kernels on [0, KERNEL_LAM_MAX];
-    - r: graded rule on the radial range [0, 36], 48 nodes per panel.
+    def __init__(self, lam_max: float, build: Callable[[], tuple]):
+        self.lam_max, self._build = lam_max, build
 
-    The phi matrix (`phi_radial_matrix`) and the kernels' `LegendreRule`
-    are built on first access; through `spectral_grid` that is at most
-    once per process.
-    """
+    _rule = cached_property(lambda self: self._build())
+    nodes = property(lambda self: self._rule[0])
+    weights = property(lambda self: self._rule[1])
 
-    def __init__(self):
-        self.lam_nodes, self.lam_weights = gauss_legendre_grid(
-            [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0], 40)
-        self.r_nodes, self.r_weights = gauss_legendre_grid(
-            [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 36.0], 48)
+    @cached_property
+    def legendre(self) -> LegendreRule:
+        """The lam side of P_nu on the nodes."""
+        return LegendreRule(self.nodes)
 
-    def lam_rule(self, lam_max: float):
-        """Nodes and weights of the lam rule's panels below lam_max."""
-        n = int(np.searchsorted(self.lam_nodes, lam_max))
-        return self.lam_nodes[:n], self.lam_weights[:n]
+    @cached_property
+    def radial(self) -> tuple[np.ndarray, np.ndarray]:
+        """The radial rule of the phi matrix: 48 nodes on each panel of
+        [0, 1/2, 1, 2, 4, 8, 16, 36]."""
+        return gauss_legendre_grid([0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
+                                    36.0], 48)
 
     @cached_property
     def phi(self) -> np.ndarray:
-        """phi_lam(r) on the lam nodes by the r nodes."""
-        return phi_radial_matrix(self.lam_nodes, self.r_nodes)
+        """phi_lam(r) on the nodes by the radial nodes."""
+        return phi_radial_matrix(self.nodes, self.radial[0])
 
-    @cached_property
-    def kernel_legendre(self) -> LegendreRule:
-        """The lam side of P_nu on the kernels' lam rule."""
-        return LegendreRule(self.lam_rule(KERNEL_LAM_MAX)[0])
+    def check(self, weighted: np.ndarray) -> None:
+        """ValueError where a density, weighted as it is integrated on the
+        nodes, has no finite positive mass there (its peak is 0, inf or
+        nan) or lives at the last node."""
+        peak = float(weighted.max())
+        if not (math.isfinite(peak) and peak > 0.0):
+            raise ValueError(f"the density peaks at {peak:g} on its lam rule "
+                             f"on [0, {self.lam_max:g}]: it has no finite "
+                             "positive mass there")
+        if weighted[-1] > _LIVE * peak:
+            raise ValueError(f"the density has not decayed by lam = "
+                             f"{self.lam_max:g}, where its lam rule ends")
+
+    def live(self, weighted: np.ndarray) -> LamRule:
+        """4 panels of 16 nodes on the range where `weighted` lives, padded
+        by 1/4 and ending at the last node at most; ValueError as `check`."""
+        self.check(weighted)
+        live = self.nodes[weighted > _LIVE * weighted.max()]
+        edges = np.linspace(max(0.0, live.min() - 0.25),
+                            min(self.nodes[-1], live.max() + 0.25), 5)
+        return LamRule(edges[-1], partial(gauss_legendre_grid, edges, 16))
 
 
-@lru_cache(maxsize=1)
-def spectral_grid() -> SpectralGrid:
-    """The process's one spectral grid."""
-    return SpectralGrid()
+#: the rule of the transform, Parseval and the orbital mass's radial cut:
+#: 40 nodes on each panel of [0, 1/4, 1/2, 1, 2, 4, 8, 16, 32], dense near
+#: 0 where the tempered weight vanishes linearly
+TRANSFORM_RULE = LamRule(32.0, partial(
+    gauss_legendre_grid, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+    40))
+#: the rule of the invariant kernels: the transform rule's first seven
+#: panels, the same nodes and weights bit for bit
+KERNEL_RULE = LamRule(16.0, lambda: (TRANSFORM_RULE.nodes[:280],
+                                     TRANSFORM_RULE.weights[:280]))
 
 
 def default_lambda_grid() -> np.ndarray:
-    """The grid's lam nodes (perfbench's spectral probe)."""
-    return spectral_grid().lam_nodes
+    """The transform rule's nodes (perfbench's spectral probe)."""
+    return TRANSFORM_RULE.nodes
 
 
 @dataclass(frozen=True)
@@ -454,11 +469,8 @@ class LegendreRule:
 
 def _legendre(lams: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """P_nu(c) on lams by points (`LegendreRule.values`) for one-off
-    callers: the phi matrix, pairing rows, doubled torus values.  Its rule
-    and lam tables are dropped after the call; repeated evaluation on one
-    lam array reads the tables its owner keeps: `SpectralGrid` for the
-    kernels' lam rule, `OrbitQuadrature` for an orbital mass and its
-    Gutzmer rhs."""
+    callers: the phi matrix, pairing rows, doubled torus values.  Repeated
+    evaluation on one lam array reads the tables of its `LamRule`."""
     return LegendreRule(lams).values(x, y)
 
 
@@ -472,7 +484,8 @@ def phi_radial_matrix(lams: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledTransform:
-    """A radial profile's spherical transform on the grid's lam nodes."""
+    """A radial profile's spherical transform on the transform rule's
+    nodes."""
 
     lambda_grid: np.ndarray
     values: np.ndarray
@@ -487,23 +500,13 @@ class SampledTransform:
 def spherical_transform(f_radial) -> SampledTransform:
     """Transform of a radial function given as a vectorized callable of the
     geodesic radius: F f(lam) = 2 pi Int f(r) phi_lam(r) sinh(r) dr, on the
-    grid's lam nodes."""
-    grid = spectral_grid()
-    r = grid.r_nodes
+    transform rule's nodes."""
+    r, r_w = TRANSFORM_RULE.radial
     fr = np.asarray(f_radial(r), dtype=complex)
     if not np.all(np.isfinite(fr)):
         raise ValueError("radial profile produced non-finite samples")
-    vals = TWO_PI * grid.phi @ (grid.r_weights * fr * np.sinh(r))
-    return SampledTransform(grid.lam_nodes, vals)
-
-
-def radial_l2_mass(f_radial) -> float:
-    """Int_X |f|^2 = 2 pi Int |f(r)|^2 sinh(r) dr for radial f."""
-    grid = spectral_grid()
-    r = grid.r_nodes
-    fr = np.asarray(f_radial(r), dtype=complex)
-    return float(TWO_PI * np.sum(grid.r_weights * np.abs(fr) ** 2
-                                 * np.sinh(r)))
+    vals = TWO_PI * TRANSFORM_RULE.phi @ (r_w * fr * np.sinh(r))
+    return SampledTransform(TRANSFORM_RULE.nodes, vals)
 
 
 @dataclass(frozen=True)
@@ -526,12 +529,15 @@ PLANCHEREL = PlancherelWeight()
 
 def parseval_check(f_radial, weight: PlancherelWeight = PLANCHEREL
                    ) -> IdentityCheck:
-    """Direct X-side mass of a radial function against its spectral mass."""
-    grid = spectral_grid()
+    """The X-side mass Int_X |f|^2 = 2 pi Int |f(r)|^2 sinh(r) dr of a
+    radial function against its spectral mass."""
     dens = spherical_transform(f_radial).values
-    rhs = np.sum(grid.lam_weights * np.abs(dens) ** 2
-                 * weight.density(grid.lam_nodes))
-    return IdentityCheck(radial_l2_mass(f_radial), float(rhs))
+    rhs = np.sum(TRANSFORM_RULE.weights * np.abs(dens) ** 2
+                 * weight.density(TRANSFORM_RULE.nodes))
+    r, r_w = TRANSFORM_RULE.radial
+    fr = np.asarray(f_radial(r), dtype=complex)
+    lhs = TWO_PI * np.sum(r_w * np.abs(fr) ** 2 * np.sinh(r))
+    return IdentityCheck(float(lhs), float(rhs))
 
 
 def calibrate_parseval(reference_width: float = 1.0,
@@ -609,38 +615,6 @@ def _doubled_torus(rule: LegendreRule, r: float) -> np.ndarray:
     return rule.values(np.array([s * s]), np.array([c * c]))[:, 0].real
 
 
-#: a density lives where, weighted as it is integrated, it exceeds this
-#: fraction of its peak on the nodes of its lam rule
-_LIVE = 1e-13
-
-
-def _check_resolved(weighted: np.ndarray, lam_max: float) -> None:
-    """ValueError where a density, weighted as it is integrated on the
-    nodes of a lam rule that ends at lam_max, has no finite positive mass
-    there (its nonnegative values peak at 0, as where it underflows on
-    every node, or at inf or nan) or lives at the last node."""
-    peak = float(weighted.max())
-    if not (math.isfinite(peak) and peak > 0.0):
-        raise ValueError(f"the density peaks at {peak:g} on its lam rule "
-                         f"on [0, {lam_max:g}]: it has no finite positive "
-                         "mass there")
-    if weighted[-1] > _LIVE * peak:
-        raise ValueError(f"the density has not decayed by lam = {lam_max:g},"
-                         " where its lam rule ends")
-
-
-def _adapted_lambda_quad(density: SpectralDensity, weight: PlancherelWeight):
-    """GL rule concentrated where the weighted density lives on the grid's
-    lam nodes; ValueError where it has no finite positive mass on them or
-    still lives at the last of them."""
-    grid = spectral_grid().lam_nodes
-    mass = np.abs(density(grid)) * np.maximum(weight.density(grid), 0.0)
-    _check_resolved(mass, 32.0)
-    live = grid[mass > _LIVE * mass.max()]
-    return gauss_legendre_grid(np.linspace(
-        max(0.0, live.min() - 0.25), min(grid[-1], live.max() + 0.25), 5), 16)
-
-
 #: the orbital mass drops the radial tail of |f|^2 beyond this fraction, and
 #: its theta rule doubles until the mass changes by less than this fraction
 RHO_TAIL_TOL = 1e-7
@@ -650,17 +624,14 @@ _MAX_THETA = 1536
 
 @dataclass(frozen=True)
 class OrbitQuadrature:
-    """The grids of one orbital mass: lam nodes with the inverse-transform
-    coefficients of f and the `LegendreRule` on them, which every theta
-    round and block of the mass and the Gutzmer rhs share, and the rho
-    rule of the Cartan coordinates, cut at rho_max, which drops the
-    fraction tail_fraction of the radial mass of |f|^2; once integrated,
-    the final node count of the theta trapezoid and the change of the mass
-    at its last doubling."""
+    """The grids of one orbital mass: the lam rule, whose `LegendreRule`
+    every theta round of the mass and the Gutzmer rhs share, with the
+    inverse-transform coefficients of f on its nodes; the rho rule, cut at
+    rho_max, which drops tail_fraction of the radial mass of |f|^2; once
+    integrated, the theta trapezoid's node count and last change."""
 
-    lam_nodes: np.ndarray
+    lam_rule: LamRule
     coeff: np.ndarray
-    legendre: LegendreRule
     rho_nodes: np.ndarray
     rho_weights: np.ndarray
     rho_max: float
@@ -670,43 +641,41 @@ class OrbitQuadrature:
 
     def summary(self) -> dict:
         return {"rho_max": self.rho_max, "tail_fraction": self.tail_fraction,
-                "n_rho": self.rho_nodes.size, "n_lambda": self.lam_nodes.size,
+                "n_rho": self.rho_nodes.size,
+                "n_lambda": self.lam_rule.nodes.size,
                 "n_theta": self.n_theta, "theta_error": self.theta_error}
 
 
 def orbit_quadrature(density: SpectralDensity,
-                     weight: PlancherelWeight = PLANCHEREL,
-                     rho_max: float | None = None) -> OrbitQuadrature:
+                     weight: PlancherelWeight = PLANCHEREL
+                     ) -> OrbitQuadrature:
     """The grids `orbital_mass` integrates on.
 
-    The radial cut reads the profile f(r) = c Int d(lam) phi_lam(r) w(lam)
-    d lam off the default phi matrix of `spectral_grid`, and ends the rho
-    range one unit past the last radius at which the radial mass of |f|^2
-    still left beyond it exceeds RHO_TAIL_TOL of the total
-    (rho_max = 8 for a zero profile).  An explicit rho_max overrides the
-    cut; tail_fraction is the profile mass beyond rho_max either way.
-    ValueError where the weighted density has no finite positive mass on
-    the grid's lam rule or has not decayed by lam = 32, where it ends.
+    The lam rule is TRANSFORM_RULE's `live` rule of the weighted density;
+    ValueError as its `check`.  The radial cut reads the profile f(r) = c
+    Int d(lam) phi_lam(r) w(lam) d lam off TRANSFORM_RULE's phi matrix and
+    ends the rho range one unit past the last radius at which the radial
+    mass of |f|^2 left beyond it exceeds RHO_TAIL_TOL of the total (8 for
+    a zero profile).
     """
-    grid = spectral_grid()
-    nodes, lam_w = _adapted_lambda_quad(density, weight)
-    coeff = lam_w * density(nodes) * weight.density(nodes)
+    rule = TRANSFORM_RULE
+    dens, wd = density(rule.nodes), weight.density(rule.nodes)
+    lam_rule = rule.live(np.abs(dens) * np.maximum(wd, 0.0))
+    nodes = lam_rule.nodes
+    coeff = lam_rule.weights * density(nodes) * weight.density(nodes)
 
-    lams, r_nodes = grid.lam_nodes, grid.r_nodes
-    prof = ((grid.lam_weights * density(lams) * weight.density(lams))
-            @ grid.phi)
-    prof = np.abs(prof) ** 2 * np.sinh(r_nodes) * grid.r_weights
+    r_nodes, r_w = rule.radial
+    prof = (rule.weights * dens * wd) @ rule.phi
+    prof = np.abs(prof) ** 2 * np.sinh(r_nodes) * r_w
     total = float(prof.sum())
-    if rho_max is None:
-        beyond = np.cumsum(prof[::-1])[::-1]
-        keep = r_nodes[beyond > RHO_TAIL_TOL * total]
-        rho_max = float(keep.max()) + 1.0 if keep.size else 8.0
+    beyond = np.cumsum(prof[::-1])[::-1]
+    keep = r_nodes[beyond > RHO_TAIL_TOL * total]
+    rho_max = float(keep.max()) + 1.0 if keep.size else 8.0
     tail = float(prof[r_nodes > rho_max].sum()) / total if total > 0 else 0.0
 
     rho_nodes, rho_w = gauss_legendre_grid(
         np.linspace(0.0, rho_max, max(5, int(rho_max * 0.75))), 6)
-    return OrbitQuadrature(nodes, coeff, LegendreRule(nodes), rho_nodes,
-                           rho_w, rho_max, tail)
+    return OrbitQuadrature(lam_rule, coeff, rho_nodes, rho_w, rho_max, tail)
 
 
 def _theta_sums(quad: OrbitQuadrature, r: float, n: int,
@@ -724,7 +693,8 @@ def _theta_sums(quad: OrbitQuadrature, r: float, n: int,
         np.sinh(quad.rho_nodes) * math.sin(2 * r),
         np.cos(2 * j * (math.pi / n)))).ravel()
     f = np.empty(c.size, dtype=complex)
-    for blk, val in quad.legendre.blocks(0.5 * (1 - c), 0.5 * (1 + c)):
+    rule = quad.lam_rule.legendre
+    for blk, val in rule.blocks(0.5 * (1 - c), 0.5 * (1 + c)):
         f[blk] = quad.coeff @ val
     return ((np.abs(f) ** 2).reshape(-1, j.size)
             @ np.where((j == 0) | (2 * j == n), 1.0, 2.0))
@@ -752,8 +722,7 @@ def _integrate_orbit(quad: OrbitQuadrature, r: float
 
 
 def orbital_mass(density: SpectralDensity, r: float,
-                 weight: PlancherelWeight = PLANCHEREL,
-                 rho_max: float | None = None) -> float:
+                 weight: PlancherelWeight = PLANCHEREL) -> float:
     """Group integral of |f|^2 over the shifted orbit at torus angle r.
 
     f is synthesized from its spectral density by the inverse transform,
@@ -763,7 +732,7 @@ def orbital_mass(density: SpectralDensity, r: float,
     radial reduction).  Left K-invariance of f removes dk1, so the sample
     points are a_{e^{rho/2}} k_theta exp(i r h) x0, and the spherical
     values there are P_nu at their invariant, from the one `LegendreRule` of
-    the mass's lam nodes.  The theta trapezoid converges spectrally on this
+    the mass's lam rule.  The theta trapezoid converges spectrally on this
     analytic pi-periodic integrand: it doubles from 24 nodes until the mass
     moves by RHO_TAIL_TOL or less, and raises NonConvergence where it still
     moves by more at 1536 nodes (the (2, 0.7) Gaussian needs 384 at
@@ -774,12 +743,12 @@ def orbital_mass(density: SpectralDensity, r: float,
 
     The rho range drops RHO_TAIL_TOL = 1e-7 of the radial mass of |f|^2
     (`orbit_quadrature`).  No smaller tolerance, because the cut is read
-    off the default grid, where the profile aliases e^{i lam r/2} at large
+    off the transform rule, where the profile aliases e^{i lam r/2} at large
     r (|f| of the (3, 1) Gaussian rises from 5e-13 at r = 30 to 2e-11 at
     r = 35): at 1e-9 the rho range ran to 30-37 and integrated that noise.
     """
     _check_torus_angle(r)
-    return _integrate_orbit(orbit_quadrature(density, weight, rho_max), r)[0]
+    return _integrate_orbit(orbit_quadrature(density, weight), r)[0]
 
 
 @dataclass(frozen=True)
@@ -795,9 +764,9 @@ def gutzmer_check(density: SpectralDensity, r: float,
     by the doubled torus value."""
     _check_torus_angle(r)
     lhs, orbit = _integrate_orbit(orbit_quadrature(density, weight), r)
-    nodes = orbit.lam_nodes             # coeff conj(d) = lam_w |d|^2 w(lam)
-    rhs = np.sum(orbit.coeff * np.conj(density(nodes))
-                 * _doubled_torus(orbit.legendre, r)).real
+    rule = orbit.lam_rule               # coeff conj(d) = lam_w |d|^2 w(lam)
+    rhs = np.sum(orbit.coeff * np.conj(density(rule.nodes))
+                 * _doubled_torus(rule.legendre, r)).real
     return GutzmerCheck(lhs, float(rhs), orbit)
 
 
@@ -826,19 +795,18 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
     """K(z, w) = Int <pi(z)v, pi(w)v> d mu(lam); Hermitian and G-invariant.
 
     Every spectral slice <pi(z)v_K, pi(w)v_K> is P_nu at the invariant of
-    the pair, so one `LegendreRule` row over the kernels' lam rule gives
-    all of them; K(w, z) is conj K(z, w) exactly.  ValueError where the
-    density has no finite positive mass on the kernels' lam rule or has
-    not decayed by KERNEL_LAM_MAX.
+    the pair, so one `LegendreRule` row over KERNEL_RULE gives all of
+    them; K(w, z) is conj K(z, w) exactly.  ValueError where the density
+    has no finite positive mass on KERNEL_RULE or has not decayed by
+    lam = 16, where it ends.
     """
     if not measure.admissible():
         raise AdmissibilityFailure("the kernel measure decays too slowly")
-    grid = spectral_grid()
-    nodes, lam_w = grid.lam_rule(KERNEL_LAM_MAX)
-    dens = measure.density(nodes)
-    _check_resolved(np.abs(dens), KERNEL_LAM_MAX)
-    row = grid.kernel_legendre.values(*_pair_invariant(z, w))[:, 0]
-    return complex(np.sum(lam_w * dens * row))
+    rule = KERNEL_RULE
+    dens = measure.density(rule.nodes)
+    rule.check(np.abs(dens))
+    row = rule.legendre.values(*_pair_invariant(z, w))[:, 0]
+    return complex(np.sum(rule.weights * dens * row))
 
 
 def hardy_density() -> SpectralDensity:

@@ -2,10 +2,13 @@
 
 import argparse
 import json
+import math
 import os
+import random
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +251,12 @@ FUZZ = {
     ("trace-domain", "--value=2", "--bound", "0"): None,
     ("trace-domain", "--value=nan", "--bound", "-1"): 1,
     ("trace-domain", "--value=1e300", "--bound", "1e300"): None,
+    # no torus tube holds a value with Re <= 0: minimal_angle is inf, which
+    # the document writes as the string "inf", with status pass
+    ("trace-domain", "--value=0-1i"): 0,
+    ("trace-domain", "--value=1e200i"): 0,
+    ("trace-domain", "--value=-1+1e-12i"): 0,
+    ("trace-domain", "--value=-1-1e-12i"): 0,
     ("escape", "--phi", "1.1", "--grid", "0"): 1,
     ("escape", "--phi", "1.1", "--grid", "-1"): 1,
     ("escape", "--phi", "1.1", "--grid", "1"): 1,
@@ -430,3 +439,83 @@ def test_out_of_range_arguments_give_one_json_document(argv, capsys):
     if FUZZ[argv] is not None:
         assert code == FUZZ[argv]
         assert (doc["status"] == "fail") == (code != 0)
+
+
+#: the values the generated sweep draws from, by option type: each type's
+#: domain and its edges, and for complex values points near the real axis,
+#: far out and near the slit (-inf, 0]; counts stay small, since a large
+#: count runs for as long as it asks rather than failing
+SWEEP_VALUES = {
+    float: ["0", "1e-12", "-1e-12", "1e-300", repr(math.pi / 4),
+            repr(math.nextafter(math.pi / 4, 0.0)), "1", "-1", "1e8", "1e16",
+            "1e200", "-1e200"],
+    int: ["0", "1", "-1", "2"],
+    parse_complex: ["0+1i", "0-1i", "1+1e-12i", "1-1e-12i", "-1+1e-12i",
+                    "-1-1e-12i", "1e8+1e8i", "1e200i", "-1e16+1i",
+                    "1e-300+1i"],
+}
+SWEEP_VALUES[str] = SWEEP_VALUES[float]     # the --eps list of norm-growth
+
+
+def _sweep_cases(command):
+    """MINIMAL[command] with one option at a time set to each of four
+    seeded draws from its type's values (every choice; a flag alone),
+    written `--opt=value`.  `--csv`, a path, keeps its default."""
+    rng = random.Random(f"sweep {command}")
+    base = MINIMAL[command]
+    for action in _subparsers()[command]._actions:
+        opt = action.option_strings[-1]
+        if action.dest == "help" or opt == "--csv":
+            continue
+        kept = [a for prev, a in zip([None, *base], base)
+                if opt not in (prev, a) and not a.startswith(opt + "=")]
+        if action.nargs == 0:
+            yield [command, *kept, opt]
+            continue
+        pool = action.choices or SWEEP_VALUES[action.type]
+        for value in (pool if action.choices
+                      else rng.sample(pool, min(4, len(pool)))):
+            yield [command, *kept, f"{opt}={value}"]
+
+
+def _finite(value):
+    """No nan or inf in a JSON value, where `emit` writes them as strings."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value not in ("nan", "inf", "-inf")
+
+
+@pytest.mark.parametrize("command", list(MINIMAL))
+def test_generated_sweep_gives_one_json_document(command, capsys):
+    # every input ends in one JSON document with exit code 0, 1 or 2 and
+    # an empty stderr, and status pass only with finite outputs, equal to
+    # the closed form where one is known; FUZZ pins the known defects
+    for argv in _sweep_cases(command):
+        if tuple(argv) in FUZZ:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        doc = json.loads(out)                   # raises unless one document
+        assert code in (0, 1, 2) and err == "" and not caught, argv
+        if doc["status"] != "pass":
+            continue
+        assert _finite(doc["outputs"]), argv
+        inputs, outputs = doc["inputs"], doc["outputs"]
+        if (command == "hardy-kernel" and inputs["gram"] == 0
+                and inputs["z1"] == {"re": 0.0, "im": 1.0}
+                and inputs["z2"] == {"re": 0.0, "im": -1.0}):
+            value = complex(outputs["value"]["re"], outputs["value"]["im"])
+            assert abs(value - 0.125) <= 1e-15, argv    # K(x0, x0) = 1/8
+        if command == "kernel":         # the density's mass on lam >= 0
+            c, w = inputs["center"], inputs["width"]
+            mass = w * math.sqrt(math.pi / 2) * (1 + math.erf(
+                c / (w * math.sqrt(2))))
+            value = outputs["value_at_base"]
+            assert abs(complex(value["re"], value["im"]) - mass) <= (
+                1e-12 * mass), argv

@@ -1,5 +1,6 @@
 """Spherical transform, Parseval calibration, orbital identity, kernels."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -12,6 +13,7 @@ from conftest import random_crown_point, random_real_element
 from crownkit import cli, crown, spectral
 from crownkit.errors import AdmissibilityFailure, DomainError, NonConvergence
 from crownkit.liecore import a_t, k_theta, n_x
+from crownkit.numerics import gauss_legendre_grid
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import SpectralParam, continue_vK, phi_lambda, rep_norm
 
@@ -96,7 +98,7 @@ def _table_widths(rule):
 @pytest.mark.parametrize("first, second", [(_MANY_TERMS, _FEW_TERMS),
                                            (_FEW_TERMS, _MANY_TERMS)])
 def test_legendre_rule_grows_its_tables_bit_for_bit(first, second):
-    lams = spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)[0]
+    lams = spectral.KERNEL_RULE.nodes
     rule = spectral.LegendreRule(lams)
     widths = []
     for c in (first, second):
@@ -138,8 +140,7 @@ def test_legendre_values_are_conjugate_symmetric_bit_for_bit(monkeypatch,
     x, y = x[ratio < 0.9], y[ratio < 0.9]   # where the series converges
     assert x.size >= 8 and np.all(x.imag != 0)
     _force_series(monkeypatch, forced)
-    rule = spectral.LegendreRule(
-        spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)[0])
+    rule = spectral.LegendreRule(spectral.KERNEL_RULE.nodes)
     val = rule.values(x, y)
     assert np.all(np.isfinite(val))
     assert np.array_equal(rule.values(np.conj(x), np.conj(y)), np.conj(val))
@@ -182,10 +183,11 @@ def test_harish_chandra_against_mpmath_at_orbital_invariants(monkeypatch):
 def test_phi_matrix_build_keeps_a_small_working_set():
     # LegendreRule.values sums at most _CELLS (lam, point) cells at a time;
     # the whole matrix at once peaked at 14.25 MB
-    grid = spectral.SpectralGrid()
+    rule = spectral.TRANSFORM_RULE
+    lams, radii = rule.nodes, rule.radial[0]
     tracemalloc.start()
     try:
-        spectral.phi_radial_matrix(grid.lam_nodes, grid.r_nodes)
+        spectral.phi_radial_matrix(lams, radii)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -281,11 +283,11 @@ def test_parseval_held_out_profiles(weight):
 
 def test_transform_inverse_roundtrip(weight):
     dens = spectral.gaussian_density(2.0, 0.7)
-    grid = spectral.spectral_grid()
-    nodes, r_nodes = grid.lam_nodes, grid.r_nodes
-    coeff = grid.lam_weights * dens(nodes) * weight.density(nodes)
-    f_vals = coeff @ grid.phi
-    back = 2 * np.pi * grid.phi @ (grid.r_weights * f_vals * np.sinh(r_nodes))
+    rule = spectral.TRANSFORM_RULE
+    nodes, (r_nodes, r_weights) = rule.nodes, rule.radial
+    coeff = rule.weights * dens(nodes) * weight.density(nodes)
+    f_vals = coeff @ rule.phi
+    back = 2 * np.pi * rule.phi @ (r_weights * f_vals * np.sinh(r_nodes))
     peak = np.max(np.abs(dens(nodes)))
     assert np.max(np.abs(back - dens(nodes))) / peak < 1e-2
 
@@ -373,7 +375,10 @@ def test_gutzmer_rhs_against_mpmath(weight, center, width, r):
 
 def test_strip_norm_at_small_r_is_l2_mass(weight):
     dens = spectral.gaussian_density(2.0, 0.7)
-    nodes, lam_w = spectral._adapted_lambda_quad(dens, weight)
+    nodes = spectral.TRANSFORM_RULE.nodes
+    rule = spectral.TRANSFORM_RULE.live(
+        np.abs(dens(nodes)) * np.maximum(weight.density(nodes), 0.0))
+    nodes, lam_w = rule.nodes, rule.weights
     mass = float(np.sum(lam_w * np.abs(dens(nodes)) ** 2
                         * weight.density(nodes)))
     # the strip norm: the sup over torus angles r < R of the orbital mass
@@ -418,8 +423,8 @@ def test_orbital_mass_on_the_mirror_half(weight, center, r):
     c = (np.cosh(quad.rho_nodes)[:, None] * math.cos(2 * r)
          + 1j * np.outer(np.sinh(quad.rho_nodes) * math.sin(2 * r),
                          np.cos(2 * np.arange(n) * (math.pi / n)))).ravel()
-    f = quad.coeff @ spectral._legendre(quad.lam_nodes, 0.5 * (1 - c),
-                                        0.5 * (1 + c))
+    f = quad.coeff @ spectral._legendre(quad.lam_rule.nodes,
+                                        0.5 * (1 - c), 0.5 * (1 + c))
     radial = 2 * math.pi * quad.rho_weights * np.sinh(quad.rho_nodes)
     reference = radial @ (np.abs(f) ** 2).reshape(-1, n).sum(axis=1) / n
     assert abs(mass - reference) <= 1e-14 * reference
@@ -476,7 +481,11 @@ def test_automatic_radial_cut_matches_a_long_range(weight):
     assert quad.tail_fraction <= spectral.RHO_TAIL_TOL
     assert quad.rho_max < 30.0
     auto = spectral.orbital_mass(dens, 0.3927, weight)
-    long = spectral.orbital_mass(dens, 0.3927, weight, rho_max=30.0)
+    # the same lam rule and coefficients on a rho rule over 30 units
+    rho_nodes, rho_weights = gauss_legendre_grid(np.linspace(0, 30, 22), 6)
+    long = spectral._integrate_orbit(dataclasses.replace(
+        quad, rho_nodes=rho_nodes, rho_weights=rho_weights, rho_max=30.0),
+        0.3927)[0]
     assert abs(auto - long) / long < 1e-6
 
 
@@ -546,9 +555,34 @@ def test_a_density_with_no_finite_mass_is_refused(value, weight):
         spectral.gutzmer_check(dens, 0.3, weight)
 
 
+def test_kernels_never_build_the_phi_matrix(monkeypatch):
+    # the kernel rule is the transform rule's first seven panels, so the
+    # Gram pins of test_pinned_spectral_numbers hold bit for bit; on fresh
+    # rules a kernel reads neither the phi matrix nor the radial rule
+    kernel, transform = spectral.KERNEL_RULE, spectral.TRANSFORM_RULE
+    assert np.array_equal(kernel.nodes, transform.nodes[:280])
+    assert np.array_equal(kernel.weights, transform.weights[:280])
+    assert kernel.nodes[-1] < kernel.lam_max == 16.0 < transform.nodes[280]
+
+    def fresh_matrix(*args):
+        raise AssertionError("a kernel built a phi matrix")
+
+    monkeypatch.setattr(spectral, "phi_radial_matrix", fresh_matrix)
+    monkeypatch.setattr(spectral, "TRANSFORM_RULE",
+                        spectral.LamRule(32.0, transform._build))
+    monkeypatch.setattr(spectral, "KERNEL_RULE",
+                        spectral.LamRule(16.0, kernel._build))
+    pts = [BASE_POINT, crown.elliptic_point(k_theta(0.3) @ a_t(1.7), 0.4)]
+    assert spectral.hardy_kernel(*pts) == spectral.hardy_gram(pts)[0, 1]
+    measure = spectral.KernelMeasure(spectral.gaussian_density(2.0, 0.7))
+    assert spectral.invariant_kernel(measure, *pts) != 0
+    assert "phi" not in vars(spectral.TRANSFORM_RULE)
+    assert "radial" not in vars(spectral.TRANSFORM_RULE)
+
+
 def test_kernel_base_value_is_total_mass(weight):
     value = spectral.hardy_kernel(BASE_POINT, BASE_POINT)
-    nodes, lam_w = spectral.spectral_grid().lam_rule(spectral.KERNEL_LAM_MAX)
+    nodes, lam_w = spectral.KERNEL_RULE.nodes, spectral.KERNEL_RULE.weights
     direct = float(np.sum(lam_w * spectral.hardy_density()(nodes).real))
     assert abs(value.real - direct) < 1e-6
     assert abs(value.imag) < 1e-10

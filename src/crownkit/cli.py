@@ -4,15 +4,17 @@ Complex numbers are written `a+bi` (also `a`, `bi`, `a-bi`).  Output is a
 single JSON document on stdout with the command, its inputs (every parsed
 argument), its outputs (values and, for identity checks, both sides and
 their relative gap), a provenance note and a status; only `gutzmer`
-reports an error estimate.  Random sampling is seeded (seed echoed in the
-output) so identical invocations print identical bytes.  `suite` prints one
-JSON line per criterion and a summary line instead.
+reports an error estimate.  `trace-domain`'s `minimal_angle` is null where
+no torus tube holds the value (Re <= 0).  Random sampling is seeded (seed
+echoed) so identical invocations print identical bytes.  `suite` prints
+one JSON line per criterion and a summary line instead.
 
 Each subcommand imports the modules it runs inside its `cmd_*` function;
 the module top imports only what the parser and the shared helpers need
 (`errors`, `liecore`, `pairmodel`), so a process loads only the command it
 runs: a geometry command never loads the spectral, representation or
-quadrature modules, and only `suite` loads `acceptance`.
+quadrature modules, and only `suite` loads `acceptance`.  numpy loads
+with one BLAS thread unless the user set OPENBLAS, OMP or MKL_NUM_THREADS.
 
 Exit codes:
     0  the command ran and its status is not `fail`;
@@ -31,9 +33,13 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
-import numpy as np
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+import numpy as np  # noqa: E402  (after the BLAS threads are set)
 
 from .errors import CrownkitError
 from .liecore import OMEGA_RADIUS, a_t, complex_na_decompose, n_x
@@ -197,8 +203,9 @@ def cmd_trace_domain(args):
     from . import horo
     spec = horo.TraceDomainSpec(args.bound, doubled=args.doubled)
     inside = horo.trace_domain_contains(spec, args.value)
+    angle = horo.minimal_trace_angle(args.value)
     out = {"contains": inside,
-           "minimal_angle": horo.minimal_trace_angle(args.value)}
+           "minimal_angle": None if math.isinf(angle) else angle}
     return emit(args, out,
                 provenance="closed-form threshold angle of the trace image")
 

@@ -46,7 +46,7 @@ F_MAT = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 class GroupElement:
     """2x2 complex matrix of determinant one, with a real-entries flag."""
 
-    __slots__ = ("m", "is_real")
+    __slots__ = ("m",)
 
     def __init__(self, m, *, check: bool = True):
         m = np.asarray(m, dtype=complex).reshape(2, 2)
@@ -55,7 +55,8 @@ class GroupElement:
             if abs(det - 1.0) > 1e-9:
                 raise ValueError(f"determinant {det} != 1")
         self.m = m
-        self.is_real = bool(np.max(np.abs(m.imag)) < _DET_TOL)
+
+    is_real = property(lambda g: bool(np.abs(g.m.imag).max() < _DET_TOL))
 
     # -- group structure ---------------------------------------------------
 

@@ -221,8 +221,8 @@ def _hyper_coef(mu: np.ndarray, n: int) -> np.ndarray:
 
 
 def _harish_chandra_coef(mu: np.ndarray, n: int) -> np.ndarray:
-    """The rows of U and of V: |a_k| cos(mu phase_k) and |a_k|
-    sin(mu phase_k)/mu, mu phase_k = arg(i mu c(mu) a_k)."""
+    """The rows of U and of V: |a_k| cos(mu phase_k) and |a_k| sin(mu
+    phase_k) times 2|i mu c(mu)|/mu, mu phase_k = arg(i mu c(mu) a_k)."""
     j = np.arange(1, n + 1)
     mod = np.empty((mu.size, n + 1))
     mod[:, 0] = 1.0
@@ -243,7 +243,7 @@ def _harish_chandra_coef(mu: np.ndarray, n: int) -> np.ndarray:
     np.cos(phase, out=uv[0])
     np.sin(phase, out=uv[1])
     uv *= mod
-    uv[1] /= mu
+    uv *= 2.0 * np.sqrt(mu / np.tanh(math.pi * mu) / math.pi) / mu
     return uv
 
 
@@ -264,23 +264,20 @@ def _log_coef(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _harish_chandra(mu: np.ndarray, rho: np.ndarray, coef: np.ndarray
                     ) -> np.ndarray:
-    """2 |i mu c(mu)| e^{-rho/2} (sin(mu rho)/mu U + cos(mu rho) V) in real
-    arithmetic: with rho = a + ib, sin(mu rho) = sin(mu a) cosh(mu b) + i
-    cos(mu a) sinh(mu b) and cos(mu rho) = cos(mu a) cosh(mu b) - i sin(mu a)
-    sinh(mu b), from one cos, sin, cosh and sinh per cell.  Each step is
-    even or odd in b, so conj rho gives the conjugate bit for bit.  The
-    parts are written in place: complex expressions of the same products
-    keep the symmetry but made four warm Gutzmer cases 9% slower."""
+    """e^{-rho/2} (sin(mu rho) U + cos(mu rho) V) in real arithmetic: with
+    rho = a + ib, sin(mu rho) = sin(mu a) cosh(mu b) + i cos(mu a) sinh(mu
+    b) and cos(mu rho) = cos(mu a) cosh(mu b) - i sin(mu a) sinh(mu b), from
+    one cos, sin, cosh and sinh per cell.  Each step is even or odd in b, so
+    conj rho gives the conjugate bit for bit.  The parts are written in
+    place: complex expressions of the same products keep the symmetry but
+    made four warm Gutzmer cases 9% slower."""
     u, v = np.split(_power_series(coef, np.exp(-2.0 * rho)), 2)
     mu_a, mu_b = mu * rho.real, mu * rho.imag
     cos_a, sin_a = np.cos(mu_a), np.sin(mu_a)
     cosh_b, sinh_b = np.cosh(mu_b), np.sinh(mu_b)
-    inv = 1.0 / mu
-    sin_mu = np.empty(u.shape, dtype=complex)      # sin(mu rho)/mu
+    sin_mu = np.empty(u.shape, dtype=complex)
     np.multiply(sin_a, cosh_b, out=sin_mu.real)
     np.multiply(cos_a, sinh_b, out=sin_mu.imag)
-    sin_mu.real *= inv
-    sin_mu.imag *= inv
     cos_mu = np.empty(u.shape, dtype=complex)
     np.multiply(cos_a, cosh_b, out=cos_mu.real)
     np.multiply(sin_a, sinh_b, out=cos_mu.imag)
@@ -288,8 +285,7 @@ def _harish_chandra(mu: np.ndarray, rho: np.ndarray, coef: np.ndarray
     sin_mu *= u
     cos_mu *= v
     sin_mu += cos_mu
-    gmod = np.sqrt(mu / np.tanh(math.pi * mu) / math.pi)
-    sin_mu *= 2.0 * gmod * np.exp(-0.5 * rho)
+    sin_mu *= np.exp(-0.5 * rho)
     return sin_mu
 
 
@@ -299,20 +295,53 @@ def _log_series(mu: np.ndarray, y: np.ndarray, coef: np.ndarray
     return np.cosh(math.pi * mu) / math.pi * (s - np.log(y) * f)
 
 
-def _series_error(s: int, mu: np.ndarray, ratio: np.ndarray,
-                  arc: np.ndarray, bound: np.ndarray, decay: np.ndarray
-                  ) -> np.ndarray:
-    """The error in nats of series s of `LegendreRule.values` on each
-    (lam, point) cell; within e^4 of the loss floor the ratio minus 1,
-    negative where the series converges, ranks the series instead."""
-    key = np.maximum(arc[s] * mu, _LOSS_NATS)
-    key += np.maximum(bound[s] - _MAX_TERMS * decay[s], 0.0)
-    return np.where(key > _LOSS_NATS, key, ratio[s] - 1.0)
+def _series_error(mu, ratio, arc, decay, bound) -> np.ndarray:
+    """The error in nats at mu of a series of `LegendreRule.values`, its
+    arrays in any shapes that broadcast; within e^4 of the loss floor the
+    ratio minus 1, negative where the series converges, ranks instead."""
+    key = np.maximum(arc * mu, _LOSS_NATS)
+    key = key + np.maximum(bound - _MAX_TERMS * decay, 0.0)
+    return np.where(key > _LOSS_NATS, key, ratio - 1.0)
+
+
+def _pick(mu, bound, ratio, arc, decay):
+    """The least `_series_error` (of equals the first) on each (lam, point)
+    cell, int8, and the terms of each picked series: its bound over its
+    decay at its neediest cell, at most _MAX_TERMS.  A series' error is its
+    ratio - 1 within its loss floor and above 4 past it, which it leaves
+    once as mu grows; so a point whose least-ratio series is within it at
+    the largest mu takes that series at every lam (95% of the benchmark's
+    kernel points, all but 1e-4 of its orbit points), and only the others
+    are weighed cell by cell, with the guard of `LegendreRule.values`."""
+    top, cols = mu.argmax(), np.arange(ratio.shape[1])
+    first = np.argmin(ratio - 1.0, axis=0)
+    pick = np.repeat(first[None].astype(np.int8), mu.size, axis=0)
+    top_bound, first_decay = bound[first, top, 0], decay[first, cols]
+    covered = _series_error(mu[top], ratio[first, cols], arc[first, cols],
+                            first_decay, top_bound) <= _LOSS_NATS
+    need = np.full(3, -np.inf)
+    np.maximum.at(need, first, np.where(covered, top_bound / first_decay,
+                                        -np.inf))
+    if not covered.all():
+        rest = ~covered
+        error = _series_error(mu, *(a[:, None, rest] for a in
+                                    (ratio, arc, decay)), bound)
+        pick[:, rest] = least = error.argmin(axis=0)
+        best = error.min(axis=0)
+        spread = np.log1p(np.abs(np.log(ratio[2, rest])))
+        if not np.all(np.where(least == 2, best + spread, best)
+                      <= 0.5 * _TAIL_NATS):
+            raise ValueError("no series reaches 1e-8 of P_nu on or near "
+                             "the cut")
+        np.maximum.at(need, least, np.take_along_axis(
+            bound / decay[:, None, rest], least[None], 0)[0])
+    return pick, [math.ceil(min(n, _MAX_TERMS)) if n > -np.inf else None
+                  for n in need]
 
 
 #: one block of `LegendreRule.blocks` holds at most this many (lam, point)
-#: cells, so its complex temporaries stay at 256 KB; on four Gutzmer cases
-#: blocks of 2^12 and 2^15 cells were 2% and 6% slower
+#: cells, so its complex temporaries stay at 256 KB; on four warm Gutzmer
+#: cases 2^12 and 2^15 were 8% and 18% slower, 2^13 within 2%
 _CELLS = 2 ** 14
 
 
@@ -333,6 +362,8 @@ class LegendreRule:
     def __init__(self, lams: np.ndarray):
         self.mu = np.maximum(0.5 * np.abs(np.asarray(lams, float)),
                              1e-30)[:, None]
+        self._bound = np.stack([math.pi * self.mu, 0.0 * self.mu,
+                                math.pi * self.mu]) + _TAIL_NATS
         self._tables = [None, None, None]
         self._overflow = [None, None, None]
 
@@ -375,9 +406,9 @@ class LegendreRule:
           1)(2k - 1 - 2i mu)/(4k (k - i mu)).  With |i mu c(mu)|^2 = mu
           coth(pi mu)/pi and the phases divided by mu it is 2|i mu c(mu)|
           e^{-rho/2} (sin(mu rho)/mu U + cos(mu rho) V), U, V real series
-          in e^{-2 rho}: exact at mu = 0.  sin and cos of mu rho are formed
-          in real arithmetic from cos, sin of mu Re rho and cosh, sinh of
-          mu Im rho.
+          in e^{-2 rho}: exact at mu = 0, the row factors in their tables.
+          sin and cos of mu rho are formed in real arithmetic from cos, sin
+          of mu Re rho and cosh, sinh of mu Im rho.
         - Near c = -1 (DLMF 15.8.10): (cosh(pi mu)/pi) sum t_k [2 psi(k +
           1) - 2 Re psi(k + 1/2 + i mu) - log y] y^k, the same t_k; its
           terms reach about e^{mu (pi + 2 asin sqrt|y| - |Im rho|)} |P|.
@@ -385,13 +416,13 @@ class LegendreRule:
         terms, so its error is e^{loss + left - 37}: loss, the growth of
         its terms over |P|; left, the nats of the bound past the cap.  The
         least error from e^4 up wins, of equals the smallest ratio |x|,
-        |e^{-2 rho}| or |y|.  The log series is the difference of sum t_k
-        b_k y^k and log y sum t_k y^k, which both reach about |log y| times
-        its terms, so the guard counts its error as e^{loss + left - 37}
-        (1 + |log y|): past e^-18.5 (1e-8), on the cut c <= -1 or near it
-        past lam ~ 64, ValueError.  ValueError too where the coefficients
-        a call reads overflow: the t_k grow to about e^{pi mu}, past
-        lam ~ 450.
+        |e^{-2 rho}| or |y|, ranked once per point (`_pick`).  The log
+        series is the difference of sum t_k b_k y^k and log y sum t_k y^k,
+        which both reach about |log y| times its terms, so the guard counts
+        its error as e^{loss + left - 37} (1 + |log y|): past e^-18.5
+        (1e-8), on the cut c <= -1 or near it past lam ~ 64, ValueError.
+        ValueError too where the coefficients a call reads overflow: the
+        t_k grow to about e^{pi mu}, past lam ~ 450.
         P is even in mu and Harish-Chandra terms are divided by mu: flooring
         mu at 1e-30 moves P by O(mu^2).
         Every step is conjugate-symmetric, so values(conj x, conj y) is
@@ -406,11 +437,11 @@ class LegendreRule:
     def blocks(self, x: np.ndarray, y: np.ndarray):
         """`values` block by block: (slice of the points, P_nu on the lams
         by those points), each block at most _CELLS cells.  The series of
-        every cell is picked, the guard checked and each table sized for
-        all the points before the first block is summed, so the picks are
-        held, one byte per cell, until their block is summed.  Picking and
-        summing each block in one pass, with the tables grown as blocks
-        need, made four warm Gutzmer cases 3-7% slower."""
+        every cell is picked (`_pick`), the guard checked and each table
+        sized for all the points before the first block is summed, so the
+        picks are held, one byte per cell, until their block is summed.
+        Picking and summing each block in one pass, with the tables grown
+        as blocks need, made four warm Gutzmer cases 3-7% slower."""
         mu = self.mu
         x, y = np.asarray(x, complex), np.asarray(y, complex)
         rho = np.arccosh(np.where(np.abs(x) <= np.abs(y), 1.0 - 2.0 * x,
@@ -419,39 +450,20 @@ class LegendreRule:
         arc = (2.0 * np.arcsin(np.sqrt(np.minimum(ratio, 1.0)))
                - np.abs(rho.imag))
         arc[1], arc[2] = 0.0, arc[2] + math.pi
-        bound = np.stack([math.pi * mu, 0.0 * mu, math.pi * mu]) + _TAIL_NATS
         with np.errstate(divide="ignore"):    # -inf where a series diverges
             decay = -np.log(np.where(ratio < 1.0, ratio, np.inf))
-            spread = np.log1p(np.abs(np.log(ratio[2])))
-
-        step = max(1, _CELLS // mu.size)
-        slices = [slice(i, min(i + step, x.size))
-                  for i in range(0, x.size, step)]
-        picks, terms = [], []
-        for blk in slices:
-            best = np.full((mu.size, blk.stop - blk.start), np.inf)
-            pick = np.zeros(best.shape, dtype=np.int8)
-            for s in range(3):  # error in nats; within e^4, ratio - 1 < 0
-                key = _series_error(s, mu, ratio[:, blk], arc[:, blk], bound,
-                                    decay[:, blk])
-                pick[key < best] = s
-                np.minimum(best, key, out=best)
-            if not np.all(np.where(pick == 2, best + spread[blk], best)
-                          <= 0.5 * _TAIL_NATS):
-                raise ValueError("no series reaches 1e-8 of P_nu on or near "
-                                 "the cut")
-            need = [(bound[s] / decay[s, blk])[pick == s] for s in range(3)]
-            picks.append(pick)
-            terms.append([math.ceil(min(n.max(), _MAX_TERMS)) if n.size
-                          else None for n in need])
+            step = max(1, _CELLS // mu.size)
+            slices = [slice(i, i + step) for i in range(0, x.size, step)]
+            picks = [_pick(mu, self._bound, ratio[:, blk], arc[:, blk],
+                           decay[:, blk]) for blk in slices]
         for s in range(3):
-            longest = [n[s] for n in terms if n[s] is not None]
+            longest = [ns[s] for _, ns in picks if ns[s] is not None]
             if longest:
                 self._table(s, max(longest))
 
         hyper = lambda mu, x, coef: _power_series(coef, x)
         series = ((hyper, x), (_harish_chandra, rho), (_log_series, y))
-        for blk, pick, ns in zip(slices, picks, terms):
+        for blk, (pick, ns) in zip(slices, picks):
             out = np.empty(pick.shape, dtype=complex)
             for s, (evaluate, arg) in enumerate(series):
                 if ns[s] is None:
@@ -505,7 +517,7 @@ def spherical_transform(f_radial) -> SampledTransform:
     fr = np.asarray(f_radial(r), dtype=complex)
     if not np.all(np.isfinite(fr)):
         raise ValueError("radial profile produced non-finite samples")
-    vals = TWO_PI * TRANSFORM_RULE.phi @ (r_w * fr * np.sinh(r))
+    vals = TRANSFORM_RULE.phi @ (TWO_PI * r_w * fr * np.sinh(r))
     return SampledTransform(TRANSFORM_RULE.nodes, vals)
 
 
@@ -789,6 +801,13 @@ class KernelMeasure:
             return rate is not None and rate >= 2.0
         return tag == "super-exponential"
 
+    @cached_property
+    def weighted(self) -> np.ndarray:
+        """KERNEL_RULE's weights times the density; raises as `check` does."""
+        dens = self.density(KERNEL_RULE.nodes)
+        KERNEL_RULE.check(np.abs(dens))
+        return KERNEL_RULE.weights * dens
+
 
 def invariant_kernel(measure: KernelMeasure, z: PairPoint,
                      w: PairPoint) -> complex:
@@ -802,11 +821,9 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
     """
     if not measure.admissible():
         raise AdmissibilityFailure("the kernel measure decays too slowly")
-    rule = KERNEL_RULE
-    dens = measure.density(rule.nodes)
-    rule.check(np.abs(dens))
-    row = rule.legendre.values(*_pair_invariant(z, w))[:, 0]
-    return complex(np.sum(rule.weights * dens * row))
+    weighted = measure.weighted
+    row = KERNEL_RULE.legendre.values(*_pair_invariant(z, w))[:, 0]
+    return complex(np.sum(weighted * row))
 
 
 def hardy_density() -> SpectralDensity:

@@ -33,6 +33,27 @@ def run_cli(args):
     return proc
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, seen", [({}, ["1", "1", "1"]), (
+    {"OMP_NUM_THREADS": "2"}, [None, "2", None])], ids=["unset", "set"])
+def test_cli_sets_one_blas_thread_before_numpy_loads(preset, seen):
+    # the BLAS reads its thread count when numpy loads; the CLI sets one
+    # thread unless the user set a count
+    code = ("import os, sys\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, *args):\n"
+            "        if name == 'numpy':\n"
+            f"            print([os.environ.get(v) for v in {BLAS_THREADS}])\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import crownkit.cli\n")
+    env = {k: v for k, v in CHILD_ENV.items() if k not in BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env={**env, **preset})
+    assert proc.returncode == 0 and proc.stdout == repr(seen) + "\n"
+
+
 def test_cli_import_leaves_scipy_out():
     # importing scipy.special costs about 0.3 s and 22 MB of peak RSS on a
     # 2-core box (import crownkit.cli: 31 MB without it, 53 MB with it),
@@ -171,6 +192,15 @@ def test_trace_domain_command(capsys):
     assert doc["outputs"]["contains"] is True
 
 
+@pytest.mark.parametrize("value", ["0-1i", "1e200i", "-1+1e-12i",
+                                   "-1-1e-12i"])
+def test_trace_domain_has_no_angle_where_no_tube_holds_the_value(value,
+                                                                 capsys):
+    assert main(["trace-domain", f"--value={value}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outputs"] == {"contains": False, "minimal_angle": None}
+
+
 def test_doubling_command(capsys):
     code = main(["doubling", "--lam", "1.0", "--t", "2.0",
                  "--phi", "0.19634954084936207"])
@@ -251,8 +281,7 @@ FUZZ = {
     ("trace-domain", "--value=2", "--bound", "0"): None,
     ("trace-domain", "--value=nan", "--bound", "-1"): 1,
     ("trace-domain", "--value=1e300", "--bound", "1e300"): None,
-    # no torus tube holds a value with Re <= 0: minimal_angle is inf, which
-    # the document writes as the string "inf", with status pass
+    # no torus tube holds a value with Re <= 0: minimal_angle is null
     ("trace-domain", "--value=0-1i"): 0,
     ("trace-domain", "--value=1e200i"): 0,
     ("trace-domain", "--value=-1+1e-12i"): 0,

@@ -114,10 +114,12 @@ def test_legendre_rule_grows_its_tables_bit_for_bit(first, second):
 
 def _force_series(monkeypatch, forced):
     """Make `LegendreRule.values` sum series `forced` at every cell."""
-    def error(s, mu, ratio, *args):
-        return np.full((mu.size, ratio.shape[-1]),
-                       0.0 if s == forced else np.inf)
-    monkeypatch.setattr(spectral, "_series_error", error)
+    def pick(mu, bound, ratio, arc, decay):
+        need = (bound[forced] / decay[forced]).max()
+        terms = math.ceil(min(need, spectral._MAX_TERMS))
+        return (np.full((mu.size, ratio.shape[1]), forced, dtype=np.int8),
+                [terms if s == forced else None for s in range(3)])
+    monkeypatch.setattr(spectral, "_pick", pick)
 
 
 def _seeded_invariants(n):
@@ -126,6 +128,51 @@ def _seeded_invariants(n):
              for _ in range(n)]
     x, y = np.array([spectral._pair_invariant(z, w) for z, w in pairs]).T[0]
     return x, y
+
+
+def test_the_ranked_pick_is_the_least_series_error(monkeypatch):
+    # the pick ranks the series once per point and compares errors cell by
+    # cell only where the first-ranked series leaves its loss floor below
+    # the largest lam; on every cell it must be the least `_series_error`
+    # (of equals the first), and each series must sum the terms its
+    # neediest picked cell asks for
+    seen, pick = [], spectral._pick
+
+    def spy(*args):
+        seen.append((args, pick(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(spectral, "_pick", spy)
+    rng = np.random.default_rng(28)
+    kernel = 1 - 2 * _seeded_invariants(60)[0]
+    rho, theta = rng.uniform(0, 30, 400), rng.uniform(0, np.pi / 2, 400)
+    orbit = np.concatenate([np.cosh(rho) * math.cos(2 * r) + 1j * np.sinh(
+        rho) * math.sin(2 * r) * np.cos(2 * theta)
+        for r in (0.1, 0.3, 0.5, 0.7, 0.75, 0.785)])
+    real = np.cosh(rng.uniform(0, 36, 200)) + 0j
+    near = rng.uniform(1e-12, 1e-8, 60)
+    cut = np.concatenate([-1 + near * np.exp(1j * rng.uniform(-3, 3, 60)),
+                          -1 - 1e3 * near + 1e-2 * near * 1j,
+                          -1 - 1e3 * near - 1e-2 * near * 1j])
+    rules = [spectral.KERNEL_RULE, spectral.TRANSFORM_RULE,
+             spectral.TRANSFORM_RULE.live(np.exp(-(spectral.TRANSFORM_RULE
+                                                   .nodes - 2) ** 2))]
+    for rule in rules:
+        for c in (kernel, orbit, real, cut):
+            spectral.LegendreRule(rule.nodes).values(0.5 * (1 - c),
+                                                     0.5 * (1 + c))
+    mixed = 0
+    for (mu, bound, ratio, arc, decay), (got, terms) in seen:
+        error = np.stack([spectral._series_error(mu, ratio[s], arc[s],
+                                                 decay[s], bound[s])
+                          for s in range(3)])
+        want = error.argmin(axis=0)
+        assert np.array_equal(got, want)
+        need = [(bound[s] / decay[s])[want == s] for s in range(3)]
+        assert terms == [math.ceil(min(n.max(), spectral._MAX_TERMS))
+                         if n.size else None for n in need]
+        mixed += np.sum(np.any(want != want[mu.argmax()], axis=0))
+    assert mixed >= 10          # both paths of the pick were taken
 
 
 @pytest.mark.parametrize("forced", [0, 1, 2])

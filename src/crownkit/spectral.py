@@ -308,20 +308,20 @@ def _pick(mu, bound, ratio, arc, decay):
     """The least `_series_error` (of equals the first) on each (lam, point)
     cell, int8, and the terms of each picked series: its bound over its
     decay at its neediest cell, at most _MAX_TERMS.  A series' error is its
-    ratio - 1 within its loss floor and above 4 past it, which it leaves
-    once as mu grows; so a point whose least-ratio series is within it at
-    the largest mu takes that series at every lam (95% of the benchmark's
-    kernel points, all but 1e-4 of its orbit points), and only the others
-    are weighed cell by cell, with the guard of `LegendreRule.values`."""
+    ratio - 1 inside its loss floor and above 4 outside, which it leaves
+    once as mu grows: a point whose least-ratio series, 2F1 or
+    Harish-Chandra, is inside at the largest mu takes it at every lam (95%
+    of the benchmark's kernel points, all but 1e-4 of its orbit points).
+    The rest are weighed cell by cell, under the guard of `values`."""
     top, cols = mu.argmax(), np.arange(ratio.shape[1])
     first = np.argmin(ratio - 1.0, axis=0)
     pick = np.repeat(first[None].astype(np.int8), mu.size, axis=0)
     top_bound, first_decay = bound[first, top, 0], decay[first, cols]
-    covered = _series_error(mu[top], ratio[first, cols], arc[first, cols],
-                            first_decay, top_bound) <= _LOSS_NATS
+    covered = (first < 2) & (_series_error(
+        mu[top], ratio[first, cols], arc[first, cols], first_decay,
+        top_bound) <= _LOSS_NATS)
     need = np.full(3, -np.inf)
-    np.maximum.at(need, first, np.where(covered, top_bound / first_decay,
-                                        -np.inf))
+    np.maximum.at(need, first[covered], (top_bound / first_decay)[covered])
     if not covered.all():
         rest = ~covered
         error = _series_error(mu, *(a[:, None, rest] for a in

@@ -132,10 +132,10 @@ def _seeded_invariants(n):
 
 def test_the_ranked_pick_is_the_least_series_error(monkeypatch):
     # the pick ranks the series once per point and compares errors cell by
-    # cell only where the first-ranked series leaves its loss floor below
-    # the largest lam; on every cell it must be the least `_series_error`
-    # (of equals the first), and each series must sum the terms its
-    # neediest picked cell asks for
+    # cell only where the first-ranked series is the log series or leaves
+    # its loss floor below the largest lam; on every cell it must be the
+    # least `_series_error` (of equals the first), and each series must
+    # sum the terms its neediest picked cell asks for
     seen, pick = [], spectral._pick
 
     def spy(*args):
@@ -173,6 +173,10 @@ def test_the_ranked_pick_is_the_least_series_error(monkeypatch):
                          if n.size else None for n in need]
         mixed += np.sum(np.any(want != want[mu.argmax()], axis=0))
     assert mixed >= 10          # both paths of the pick were taken
+    # at c = -1, P's log singularity, only the log series is within its
+    # loss floor, and the guard must still refuse it
+    with pytest.raises(ValueError):
+        spectral._legendre(rules[0].nodes, np.array([1 + 0j]), np.array([0j]))
 
 
 @pytest.mark.parametrize("forced", [0, 1, 2])

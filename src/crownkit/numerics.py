@@ -8,10 +8,15 @@ hinted or finite end, so refinement clusters geometrically toward
 algebraic and logarithmic singularities; Kronrod nodes are interior, so
 hinted singular points are never sampled.  Infinite ends are mapped to
 finite pieces with the rational substitution x = c + t/(1-t).  Each piece
-starts as _INITIAL_PANELS equal panels.  Each round splits the panels
-that carry most of the error into _SPLIT equal parts and evaluates all
-new panels in a single vectorized integrand call; the loop stops when the
-summed error of all panels meets the request.  A round's fixed cost
+starts as _INITIAL_PANELS equal panels in u plus a mesh graded toward its
+end, geometric with ratio 4 in t from the piece's width down to its local
+scale, the distance from that end to the nearest other hint on either
+side, and at most _GRADE_DEPTH edges deep: a peak of width w next to a
+hint is resolved from the first round (Babuska & Guo, Comput. Mech. 1,
+1986, on geometric meshes).  Each round splits the panels that carry
+most of the error into _SPLIT equal parts and evaluates all new panels
+in a single vectorized integrand call; the loop stops when the summed
+error of all panels meets the request.  A round's fixed cost
 (bookkeeping and one integrand call) outweighs its 15 samples per panel,
 so wide splits that take few rounds beat bisection (Shampine, J. Comput.
 Appl. Math. 211, 2008; QUADPACK's global strategy and its roundoff floor
@@ -64,10 +69,12 @@ _G7_WEIGHTS = np.array([
 ])
 _G7_SLICE = slice(1, 15, 2)  # Gauss nodes sit at the odd Kronrod positions
 #: parts each refined panel is split into per round, the equal panels each
-#: piece starts as, and the cap on the panels refinement adds over the
-#: whole range (_SPLIT - 1 for each panel split)
+#: piece starts as, the most edges its start grades toward its edge, and
+#: the cap on the panels refinement adds over the whole range (_SPLIT - 1
+#: for each panel split)
 _SPLIT = 8
 _INITIAL_PANELS = 4
+_GRADE_DEPTH = 16
 _MAX_ADDED = 4000
 _EPS = np.finfo(float).eps
 
@@ -119,9 +126,10 @@ class IdentityCheck:
                                               1e-300)
 
 
-def _ensure_finite(vals, where):
+def _ensure_finite(vals, x):
     if not np.all(np.isfinite(vals)):
-        raise InvalidIntegrand(f"non-finite integrand sample near {where!r}")
+        raise InvalidIntegrand("non-finite integrand sample near "
+                               f"{(float(x.min()), float(x.max()))!r}")
 
 
 def _panel_gk(y, half):
@@ -143,22 +151,28 @@ def _panel_gk(y, half):
 
 
 def _cut(lo, hi, cuts, c, d):
-    """Pieces of [lo, hi] cut at `cuts`, as rows (t0, sign, width, c, d).
+    """Pieces of [lo, hi] cut at `cuts`, as rows (t0, sign, width, c, d, s).
 
     Each side of an edge is integrated in u on [0, width] under the
     square-root substitution t = t0 + sign u^2, which regularizes
     algebraic (power < 1) and logarithmic singularities there.  On a
     mapped infinite range (d != 0) the far edge t = 1 is left regular:
-    decaying integrands need no substitution there."""
-    edges = sorted({lo, hi} | {t for t in cuts if lo < t < hi})
+    decaying integrands need no substitution there.  A row's local scale
+    s is the distance from its edge to the nearest other edge or cut on
+    either side, cuts beyond [lo, hi] included."""
+    points = sorted({lo, hi, *cuts})
+    gaps = [math.inf, *(q - p for p, q in zip(points, points[1:])),
+            math.inf]
+    near = [min(g) for g in zip(gaps, gaps[1:])]  # s at each point
     rows = []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
+    for i in range(points.index(lo), points.index(hi)):
+        e0, e1, s0, s1 = points[i], points[i + 1], near[i], near[i + 1]
         if d and e1 == hi:
-            rows.append((e0, 1.0, math.sqrt(e1 - e0), c, d))
+            rows.append((e0, 1.0, math.sqrt(e1 - e0), c, d, s0))
         else:
             mid = 0.5 * (e0 + e1)
-            rows += [(e0, 1.0, math.sqrt(mid - e0), c, d),
-                     (e1, -1.0, math.sqrt(e1 - mid), c, d)]
+            rows += [(e0, 1.0, math.sqrt(mid - e0), c, d, s0),
+                     (e1, -1.0, math.sqrt(e1 - mid), c, d, s1)]
     return rows
 
 
@@ -167,7 +181,9 @@ def _pieces(a, b, hints):
     finite range; an infinite end is reached by x = c + d t/(1 - t) on
     t in [0, 1), mirrored (d = -1) for -inf.  A doubly infinite range
     is split at the point of the hints' hull nearest 0, so that one far
-    hint on one side cannot move the split away from the mass."""
+    hint on one side cannot move the split away from the mass.  A hint
+    behind c maps to t = v/(1 + |v|) < 0, v = d(h - c): the mirror of its
+    place on the other side, where it still sets the local scale at c."""
     if math.isfinite(a) and math.isfinite(b):
         return _cut(a, b, hints, 0.0, 0.0)
     if math.isinf(a) and math.isinf(b):
@@ -177,18 +193,37 @@ def _pieces(a, b, hints):
         ends = [(a, 1.0)] if math.isinf(b) else [(b, -1.0)]
     rows = []
     for c, d in ends:
-        cuts = [d * (h - c) / (1.0 + d * (h - c)) for h in hints
-                if d * (h - c) > 0.0]
-        rows += _cut(0.0, 1.0, cuts, c, d)
+        rows += _cut(0.0, 1.0, [d * (h - c) / (1.0 + abs(h - c))
+                                for h in hints], c, d)
     return rows
+
+
+def _start(width, scale):
+    """The first mesh, as (piece, lo, hi) rows: each piece's
+    _INITIAL_PANELS equal panels in u, and edges u = sqrt(s) 2^j (j >= 0)
+    below width, the top _GRADE_DEPTH of them, so that it is geometric
+    (ratio 4 in t) toward the edge down to the piece's local scale s."""
+    root = np.sqrt(scale)
+    # frexp's exponent is ceil(log2(width / root)), or one more when the
+    # ratio is a power of 2, whose level width is a repeated edge
+    top = np.frexp(width / root)[1]
+    j = np.maximum(top[:, None] - np.arange(1, _GRADE_DEPTH + 1), 0)
+    edges = np.sort(np.concatenate([
+        width[:, None] * (np.arange(_INITIAL_PANELS + 1) / _INITIAL_PANELS),
+        np.minimum(np.ldexp(root[:, None], j), width[:, None])], axis=1))
+    # levels clipped to j = 0 or to the width repeat an edge: drop the
+    # empty panels between repeats
+    piece, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    return piece, edges[piece, col], edges[piece, col + 1]
 
 
 def _split(piece, lo, hi, k):
     """Each panel [lo, hi] of a piece cut into k equal parts, as (piece,
     lo, hi) rows; the outer edges are kept exact, so the parts tile it."""
-    inner = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, k) / k)
-    return (np.repeat(piece, k), np.hstack([lo[:, None], inner]).ravel(),
-            np.hstack([inner, hi[:, None]]).ravel())
+    edges = lo[:, None] + (hi - lo)[:, None] * (np.arange(k + 1) / k)
+    edges[:, 0], edges[:, -1] = lo, hi
+    return (np.repeat(piece, k), edges[:, :-1].ravel(),
+            edges[:, 1:].ravel())
 
 
 def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
@@ -198,6 +233,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     round, and returns n values, or a stack of shape (m, n) whose m
     components share one pool of panels; a stack gives m values and m
     errors.  Listed singularities must sit at hinted points or endpoints.
+    Each piece starts on at most _INITIAL_PANELS + _GRADE_DEPTH panels,
+    graded toward its end down to the distance to the nearest other hint.
     The reported error bounds the total over all panels and is within
     max(abs_tol, rel_tol |value|), for each component of a stack.  Raises
     NonConvergence when the _MAX_ADDED panels that refinement may add do
@@ -215,7 +252,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     if a > b:
         a, b, sign = b, a, -1.0
     hints = [float(h) for h in cfg.singularity_hints]
-    t0, tsign, width, c, d = map(np.array, zip(*_pieces(a, b, hints)))
+    t0, tsign, width, c, d, scale = np.array(_pieces(a, b, hints)).T
+    mapped = d[0] != 0.0  # the pieces of one range are all mapped or none
     stacked = False
 
     def evaluate(piece, lo, hi):
@@ -224,21 +262,19 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
         u = (lo + half)[:, None] + half[:, None] * _K15_NODES
         x = t0[piece, None] + tsign[piece, None] * u * u
         jac = 2.0 * u
-        # t is kept below 1 so the map stays finite under deep refinement
-        far = d[piece] != 0.0
-        t = np.minimum(x[far], 1.0 - 1e-14)
-        x[far] = c[piece[far], None] + d[piece[far], None] * t / (1.0 - t)
-        jac[far] /= (1.0 - t) ** 2
+        if mapped:  # t is kept below 1 so x stays finite under deep refinement
+            t = np.minimum(x, 1.0 - 1e-14)
+            x = c[piece, None] + d[piece, None] * t / (1.0 - t)
+            jac /= (1.0 - t) ** 2
         with np.errstate(all="ignore"):  # non-finite samples are policed below
             vals = np.asarray(f(x.ravel()))
             vals = vals.astype(np.result_type(vals, float), copy=False)
             y = jac * vals.reshape((-1,) + x.shape)
         stacked = vals.ndim == 2
-        _ensure_finite(y, (float(x.min()), float(x.max())))
+        _ensure_finite(y, x)
         return _panel_gk(y, half)
 
-    piece, lo, hi = _split(np.arange(width.size), np.zeros(width.size),
-                           width, _INITIAL_PANELS)
+    piece, lo, hi = _start(width, scale)
     val, err = evaluate(piece, lo, hi)  # (components, panels)
     added = 0  # panels added by splits, against _MAX_ADDED
     while True:

@@ -200,7 +200,8 @@ class QuadraticPower(SmoothVector):
         # kappa exp(sigma log q): the principal log, valid by the off-cut
         # invariant, and its rows (-1)^(k-1)/k sum_rho (x - rho)^(-k)
         log_q = np.empty((order + 1, x.size), dtype=complex)
-        log_q[0] = np.log(P.polyval(x, self.q))
+        q0, q1, q2 = self.q
+        log_q[0] = np.log((q2 * x + q1) * x + q0)  # Horner, as P.polyval
         power = 1.0
         for k in range(1, order + 1):
             power = power / (x - self.roots[:, None])

@@ -13,6 +13,16 @@ from crownkit.numerics import (GEOMETRY_CFG, REPRESENTATION_CFG,
 from crownkit.repn import SpectralParam, continue_vK, rep_norm
 
 
+def counted(f):
+    """f and a list that counts its calls."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.size)
+        return f(x)
+    return wrapped, calls
+
+
 def test_zero_integrand():
     res = integrate(lambda x: np.zeros_like(x), 0.0, 1.0)
     assert res.value == 0.0
@@ -98,29 +108,57 @@ def test_real_integrand_stays_real_and_returns_complex(stack):
 
 def test_reported_error_within_request():
     # the norm integrals of the continued spherical vector: hinted, doubly
-    # infinite, with logarithmic mass gathering at x = +-1 as eps falls
+    # infinite, with logarithmic mass gathering at x = +-1 as eps falls;
+    # the first mesh, graded toward the hints, leaves at most one round
     cfg = REPRESENTATION_CFG
     param = SpectralParam(1.0)
     for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         vec = continue_vK(param, eps)
-        res = integrate(lambda x: np.abs(vec.value(x)) ** 2, -math.inf,
-                        math.inf, cfg.with_hints(vec.hints))
+        f, calls = counted(lambda x: np.abs(vec.value(x)) ** 2)
+        res = integrate(f, -math.inf, math.inf, cfg.with_hints(vec.hints))
         assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+        assert len(calls) <= 2
+
+
+def _lorentzian(w):
+    return (lambda x: w / ((x - 1.0) ** 2 + w * w), -math.inf, math.inf,
+            (1.0 - w, 1.0, 1.0 + w), math.pi, 1)
 
 
 @pytest.mark.parametrize("cfg", [GEOMETRY_CFG, REPRESENTATION_CFG],
                          ids=["geometry", "representation"])
-@pytest.mark.parametrize("f,a,b,hints,exact", [
-    (lambda x: np.log(np.abs(x)), -1.0, 1.0, (0.0,), -2.0),
-    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, (), 2.0),
-], ids=["log_abs", "inverse_sqrt"])
-def test_reported_error_bounds_the_true_error(f, a, b, hints, exact, cfg):
+@pytest.mark.parametrize("f,a,b,hints,exact,max_calls", [
+    (lambda x: np.log(np.abs(x)), -1.0, 1.0, (0.0,), -2.0, None),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, (), 2.0, None),
+    _lorentzian(1e-2), _lorentzian(1e-4), _lorentzian(1e-6),
+], ids=["log_abs", "inverse_sqrt", "lorentzian_1e-2", "lorentzian_1e-4",
+        "lorentzian_1e-6"])
+def test_reported_error_bounds_the_true_error(f, a, b, hints, exact,
+                                              max_calls, cfg):
     # the error reported is at least the error made, not only within the
     # request: under the square-root map x^(-1/2) is a constant, so its
-    # error is all rounding
+    # error is all rounding.  A Lorentzian of width w hinted at its peak
+    # and flanks finishes on its first mesh, graded toward the flanks
+    # down to the scale w
+    f, calls = counted(f)
     res = integrate(f, a, b, cfg.with_hints(hints))
     assert abs(res.value - exact) <= res.error
     assert res.error <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+    assert max_calls is None or len(calls) <= max_calls
+
+
+def test_graded_start_is_capped():
+    # hints at the least doubles put the local scale 1e-300 and below,
+    # hundreds of factors of 4 under the width of the pieces graded
+    # toward them; the cap keeps each piece's first mesh small
+    hints = [0.0, 5e-324, 1e-300, 1.0]
+    table = np.array(numerics._pieces(-math.inf, math.inf, hints)).T
+    piece = numerics._start(table[2], table[5])[0]
+    assert np.bincount(piece).max() <= (numerics._INITIAL_PANELS
+                                        + numerics._GRADE_DEPTH)
+    res = integrate(lambda x: np.exp(-x * x), -math.inf, math.inf,
+                    GEOMETRY_CFG.with_hints(hints))
+    assert abs(res.value - math.sqrt(math.pi)) <= res.error
 
 
 @pytest.mark.parametrize("cfg", [GEOMETRY_CFG, REPRESENTATION_CFG],

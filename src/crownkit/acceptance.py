@@ -194,8 +194,7 @@ def criterion_9(quick=False, seed=None):
     """Parseval after one-time calibration, and the orbital identity."""
     t0 = time.time()
     weight = spectral.calibrate_parseval()
-    held_out = spectral.parseval_check(
-        lambda r: np.exp(-0.5 * (r / 0.7) ** 2), weight)
+    held_out = spectral.parseval_check(spectral.gaussian(0.0, 0.7), weight)
     density = spectral.gaussian_density(2.0, 0.7)
     fracs = (0.2, 0.5) if quick else (0.2, 0.5, 0.8)
     rows = []

@@ -96,15 +96,6 @@ def _check_width(width: float) -> None:
         raise ValueError(f"width must be positive, got {width}")
 
 
-def _radial_gaussian(width: float):
-    """The profile exp(-r^2 / (2 width^2)), 0 without a warning where the
-    square overflows."""
-    def profile(r):
-        with np.errstate(over="ignore"):
-            return np.exp(-0.5 * (r / width) ** 2)
-    return profile
-
-
 def cmd_crown_check(args):
     from . import crown
     z = _pair(args)
@@ -307,7 +298,8 @@ def cmd_transform(args):
         except OSError as exc:
             raise ValueError(f"cannot write --csv {args.csv!r}: "
                              f"{exc.strerror}") from exc
-    density = spectral.spherical_transform(_radial_gaussian(args.width))
+    density = spectral.spherical_transform(
+        spectral.gaussian(0.0, args.width))
     out = {"lambda_max": float(density.lambda_grid[-1]),
            "peak": float(np.max(np.abs(density.values)))}
     if args.csv:
@@ -319,7 +311,7 @@ def cmd_transform(args):
 def cmd_parseval(args):
     from . import spectral
     _check_width(args.width)
-    check = spectral.parseval_check(_radial_gaussian(args.width))
+    check = spectral.parseval_check(spectral.gaussian(0.0, args.width))
     out = {"constant": spectral.PLANCHEREL.calibration_constant,
            "lhs": check.lhs, "rhs": check.rhs, "gap": check.gap}
     if args.verdict:

@@ -238,10 +238,6 @@ class QuadricPoint:
             raise NumericalDrift(f"|Q(z) - 1| is {residual:.2g} of the "
                                  f"squared coordinate size")
 
-    def quadric_form(self) -> complex:
-        z0, z1, z2 = self.z
-        return z0 * z0 - z1 * z1 - z2 * z2
-
     def form_residual(self) -> float:
         """|Q(z) - 1| / max(1, max |z_i|^2), formed on z / max(1, max |z_i|)
         so that it does not overflow."""

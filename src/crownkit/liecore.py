@@ -159,27 +159,6 @@ def exp_lie(v: LieVector, scale: complex = 1.0) -> GroupElement:
 
 
 @dataclass(frozen=True)
-class HalfPlaneDecomposition:
-    """Real horospherical coordinates: g x0 = n_x a_t x0 with x+iy = g(i)."""
-
-    n_part: float
-    a_part: float
-
-    def reassemble(self) -> GroupElement:
-        return n_x(self.n_part) @ a_t(self.a_part)
-
-
-def iwasawa_na(g: GroupElement) -> HalfPlaneDecomposition:
-    """Unique (x, t) with g x0 = n_x a_t x0; acting on i reproduces g(i)."""
-    if not g.is_real:
-        raise ValueError("iwasawa_na needs a real group element")
-    w = g.act(1j)
-    if is_infinity(w):
-        raise PointAtInfinity("real group element cannot send i to infinity")
-    return HalfPlaneDecomposition(float(w.real), math.sqrt(float(w.imag)))
-
-
-@dataclass(frozen=True)
 class ComplexNADecomposition:
     """N_C A_C coordinates of an affine point: w = (z1+z2)/2 and the A_C/M
     coordinate a_sq = (z1-z2)/(2i) as formed, which reassembles the point

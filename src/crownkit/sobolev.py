@@ -14,16 +14,19 @@ to unit scale with b_{2^-j}, and measures the pieces there:
                + sum_j S_k(pi(b_{2^-j})(phi_j f)).
 
 The cutoffs come from a fixed smoothstep psi (1 on |x|<=1, 0 on |x|>=2):
-phi = psi - psi(2 .), tau = 1 - psi, tau_m = psi(2^{m+1} .), so the
-partition and the derivative identity tau_m^(l) = -2^{lm} phi^(l)(2^m x)
-hold exactly on the support of tau_m.
+phi = psi - psi(2 .), tau = 1 - psi, tau_m = psi(2^{m+1} .) and
+phi_j = phi(2^j .), so the partition tau + tau_m + sum_{j<=m} phi_j = 1
+and the derivative identity tau_m^(l) = -2^{lm} phi^(l)(2^m x) hold
+exactly on the support of tau_m.
 
 The blocks are built at unit scale in closed form.  pi(b_t) pulls a
 vector back along the dilation x -> t x, up to a constant factor and with
 no Mobius pole, so it carries the dilated cutoffs back to the fixed ones:
 pi(b_{2^-j})(phi_j f) = phi pi(b_{2^-j}) f and pi(b_{2^-(m+1)})(tau_m f)
 = psi pi(b_{2^-(m+1)}) f, where pi(b_t) f is again a quadratic power for
-the continued vectors.
+the continued vectors (`unit_block`).  The bound therefore reads only
+three cutoffs, each one `RadialStep` node with its edges: PSI, PHI and
+OUTER = tau + phi = 1 - psi(2 .).
 
 A norm is one quadrature with a stacked integrand.  Each round evaluates
 the Taylor rows of v to order k once and walks the monomial tree,
@@ -40,16 +43,15 @@ rotation k0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .liecore import GroupElement, K0, b_t
+from .liecore import K0, b_t
 from .numerics import REPRESENTATION_CFG, IdentityCheck, integrate
 from .repn import (DIRECTIONS, SpectralParam, action_taylor, apply_pi,
                    derived_taylor)
-from .vectors import (DilatedArg, PolyVector, Product, RadialStep,
-                      SmoothVector, Sum, _mul)
+from .vectors import Product, RadialStep, SmoothVector, _mul
 
 _SUBGROUP_DIRECTION = {
     "A": "h",
@@ -63,11 +65,18 @@ _SUBGROUP_DIRECTION = {
 #: norm of v_K already raises NonConvergence, since d_pi(f)^3 v_K and
 #: d_pi(f)^4 v_K evaluate to noise that grows with |x|
 MAX_ORDER = 4
-#: the deepest dyadic depth: choose_m tries no deeper and build_dyadic
-#: refuses more (2^(m+1) overflows at m = 1023).  For v_K continued to
-#: eps = 1e-3 at lam = 1, k = 2, going on from m = 64 to m = 200 moves
-#: dyadic_rhs by 1.6e-14 relative
+#: the deepest dyadic depth: choose_m tries no deeper and
+#: invariant_upper_bound refuses more (2^(m+1) overflows at m = 1023).  For
+#: v_K continued to eps = 1e-3 at lam = 1, k = 2, going on from m = 64 to
+#: m = 200 moves dyadic_rhs by 1.6e-14 relative
 _M_MAX = 64
+
+#: the Littlewood-Paley cutoffs at unit scale: the smoothstep psi, 1 on
+#: |x| <= 1 and 0 on |x| >= 2; phi = psi - psi(2 .); and the outer cutoff
+#: tau + phi = 1 - psi(2 .)
+PSI = RadialStep(0.0, 0.0, 1.0, 2.0)
+PHI = RadialStep(0.5, 1.0, 1.0, 2.0)
+OUTER = RadialStep(0.5, 1.0, math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -138,62 +147,11 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     return sum(_word_norms(param, f, words)[0])
 
 
-@dataclass
-class DyadicDecomposition:
-    """Littlewood-Paley cutoff family at depth m with its dilation elements."""
-
-    m: int
-    psi: SmoothVector               # smoothstep: 1 on |x|<=1, 0 on |x|>=2
-    tau: SmoothVector
-    outer: SmoothVector             # tau + phi = 1 - psi(2x)
-    phis: list[SmoothVector]        # phi_j = phi(2^j x), j = 0..m
-    tau_m: SmoothVector
-    inner_element: GroupElement     # b_{2^{-(m+1)}} for the tau_m block
-    block_elements: list[GroupElement] = field(default_factory=list)
-
-    def inner_block(self, param: SpectralParam, f) -> SmoothVector:
-        """pi(b_{2^-(m+1)})(tau_m f) at unit scale: psi pi(b_{2^-(m+1)}) f."""
-        return Product(self.psi, apply_pi(param, self.inner_element, f))
-
-    def blocks(self, param: SpectralParam, f) -> list[SmoothVector]:
-        """pi(b_{2^-j})(phi_j f) at unit scale, phi pi(b_{2^-j}) f, for
-        j = 1..m."""
-        return [Product(self.phis[0], apply_pi(param, g, f))
-                for g in self.block_elements]
-
-    def partition_residual(self, grid: np.ndarray) -> float:
-        """max |tau + tau_m + sum phi_j - 1| over the grid."""
-        total = self.tau.value(grid) + self.tau_m.value(grid)
-        for p in self.phis:
-            total = total + p.value(grid)
-        return float(np.max(np.abs(total - 1.0)))
-
-    def tau_m_derivative_identity(self, xs: np.ndarray, order: int) -> float:
-        """max gap in tau_m^(l) = -2^{lm} phi^(l)(2^m x) on supp(tau_m)."""
-        xs = np.asarray(xs, dtype=float)
-        keep = np.abs(xs) <= 2.0 ** (-self.m)
-        xs = xs[keep]
-        lhs = self.tau_m.jet(xs, order)[order]
-        rhs = -(2.0 ** (order * self.m)) * self.phis[0].jet(
-            (2.0 ** self.m) * xs, order)[order]
-        return float(np.max(np.abs(lhs - rhs))) if xs.size else 0.0
-
-
-def build_dyadic(m: int) -> DyadicDecomposition:
-    """Construct the cutoff family: smooth, nonnegative, exact partition."""
-    if not 1 <= m <= _M_MAX:
-        raise ValueError(f"dyadic depth m = {m} outside 1..{_M_MAX}")
-    psi = RadialStep(1.0, 2.0)
-    psi2 = DilatedArg(psi, 2.0)
-    one = PolyVector([1.0])
-    phi = Sum([(1.0, psi), (-1.0, psi2)])
-    return DyadicDecomposition(
-        m=m, psi=psi, tau=Sum([(1.0, one), (-1.0, psi)]),
-        outer=Sum([(1.0, one), (-1.0, psi2)]),
-        phis=[phi] + [DilatedArg(phi, 2.0 ** j) for j in range(1, m + 1)],
-        tau_m=DilatedArg(psi, 2.0 ** (m + 1)),
-        inner_element=b_t(2.0 ** (-(m + 1))),
-        block_elements=[b_t(2.0 ** (-j)) for j in range(1, m + 1)])
+def unit_block(param: SpectralParam, cutoff: SmoothVector, t: float,
+               f: SmoothVector) -> SmoothVector:
+    """pi(b_t)(cutoff(./t) f) at unit scale: cutoff pi(b_t) f, since
+    pi(b_t) pulls a vector back along the dilation x -> t x."""
+    return Product(cutoff, apply_pi(param, b_t(t), f))
 
 
 @dataclass(frozen=True)
@@ -236,13 +194,15 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     depths `choose_m` tries; both are checked before any work.
     """
     spec = SobolevSpec(k)
-    dec = build_dyadic(m)
+    if not 1 <= m <= _M_MAX:
+        raise ValueError(f"dyadic depth m = {m} outside 1..{_M_MAX}")
     words = _monomials(k)
-    f_norms, outer_norms = _word_norms(param, f, words, [dec.outer])
+    f_norms, outer_norms = _word_norms(param, f, words, [OUTER])
     outer = sum(outer_norms)
-    inner = sobolev_norm(param, dec.inner_block(param, f), spec)
-    blocks = tuple(sobolev_norm(param, b, spec)
-                   for b in dec.blocks(param, f))
+    inner = sobolev_norm(param, unit_block(param, PSI, 2.0 ** -(m + 1), f),
+                         spec)
+    blocks = tuple(sobolev_norm(param, unit_block(param, PHI, 2.0 ** -j, f),
+                                spec) for j in range(1, m + 1))
     dyadic_rhs = outer + inner + sum(blocks)
     nbar_f, a_f = _display(words, f_norms, k)
     norm_f = nbar_f[0]
@@ -278,7 +238,7 @@ def choose_m(param: SpectralParam, f: SmoothVector, k: int) -> int:
     target = sobolev_norm(param, f, SobolevSpec(0))
     m = 1
     while m <= _M_MAX:
-        inner = build_dyadic(m).inner_block(param, f)
+        inner = unit_block(param, PSI, 2.0 ** -(m + 1), f)
         if sobolev_norm(param, inner, spec) <= target:
             return m
         m *= 2

@@ -151,13 +151,18 @@ class SpectralDensity:
         return self.function(np.asarray(lam, dtype=float))
 
 
-def gaussian_density(center: float, width: float) -> SpectralDensity:
-    """Smooth test density exp(-(lam-center)^2 / (2 width^2)), 0 without a
-    warning where the square overflows."""
-    def density(lam):
+def gaussian(center: float, width: float) -> Callable:
+    """The profile exp(-(x - center)^2 / (2 width^2)), 0 without a warning
+    where the square overflows."""
+    def profile(x):
         with np.errstate(over="ignore"):
-            return np.exp(-0.5 * ((lam - center) / width) ** 2)
-    return SpectralDensity(density)
+            return np.exp(-0.5 * ((x - center) / width) ** 2)
+    return profile
+
+
+def gaussian_density(center: float, width: float) -> SpectralDensity:
+    """Smooth test density: the Gaussian profile in lam."""
+    return SpectralDensity(gaussian(center, width))
 
 
 # -- the spherical function in closed form ------------------------------------
@@ -558,7 +563,7 @@ def calibrate_parseval(reference_width: float = 1.0,
     Gaussian: its X-side mass over its spectral mass under the unit weight
     of the form.  A check of the closed form: for the half-angle form it
     is 1/(8 pi) to 7e-16 at reference widths from 0.5 to 2."""
-    chk = parseval_check(lambda r: np.exp(-0.5 * (r / reference_width) ** 2),
+    chk = parseval_check(gaussian(0.0, reference_width),
                          PlancherelWeight(1.0, form))
     return PlancherelWeight(chk.lhs / chk.rhs, form)
 

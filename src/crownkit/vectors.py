@@ -25,6 +25,11 @@ pulled-back quadratic (c x + d)^2 q(m(x)) again avoids the cut and the
 modulus factors of the unitary action cancel the leftover real-linear
 powers exactly: `pull_quadratic` is that carrier and
 `QuadraticPower.pulled` the translate, with no Mobius pole.
+
+The other nodes are the Gaussian `ExpPoly`, the pointwise `Product`, the
+Mobius pull-back `MobiusPulled`, and one cutoff, `RadialStep`, whose four
+edges place a smooth rise and fall in |x|.  Each Littlewood-Paley cutoff
+of the Sobolev bound is one such node at unit scale.
 """
 
 from __future__ import annotations
@@ -209,14 +214,6 @@ class QuadraticPower(SmoothVector):
         return self.kappa * _exp(self.sigma * log_q)
 
 
-class PolyVector(SmoothVector):
-    def __init__(self, coeffs):
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-
-    def taylor(self, x, order):
-        return _poly_taylor(self.coeffs, x, order)
-
-
 class ExpPoly(SmoothVector):
     """kappa * p(x) * exp(-(a x^2 + b x + c)) with Re a > 0 (Schwartz type)."""
 
@@ -233,24 +230,6 @@ class ExpPoly(SmoothVector):
                     _exp(-_poly_taylor(self.quad, x, order)))
 
 
-class Sum(SmoothVector):
-    def __init__(self, terms):
-        """terms: iterable of (coefficient, SmoothVector)."""
-        self.terms = [(complex(c), v) for c, v in terms]
-        sups = [v.support for _, v in self.terms]
-        if any(s is None for s in sups):
-            self.support = None
-        else:
-            self.support = (min(s[0] for s in sups), max(s[1] for s in sups))
-        self.hints = tuple(sorted({h for _, v in self.terms for h in v.hints}))
-
-    def taylor(self, x, order):
-        out = np.zeros((order + 1, x.size), dtype=complex)
-        for c, v in self.terms:
-            out += c * v.taylor(x, order)
-        return out
-
-
 class Product(SmoothVector):
     def __init__(self, u: SmoothVector, v: SmoothVector):
         self.u, self.v = u, v
@@ -264,26 +243,6 @@ class Product(SmoothVector):
 
     def taylor(self, x, order):
         return _mul(self.u.taylor(x, order), self.v.taylor(x, order))
-
-
-class DilatedArg(SmoothVector):
-    """child(alpha x), real dilated argument."""
-
-    def __init__(self, child: SmoothVector, alpha: float):
-        if alpha == 0:
-            raise ValueError("alpha must be nonzero")
-        self.child = child
-        self.alpha = float(alpha)
-        if child.support is not None:
-            a = child.support[0] / alpha
-            b = child.support[1] / alpha
-            self.support = (min(a, b), max(a, b))
-        self.hints = tuple(sorted(h / alpha for h in child.hints))
-
-    def taylor(self, x, order):
-        rows = self.child.taylor(self.alpha * x, order)
-        scale = self.alpha ** np.arange(order + 1)
-        return rows * scale[:, None]
 
 
 def _interval_preimage(lo, hi, ginv):
@@ -344,31 +303,31 @@ class MobiusPulled(SmoothVector):
 
 
 class RadialStep(SmoothVector):
-    """Smooth even cutoff: 1 for |x| <= a, 0 for |x| >= b.
+    """Smooth even cutoff with edges a0 <= a1 <= b0 <= b1: 0 on |x| <= a0,
+    rising on (a0, a1), 1 on [a1, b0], falling on (b0, b1) and 0 beyond b1.
 
-    The transition uses s(t) = g(t)/(g(t) + g(1-t)) with g(t) = exp(-1/t),
-    evaluated at t = (b - |x|)/(b - a); all derivatives vanish at both
-    transition endpoints.
+    Each transition is s(t) = g(t)/(g(t) + g(1-t)) with g(t) = exp(-1/t),
+    at t = (|x| - a0)/(a1 - a0) rising and t = (b1 - |x|)/(b1 - b0)
+    falling, so all derivatives vanish at the edges.  a0 = a1 = 0 leaves
+    out the rise and b0 = b1 = inf the fall.
     """
 
-    def __init__(self, a: float, b: float):
-        if not 0 < a < b:
-            raise ValueError("need 0 < a < b")
-        self.a = float(a)
-        self.b = float(b)
-        self.support = (-b, b)
-        self.hints = (-b, -a, a, b)
+    def __init__(self, a0: float, a1: float, b0: float, b1: float):
+        a0, a1, b0, b1 = map(float, (a0, a1, b0, b1))
+        if not (0 <= a0 <= a1 <= b0 <= b1 and (a0 < a1 or a1 == 0)
+                and (b0 < b1 or b0 == math.inf)):
+            raise ValueError("need 0 <= a0 < a1 <= b0 < b1, with a0 = a1 = 0 "
+                             "for no rise and b0 = b1 = inf for no fall")
+        self.edges = (a0, a1, b0, b1)
+        self.support = None if b1 == math.inf else (-b1, b1)
+        self.hints = tuple(sorted({s * e for e in self.edges
+                                   if 0 < e < math.inf for s in (-1, 1)}))
 
     def taylor(self, x, order):
+        a0, a1, b0, b1 = self.edges
         ax = np.abs(x)
         out = np.zeros((order + 1, x.size), dtype=complex)
-        out[0][ax <= self.a] = 1.0
-        trans = (ax > self.a) & (ax < self.b)
-        if not np.any(trans):
-            return out
-        width = self.b - self.a
-        t = (self.b - ax[trans]) / width
-        slope = -np.sign(x[trans]) / width   # dt/dx
+        out[0][(a1 <= ax) & (ax <= b0)] = 1.0
         k = np.arange(order + 1)[:, None]
 
         def glue(s, ds):
@@ -376,6 +335,13 @@ class RadialStep(SmoothVector):
             # -1/s has rows -(1/s) (-ds/s)^k
             return _exp(-(1.0 / s) * (-ds / s) ** k)
 
-        g = glue(t, slope)
-        out[:, trans] = _div(g, g + glue(1.0 - t, -slope))
+        # on each transition t = (|x| - zero)/(one - zero) runs from the
+        # edge where the step is 0 to the one where it is 1
+        for zero, one in ((a0, a1), (b1, b0)):
+            trans = (min(zero, one) < ax) & (ax < max(zero, one))
+            if np.any(trans):
+                t = (ax[trans] - zero) / (one - zero)
+                slope = np.sign(x[trans]) / (one - zero)   # dt/dx
+                g = glue(t, slope)
+                out[:, trans] = _div(g, g + glue(1.0 - t, -slope))
         return out

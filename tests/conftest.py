@@ -5,6 +5,7 @@ import pytest
 
 from crownkit.crown import random_crown_point, random_real_element  # noqa: F401
 from crownkit.pairmodel import PairPoint
+from crownkit.vectors import RadialStep
 
 
 @pytest.fixture
@@ -24,3 +25,15 @@ def log_uniform_crown_pairs(rng, n, lo, hi):
         if abs(z1 - z2) > 1e-13:
             pairs.append(PairPoint(complex(z1), complex(z2)))
     return pairs
+
+
+def dyadic_phi(j):
+    """The dyadic cutoff phi_j = phi(2^j .): 1 at |x| = 2^-j, 0 off
+    (2^-j-1, 2^1-j)."""
+    return RadialStep(2.0 ** (-j - 1), 2.0 ** -j, 2.0 ** -j, 2.0 ** (1 - j))
+
+
+def dyadic_tau(m):
+    """The inner cutoff tau_m = psi(2^(m+1) .): 1 on |x| <= 2^-m-1, 0 beyond
+    2^-m."""
+    return RadialStep(0.0, 0.0, 2.0 ** (-m - 1), 2.0 ** -m)

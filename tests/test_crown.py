@@ -223,8 +223,7 @@ def test_quadric_roundtrip_and_gindikin(rng):
     for _ in range(1000):
         z = random_crown_point(rng)
         q = crown.to_quadric(z)
-        assert abs(q.quadric_form() - 1.0) < 1e-8 * max(
-            1.0, float(np.max(np.abs(q.z))) ** 2)
+        assert q.form_residual() < 1e-8
         assert crown.gindikin_contains(q) == crown.crown_contains(z)
         assert crown.pair_distance(crown.from_quadric(q), z) < 1e-9
 

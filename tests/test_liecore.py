@@ -9,8 +9,8 @@ import pytest
 from conftest import random_real_element
 from crownkit.errors import DiagonalPoint, PointAtInfinity
 from crownkit.liecore import (E_VEC, H_VEC, IDENTITY, LieVector, U_VEC, a_t,
-                              complex_na_decompose, exp_lie, iwasawa_na,
-                              k_theta, n_x, p_invariant, p_of_pair, sym_model)
+                              complex_na_decompose, exp_lie, k_theta, n_x,
+                              p_invariant, p_of_pair, sym_model)
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit import crown
 
@@ -46,20 +46,6 @@ def test_exp_matches_scipy(rng):
         scale = complex(rng.normal(), rng.normal())
         assert np.allclose(exp_lie(v, scale).m, expm(scale * v.matrix()),
                            atol=1e-11)
-
-
-def test_iwasawa_identity_and_torus():
-    dec = iwasawa_na(IDENTITY)
-    assert dec.n_part == 0.0 and dec.a_part == 1.0
-    dec = iwasawa_na(a_t(2.0))
-    assert dec.n_part == 0.0 and abs(dec.a_part - 2.0) < 1e-15
-
-
-def test_iwasawa_reassembly(rng):
-    for _ in range(50):
-        g = random_real_element(rng)
-        dec = iwasawa_na(g)
-        assert abs(dec.reassemble().act(1j) - g.act(1j)) < 1e-12
 
 
 def test_complex_na_base_point():

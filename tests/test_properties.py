@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import dyadic_phi, dyadic_tau
 from crownkit import crown, repn, sobolev, spectral
 from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, b_t, exp_lie, k_theta, n_x,
@@ -158,9 +159,8 @@ def test_stacked_sobolev_norm_is_the_sum_of_monomial_norms(lam, eps, k,
     param = repn.SpectralParam(lam)
     f = repn.continue_vK(param, eps)
     if block is not None:
-        dec = sobolev.build_dyadic(block)
         f = repn.apply_pi(param, b_t(2.0 ** -block),
-                          Product(dec.phis[block], f))
+                          Product(dyadic_phi(block), f))
     norms = _per_monomial_norms(param, f, k, subgroup)
     cfg = repn.REPRESENTATION_CFG
     tol = 0.0
@@ -178,16 +178,15 @@ def test_stacked_sobolev_norm_is_the_sum_of_monomial_norms(lam, eps, k,
 def test_unit_scale_blocks_match_the_pulled_products(lam, eps, j, k):
     # b_t is the dilation x -> t x, so pi(b_{2^-j})(phi_j f) is
     # phi pi(b_{2^-j}) f, and the inner block at depth j is
-    # psi pi(b_{2^-(j+1)}) f; the reference pulls the product of cutoff and
-    # vector through MobiusPulled
+    # psi pi(b_{2^-(j+1)}) f; the reference pulls the product of the scaled
+    # cutoff and the vector through MobiusPulled
     param = repn.SpectralParam(lam)
     f = repn.continue_vK(param, eps)
-    dec = sobolev.build_dyadic(j)
-    pairs = [(dec.inner_block(param, f),
-              repn.apply_pi(param, dec.inner_element, Product(dec.tau_m, f))),
-             (dec.blocks(param, f)[j - 1],
-              repn.apply_pi(param, dec.block_elements[j - 1],
-                            Product(dec.phis[j], f)))]
+    t_inner, t_j = 2.0 ** -(j + 1), 2.0 ** -j
+    pairs = [(sobolev.unit_block(param, sobolev.PSI, t_inner, f),
+              repn.apply_pi(param, b_t(t_inner), Product(dyadic_tau(j), f))),
+             (sobolev.unit_block(param, sobolev.PHI, t_j, f),
+              repn.apply_pi(param, b_t(t_j), Product(dyadic_phi(j), f)))]
     xs = np.linspace(-2.0, 2.0, 401)
     for closed, pulled in pairs:
         assert isinstance(pulled, MobiusPulled)

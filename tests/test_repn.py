@@ -240,11 +240,11 @@ def test_h_functional_supports_and_prefactor():
 
 
 def test_h_functional_disjoint_support_pairing():
-    from crownkit.vectors import PolyVector, Product, RadialStep, Sum
+    from crownkit.vectors import Product, RadialStep
     param = SpectralParam(1.0)
     eta1 = HFunctional("eta1", param)
     # even Gaussian cut to vanish identically on [-1.1, 1.1]
-    cut = Sum([(1.0, PolyVector([1.0])), (-1.0, RadialStep(1.1, 1.5))])
+    cut = RadialStep(1.1, 1.5, math.inf, math.inf)
     psi = Product(cut, ExpPoly(1.0, [1.0], (0.0, 0.0, 0.25)))
     val = rep_pairing(psi, eta1)
     assert abs(val) < 1e-12

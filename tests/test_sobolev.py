@@ -1,16 +1,18 @@
 """Sobolev norms, the dyadic cutoff family, and the invariant bound."""
 
+import math
+
 import numpy as np
 import pytest
 
+from conftest import dyadic_phi, dyadic_tau
 from crownkit import numerics, repn, sobolev
 from crownkit.liecore import K0, a_t
 from crownkit.repn import SpectralParam, apply_pi, continue_vK, \
     rep_norm, v_K
-from crownkit.sobolev import (SobolevSpec, build_dyadic, choose_m,
-                              invariant_upper_bound, rotate_A_to_H,
-                              sobolev_norm)
-from crownkit.vectors import ExpPoly
+from crownkit.sobolev import (SobolevSpec, choose_m, invariant_upper_bound,
+                              rotate_A_to_H, sobolev_norm)
+from crownkit.vectors import ExpPoly, RadialStep
 
 PARAM = SpectralParam(1.0)
 
@@ -45,12 +47,32 @@ def test_restricted_h_norm_stays_comparable_to_norm():
     assert max(ratios) / min(ratios) < 3.0
 
 
+def _tau_m_gap(m, xs, order):
+    """max gap in tau_m^(l) = -2^{lm} phi^(l)(2^m x), l = order, on
+    supp(tau_m)."""
+    xs = xs[np.abs(xs) <= 2.0 ** -m]
+    lhs = dyadic_tau(m).jet(xs, order)[order]
+    rhs = -(2.0 ** (order * m)) * sobolev.PHI.jet(2.0 ** m * xs,
+                                                  order)[order]
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def test_dyadic_partition_and_supports():
-    dec = build_dyadic(4)
+    m = 4
+    phis = [dyadic_phi(j) for j in range(m + 1)]
+    tau = RadialStep(1.0, 2.0, math.inf, math.inf)
     grid = np.linspace(-2.5, 2.5, 4001)
-    assert dec.partition_residual(grid) < 1e-10
+    total = (tau.value(grid) + dyadic_tau(m).value(grid)
+             + sum(p.value(grid) for p in phis))
+    assert np.max(np.abs(total - 1.0)) < 1e-10
+    # the unit-scale cutoffs of the bound: phi = psi - psi(2 .) and
+    # tau + phi = 1 - psi(2 .)
+    psi2 = sobolev.PSI.value(2.0 * grid)
+    phi_gap = sobolev.PHI.value(grid) - (sobolev.PSI.value(grid) - psi2)
+    assert np.max(np.abs(phi_gap)) < 1e-10
+    assert np.max(np.abs(sobolev.OUTER.value(grid) - (1.0 - psi2))) < 1e-10
     # supports: phi_j lives in the dyadic annulus I_j
-    for j, phi in enumerate(dec.phis):
+    for j, phi in enumerate(phis):
         lo, hi = 2.0 ** (-j - 1), 2.0 ** (-j + 1)
         xs = np.linspace(-3, 3, 2001)
         vals = np.abs(phi.value(xs))
@@ -58,18 +80,15 @@ def test_dyadic_partition_and_supports():
         assert np.max(vals[outside]) == 0.0
     # consecutive cutoffs cover each dyadic band completely
     xs = np.linspace(2.0 ** -2, 2.0 ** -1, 500)
-    total = sum(p.value(xs) for p in dec.phis[:3])
+    total = sum(p.value(xs) for p in phis[:3])
     assert np.all(np.abs(total - 1.0) < 1e-10)
 
 
 def test_dyadic_derivative_identity():
-    dec3 = build_dyadic(3)
-    x_star = np.array([0.7 * 2.0 ** -3])
-    assert dec3.tau_m_derivative_identity(x_star, 1) < 1e-12
-    dec = build_dyadic(4)
+    assert _tau_m_gap(3, np.array([0.7 * 2.0 ** -3]), 1) < 1e-12
     xs = np.linspace(-2.0 ** -4, 2.0 ** -4, 101)
     for order in (1, 2):
-        assert dec.tau_m_derivative_identity(xs, order) < 1e-9
+        assert _tau_m_gap(4, xs, order) < 1e-9
 
 
 def test_contracting_direction_collapses_restricted_norm():

@@ -11,17 +11,25 @@ one JSON line per criterion and a summary line instead.
 
 Each subcommand imports the modules it runs inside its `cmd_*` function;
 the module top imports only what the parser and the shared helpers need
-(`errors`, `liecore`, `pairmodel`), so a process loads only the command it
-runs: a geometry command never loads the spectral, representation or
-quadrature modules, and only `suite` loads `acceptance`.  numpy loads
-with one BLAS thread unless the user set OPENBLAS, OMP or MKL_NUM_THREADS.
+(`errors`, `liecore`, `pairmodel`, none of which loads numpy), so a
+process loads only the command it runs: a geometry command never loads
+the spectral, representation or quadrature modules, only `suite` loads
+`acceptance`, and every geometry command but `convexity` runs without
+numpy.  The module sets one BLAS thread before any command can load
+numpy, unless the user set OPENBLAS, OMP or MKL_NUM_THREADS.
+
+An option's value may start with '-' in either form, `--phi -1e-12` or
+`--phi=-1e-12`: a token led by '-' and a digit, '.', `inf` or `nan` that
+follows an option is that option's value.
 
 Exit codes:
     0  the command ran and its status is not `fail`;
     1  usage error: the arguments do not parse (argparse prints the usage
-       to stderr, nothing to stdout), or an argument value is non-finite,
-       out of range or a count too large to allocate (`MemoryError`) (a
-       JSON document with status `fail` and the error);
+       to stderr, nothing to stdout: an unknown command or option, a
+       missing value, or a value after a flag), or an argument value is
+       non-finite, out of range or a count too large to allocate
+       (`MemoryError`) (a JSON document with status `fail` and the
+       error);
     2  numerical or domain failure: the status is `fail`, or a crownkit
        error or an arithmetic error (overflow, division by zero) was
        raised (a JSON document with the error).
@@ -34,12 +42,14 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 
+# the BLAS reads its thread count when numpy loads, which only the
+# commands below do
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(var in os.environ for var in _BLAS_THREADS):
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
-import numpy as np  # noqa: E402  (after the BLAS threads are set)
 
 from .errors import CrownkitError
 from .liecore import OMEGA_RADIUS, a_t, complex_na_decompose, n_x
@@ -61,12 +71,14 @@ def parse_complex(text: str) -> complex:
 def _fmt(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
+    np = sys.modules.get("numpy")  # no numpy value exists before it loads
+    if np is not None:
+        if isinstance(value, (np.floating, np.integer)):
+            value = value.item()
+        elif isinstance(value, np.ndarray):
+            return [_fmt(v) for v in value.tolist()]
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
-    if isinstance(value, np.ndarray):
-        return [_fmt(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     if isinstance(value, dict):
@@ -131,7 +143,7 @@ def cmd_match(args):
     from . import crown
     m = crown.match_orbits(args.phi)
     out = {"residual": m.residual, "boost": m.boost,
-           "g": [[v for v in row] for row in m.g.m.real.tolist()]}
+           "g": [[v.real for v in row] for row in m.g.rows]}
     status = "pass" if m.residual < 1e-9 else "warn"
     return emit(args, out, status,
                 provenance="rotation/boost transporter between orbit models")
@@ -151,7 +163,7 @@ def cmd_quadric(args):
     z = _pair(args)
     q = crown.to_quadric(z)
     residual = crown.pair_distance(z, crown.from_quadric(q))
-    out = {"coordinates": list(q.z),
+    out = {"coordinates": list(q.coords),
            "quadric_residual": q.form_residual(),
            "gindikin": crown.gindikin_contains(q),
            "roundtrip_residual": residual}
@@ -203,10 +215,16 @@ def cmd_trace_domain(args):
 
 def cmd_escape(args):
     from . import horo
-    if args.grid < 2:
-        raise ValueError(f"grid needs at least two points, got {args.grid}")
-    grid = np.linspace(0.0, 1.0, args.grid)
-    sigmas = [horo.escape_curve(args.phi, float(s)).sigma for s in grid]
+    n = args.grid
+    if n < 2:
+        raise ValueError(f"grid needs at least two points, got {n}")
+    # allocated first, so that a grid too large to hold fails at once
+    sigmas = [0.0] * n
+    # np.linspace(0, 1, n) bit for bit: k * (1 / (n - 1)), then exactly 1
+    step = 1.0 / (n - 1)
+    for k in range(n):
+        s = k * step if k < n - 1 else 1.0
+        sigmas[k] = horo.escape_curve(args.phi, s).sigma
     out = {"sigma_start": sigmas[0], "sigma_end": sigmas[-1],
            "strictly_decreasing": bool(all(b < a for a, b in
                                            zip(sigmas, sigmas[1:])))}
@@ -246,6 +264,7 @@ def cmd_norm_growth(args):
 
 
 def cmd_dpi_check(args):
+    import numpy as np
     from .repn import DIRECTIONS, SpectralParam, dpi_fd_gap
     from .vectors import ExpPoly
     rng = np.random.default_rng(args.seed)
@@ -290,6 +309,7 @@ def cmd_invariant_bound(args):
 
 
 def cmd_transform(args):
+    import numpy as np
     from . import spectral
     _check_width(args.width)
     if args.csv:
@@ -334,6 +354,7 @@ def cmd_gutzmer(args):
 
 
 def cmd_hardy_kernel(args):
+    import numpy as np
     from . import crown, spectral
     if args.gram < 0:
         raise ValueError(f"gram needs a nonnegative count, got {args.gram}")
@@ -536,10 +557,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: a value led by '-' that argparse reads as an option, as it takes only
+#: -1 and -.5 for values: -1e-12, -inf, -0.3+1.2i, -1e-2,1e-3
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """`--opt -1e-12` as `--opt=-1e-12`, which argparse reads as the
+    option's value; after a flag it stays a usage error."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

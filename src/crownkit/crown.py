@@ -19,17 +19,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (DomainError, NotInCrown, NotOnBoundary,
                      NumericalDrift, PointAtInfinity)
-from .liecore import (OMEGA_RADIUS, GroupElement, LieVector, a_t, check_band,
-                      k_theta, n_x, pair_sym)
-from .pairmodel import PairPoint, is_infinity
+from .liecore import (IDENTITY, OMEGA_RADIUS, GroupElement, LieVector, a_t,
+                      check_band, k_theta, n_x, pair_sym_entries)
+from .pairmodel import PairPoint, divide, is_infinity
 
 
 def _imag_or_none(z):
-    return None if is_infinity(z) else float(np.imag(z))
+    return None if is_infinity(z) else float(z.imag)
 
 
 def chordal_distance(z, w) -> float:
@@ -74,14 +72,14 @@ def elliptic_point(g: GroupElement, phi: float) -> PairPoint:
     """g exp(i phi h) x0 = g(e^{2i phi} i, -e^{2i phi} i), |phi| < pi/4."""
     check_band(phi)
     w = cmath.exp(2j * phi) * 1j
-    return PairPoint(w, -w).apply(g.m)
+    return PairPoint(w, -w).apply(g)
 
 
 def unipotent_point(g: GroupElement, x: float) -> PairPoint:
     """g n_{ix} x0 = g(i + ix, -i + ix), |x| < 1."""
     if abs(x) >= 1.0:
         raise DomainError(f"|x| = {abs(x)} not < 1")
-    return PairPoint(1j * (1.0 + x), 1j * (x - 1.0)).apply(g.m)
+    return PairPoint(1j * (1.0 + x), 1j * (x - 1.0)).apply(g)
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,8 @@ def match_orbits(phi: float) -> OrbitMatch:
     s = c ** -0.5
     g = k_theta(math.pi / 4.0) @ a_t(s)
     y = math.sin(2.0 * phi)
-    matched = PairPoint(1j * (1.0 + y), 1j * (y - 1.0)).apply(g.m)
-    target = elliptic_point(GroupElement(np.eye(2)), phi)
+    matched = PairPoint(1j * (1.0 + y), 1j * (y - 1.0)).apply(g)
+    target = elliptic_point(IDENTITY, phi)
     return OrbitMatch(g=g, residual=pair_distance(matched, target),
                       boost=2.0 * math.log(s))
 
@@ -128,8 +126,7 @@ class TangentBundleCoords:
 
 def tangent_to_point(c: TangentBundleCoords) -> PairPoint:
     """[g, Y] |-> g exp(iY) x0."""
-    m = c.y.matrix().real
-    alpha, beta = float(m[0, 0]), float(m[0, 1])
+    alpha, beta = float(c.y.c_h.real), float(c.y.c_e.real)
     rho = math.hypot(alpha, beta)
     if rho == 0.0:
         return c.g.pair_point()
@@ -185,8 +182,8 @@ def _real_pair_transporter(u: float, v: float) -> GroupElement:
     if not u > v:
         raise DomainError(f"({u}, {v}) is not a pair of distinct reals")
     half = 0.5 * (u - v)
-    m = np.array([[half, 0.5 * (u + v)], [0.0, 1.0]]) / math.sqrt(half)
-    return GroupElement(m)
+    r = math.sqrt(half)
+    return GroupElement(((half / r, 0.5 * (u + v) / r), (0.0, 1.0 / r)))
 
 
 def boundary_classify(z: PairPoint, tol: float = 1e-8) -> BoundaryClass:
@@ -197,8 +194,8 @@ def boundary_classify(z: PairPoint, tol: float = 1e-8) -> BoundaryClass:
     degenerate factor picks the unipotent sign.  Interior or exterior
     points raise NotOnBoundary.
     """
-    m1 = 0.0 if is_infinity(z.first) else float(np.imag(z.first))
-    m2 = 0.0 if is_infinity(z.second) else -float(np.imag(z.second))
+    m1 = 0.0 if is_infinity(z.first) else float(z.first.imag)
+    m2 = 0.0 if is_infinity(z.second) else -float(z.second.imag)
     if m1 < -tol or m2 < -tol:
         raise NotOnBoundary(f"{z} lies outside the closed crown")
     if min(m1, m2) > tol:
@@ -208,13 +205,13 @@ def boundary_classify(z: PairPoint, tol: float = 1e-8) -> BoundaryClass:
         cone = None
         if not (is_infinity(z.first) or is_infinity(z.second)):
             q = to_quadric(z)
-            if not np.max(np.abs(q.z.real)) <= 100.0 * max(tol, 1e-12) * (
-                    1.0 + np.max(np.abs(q.z.imag))):
+            if not max(abs(c.real) for c in q.coords) <= 100.0 * max(
+                    tol, 1e-12) * (1.0 + max(abs(c.imag) for c in q.coords)):
                 raise NumericalDrift(
                     "distinguished candidate is not purely imaginary "
                     "in the quadric model")
-            cone = (_real_pair_transporter(float(np.real(z.first)),
-                                           float(np.real(z.second))),
+            cone = (_real_pair_transporter(float(z.first.real),
+                                           float(z.second.real)),
                     LieVector())
         return BoundaryClass("distinguished", cone)
     if m1 <= tol:
@@ -224,33 +221,40 @@ def boundary_classify(z: PairPoint, tol: float = 1e-8) -> BoundaryClass:
 
 @dataclass(frozen=True)
 class QuadricPoint:
-    """Point of the complex quadric Q(z) = z0^2 - z1^2 - z2^2 = 1."""
+    """Point of the complex quadric Q(z) = z0^2 - z1^2 - z2^2 = 1, kept as
+    its three coordinates; `z` is their ndarray view."""
 
-    z: np.ndarray
+    coords: tuple[complex, complex, complex]
 
     def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
-        if self.z.shape != (3,):
+        coords = tuple(complex(c) for c in self.coords)
+        if len(coords) != 3:
             raise ValueError("quadric point needs three coordinates")
+        object.__setattr__(self, "coords", coords)
         # cancellation in Q scales with the squared coordinate size
         residual = self.form_residual()
         if not residual <= 1e-10:
             raise NumericalDrift(f"|Q(z) - 1| is {residual:.2g} of the "
                                  f"squared coordinate size")
 
+    @property
+    def z(self):
+        """The coordinates as a complex ndarray, built on demand."""
+        import numpy as np
+        return np.array(self.coords)
+
     def form_residual(self) -> float:
         """|Q(z) - 1| / max(1, max |z_i|^2), formed on z / max(1, max |z_i|)
         so that it does not overflow."""
-        scale = max(1.0, float(np.max(np.abs(self.z))))
-        z0, z1, z2 = self.z / scale
-        return float(abs(z0 * z0 - z1 * z1 - z2 * z2 - 1.0 / scale / scale))
+        scale = max(1.0, max(abs(c) for c in self.coords))
+        z0, z1, z2 = (divide(c, scale) for c in self.coords)
+        return abs(z0 * z0 - z1 * z1 - z2 * z2 - 1.0 / scale / scale)
 
 
-def _sym_coords(s: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):  # inf * 0 is refused below
-        coords = np.array([0.5 * (s[0, 0] + s[1, 1]), s[0, 1],
-                           0.5 * (s[0, 0] - s[1, 1])])
-    if not np.all(np.isfinite(coords)):
+def _sym_coords(s00: complex, s01: complex, s11: complex
+                ) -> tuple[complex, complex, complex]:
+    coords = (0.5 * (s00 + s11), s01, 0.5 * (s00 - s11))
+    if not all(cmath.isfinite(c) for c in coords):
         raise NumericalDrift("quadric coordinates overflow")
     return coords
 
@@ -261,10 +265,10 @@ def to_quadric(z: PairPoint) -> QuadricPoint:
     Fixed by x0 -> (1, 0, 0), with the A-direction flowing in (z0, z2),
     the boost direction of SO(1,1) in (z0, z1), and K rotating (z1, z2);
     under this isogeny the elliptic angle doubles.  The coordinates are read
-    off `pair_sym`, whose entries are products, so that they are accurate to
-    the rounding of the largest one; NumericalDrift where they overflow.
+    off `pair_sym_entries`, which are products, so that they are accurate
+    to the rounding of the largest one; NumericalDrift where they overflow.
     """
-    return QuadricPoint(_sym_coords(pair_sym(z)))
+    return QuadricPoint(_sym_coords(*pair_sym_entries(z)))
 
 
 def _quotient(a: complex, b: complex, c: complex, d: complex) -> complex:
@@ -286,7 +290,7 @@ def from_quadric(q: QuadricPoint) -> PairPoint:
     w2 = (z1 - i)/s11 = s00/(z1 + i), each read off the form with the larger
     denominator.
     """
-    z0, z1, z2 = (complex(c) for c in q.z)
+    z0, z1, z2 = q.coords
     s00, s11 = z0 + z2, z0 - z2
     return PairPoint(_quotient(z1 + 1j, s11, s00, z1 - 1j),
                      _quotient(z1 - 1j, s11, s00, z1 + 1j))
@@ -295,13 +299,14 @@ def from_quadric(q: QuadricPoint) -> PairPoint:
 def gindikin_contains(q: QuadricPoint) -> bool:
     """Crown membership read off the quadric coordinates: the real part must
     be a future-pointing timelike vector, x0 > |(x1, x2)|."""
-    x = q.z.real
-    return bool(x[0] > math.hypot(x[1], x[2]))
+    z0, z1, z2 = q.coords
+    return z0.real > math.hypot(z1.real, z2.real)
 
 
 def random_real_element(rng, scale: float = 0.8) -> GroupElement:
     """k_theta a_t n_x with theta uniform on [0, pi), log t and x normal
     with standard deviation `scale`, drawn in that order from `rng`."""
+    import numpy as np  # rng is a numpy Generator
     return (k_theta(rng.uniform(0.0, np.pi))
             @ a_t(float(np.exp(rng.normal(0.0, scale))))
             @ n_x(float(rng.normal(0.0, scale))))

@@ -20,11 +20,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .crown import crown_contains
 from .errors import BranchCut, DomainError, NotInCrown
-from .liecore import OMEGA_RADIUS, GroupElement, check_band
+from .liecore import IDENTITY, OMEGA_RADIUS, GroupElement, check_band
 from .pairmodel import PairPoint
 
 #: margin of trace_domain_contains at the slit and at the threshold angle
@@ -67,6 +65,7 @@ def aC_closed_form(theta, phi: float):
     is the branch continuous in theta from theta = 0, where it equals
     e^{i phi}.
     """
+    import numpy as np
     check_band(phi)
     c, s = np.cos(theta), np.sin(theta)
     zeta_sq = np.exp(2j * phi) / (c * c + np.exp(4j * phi) * s * s)
@@ -88,8 +87,11 @@ def convexity_scan(phi: float, n_samples: int) -> ConvexityScan:
 
     Im log a_C is the argument of `aC_closed_form`.  Complex convexity
     predicts the exact range [-phi, phi]; the scan reports the observed
-    extremes, the attainment gap, and any overshoot.
+    extremes, the attainment gap, and any overshoot.  It scans with numpy
+    arrays: a loop over cmath moves the extremes in the last bit, since
+    cmath's sqrt and phase are not numpy's.
     """
+    import numpy as np
     check_band(phi)
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -183,11 +185,11 @@ def escape_curve(phi: float, s: float) -> EscapeSample:
     if s <= 0.5:
         angle = 2.0 * s * phi
         sigma = 2.0 * math.cos(2.0 * angle)
-        return EscapeSample(GroupElement(np.eye(2)), sigma)
+        return EscapeSample(IDENTITY, sigma)
     u = 2.0 * s - 1.0
     root = math.sqrt(-c2)
     a = (root + u * (1.0 - root)) / root
     b = math.sqrt(max(a * a - 1.0 / (a * a), 0.0))
-    g = GroupElement(np.array([[a, b], [0.0, 1.0 / a]]))
+    g = GroupElement(((a, b), (0.0, 1.0 / a)))
     sigma = 2.0 * a * a * c2
     return EscapeSample(g, sigma)

@@ -9,6 +9,13 @@ Conventions:
     b_t   = diag(1/sqrt(t), sqrt(t))       (dilation used in dyadic estimates)
     h, e, f = sl(2) basis with u = e - f spanning Lie(K)
 
+A `GroupElement` stores its four entries a, b, c, d as Python complex
+numbers, and composes, inverts and acts on them as scalars, so that the
+geometry modules run without numpy.  Its `.m` is an ndarray view built on
+demand from those entries (numpy loads there), for the representation and
+spectral code that reads matrices; `LieVector.matrix`, `exp_lie`,
+`sym_model` and `pair_sym` are array forms as well.
+
 The complexified horospherical decomposition writes an affine point
 (z1, z2), z1 != z2, as n_w a_zeta K_C with w = (z1+z2)/2 and
 zeta^2 = (z1-z2)/(2i), which is kept; zeta is defined modulo the two-group
@@ -20,8 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DiagonalPoint, DomainError, PointAtInfinity
 from .pairmodel import PairPoint, is_infinity, mobius_apply
@@ -38,65 +43,77 @@ def check_band(phi: float) -> None:
         raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
 
 
-H_MAT = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-E_MAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-F_MAT = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
-
 class GroupElement:
-    """2x2 complex matrix of determinant one, with a real-entries flag."""
+    """2x2 complex matrix [[a, b], [c, d]] of determinant one, stored as
+    its four entries; built from any 2x2 array or nested sequence."""
 
-    __slots__ = ("m",)
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, m, *, check: bool = True):
-        m = np.asarray(m, dtype=complex).reshape(2, 2)
+        (a, b), (c, d) = m
+        self.a, self.b = complex(a), complex(b)
+        self.c, self.d = complex(c), complex(d)
         if check:
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            det = self.a * self.d - self.b * self.c
             if abs(det - 1.0) > 1e-9:
                 raise ValueError(f"determinant {det} != 1")
-        self.m = m
 
-    is_real = property(lambda g: bool(np.abs(g.m.imag).max() < _DET_TOL))
+    @property
+    def rows(self) -> tuple[tuple[complex, complex], ...]:
+        """((a, b), (c, d)), the form `mobius_apply` reads."""
+        return (self.a, self.b), (self.c, self.d)
+
+    @property
+    def m(self):
+        """The matrix as a 2x2 complex ndarray, built on demand."""
+        import numpy as np
+        return np.array(self.rows)
+
+    is_real = property(lambda g: all(abs(v.imag) < _DET_TOL
+                                     for v in (g.a, g.b, g.c, g.d)))
 
     # -- group structure ---------------------------------------------------
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.m @ other.m, check=False)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return GroupElement(((a * e + b * g, a * f + b * h),
+                             (c * e + d * g, c * f + d * h)), check=False)
 
     def inverse(self) -> "GroupElement":
-        a, b, c, d = self.m.ravel()
-        return GroupElement(np.array([[d, -b], [-c, a]]), check=False)
+        return GroupElement(((self.d, -self.b), (-self.c, self.a)),
+                            check=False)
 
     # -- actions -------------------------------------------------------------
 
     def act(self, z):
         """Fractional linear action on a point of P1(C)."""
-        return mobius_apply(self.m, z)
+        return mobius_apply(self, z)
 
     def pair_point(self) -> PairPoint:
         """Image of the base point: g |-> (g(i), g(-i))."""
         return PairPoint(self.act(1j), self.act(-1j))
 
     def __repr__(self):
-        return f"GroupElement({self.m.tolist()})"
+        return f"GroupElement({[list(row) for row in self.rows]})"
 
 
-IDENTITY = GroupElement(np.eye(2))
+IDENTITY = GroupElement(((1.0, 0.0), (0.0, 1.0)))
 
 
 def a_t(t: float) -> GroupElement:
     if not t > 0:
         raise ValueError("a_t needs t > 0")
-    return GroupElement(np.diag([t, 1.0 / t]), check=False)
+    return GroupElement(((t, 0.0), (0.0, 1.0 / t)), check=False)
 
 
 def n_x(x: complex) -> GroupElement:
-    return GroupElement(np.array([[1.0, x], [0.0, 1.0]]), check=False)
+    return GroupElement(((1.0, x), (0.0, 1.0)), check=False)
 
 
 def k_theta(theta: float) -> GroupElement:
     c, s = math.cos(theta), math.sin(theta)
-    return GroupElement(np.array([[c, s], [-s, c]]), check=False)
+    return GroupElement(((c, s), (-s, c)), check=False)
 
 
 def b_t(t: float) -> GroupElement:
@@ -104,10 +121,11 @@ def b_t(t: float) -> GroupElement:
     if not t > 0:
         raise ValueError("b_t needs t > 0")
     r = math.sqrt(t)
-    return GroupElement(np.diag([1.0 / r, r]), check=False)
+    return GroupElement(((1.0 / r, 0.0), (0.0, r)), check=False)
 
 
-K0 = GroupElement(np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0))
+_R = 1.0 / math.sqrt(2.0)
+K0 = GroupElement(((_R, _R), (-_R, _R)))
 
 
 @dataclass(frozen=True)
@@ -118,18 +136,21 @@ class LieVector:
     c_e: complex = 0.0
     c_f: complex = 0.0
 
-    def matrix(self) -> np.ndarray:
-        return self.c_h * H_MAT + self.c_e * E_MAT + self.c_f * F_MAT
+    def matrix(self):
+        """The element as a 2x2 complex ndarray."""
+        import numpy as np
+        h, e, f = np.array([[[1, 0], [0, -1]], [[0, 1], [0, 0]],
+                            [[0, 0], [1, 0]]], dtype=complex)
+        return self.c_h * h + self.c_e * e + self.c_f * f
 
     def in_omega_hat(self) -> bool:
         """Symmetric traceless with spectrum inside (-pi/4, pi/4)."""
-        m = self.matrix()
-        if np.max(np.abs(m.imag)) > 1e-14:
+        h, e, f = complex(self.c_h), complex(self.c_e), complex(self.c_f)
+        if any(abs(v.imag) > 1e-14 for v in (h, e, f)):
             return False
-        if abs(m[0, 1] - m[1, 0]) > 1e-14:
+        if abs(e - f) > 1e-14:
             return False
-        radius = math.sqrt(float(m[0, 0].real) ** 2
-                           + float(m[0, 1].real) * float(m[1, 0].real))
+        radius = math.sqrt(h.real ** 2 + e.real * f.real)
         return radius < OMEGA_RADIUS
 
 
@@ -143,8 +164,11 @@ def exp_lie(v: LieVector, scale: complex = 1.0) -> GroupElement:
     """Matrix exponential of scale * v, in closed form.
 
     For traceless 2x2 matrices M with M^2 = delta^2 * Id this is
-    cosh(delta) Id + sinh(delta)/delta * M, which is exact.
+    cosh(delta) Id + sinh(delta)/delta * M, which is exact.  It is formed
+    on `v.matrix()`; only the representation code, which loads numpy,
+    calls it.
     """
+    import numpy as np
     m = complex(scale) * v.matrix()
     delta_sq = m[0, 0] * m[0, 0] + m[0, 1] * m[1, 0]
     delta = cmath.sqrt(delta_sq)
@@ -196,7 +220,7 @@ def complex_na_decompose(z: PairPoint) -> ComplexNADecomposition:
                                   a_sq=diff / 2j)
 
 
-def sym_model(g: GroupElement) -> np.ndarray:
+def sym_model(g: GroupElement):
     """Image of g in the symmetric-matrix model: g |-> g g^T (det 1)."""
     return g.m @ g.m.T
 
@@ -207,8 +231,9 @@ def p_invariant(g: GroupElement) -> complex:
     return s[0, 0] + s[1, 1]
 
 
-def pair_sym(z: PairPoint) -> np.ndarray:
-    """Symmetric model of an affine pair point.
+def pair_sym_entries(z: PairPoint) -> tuple[complex, complex, complex]:
+    """Entries (s00, s01, s11) of the symmetric model of an affine pair
+    point.
 
     The point is n_w a_zeta x0 with w = (z1+z2)/2 and zeta^2 = (z1-z2)/(2i).
     With d = 1/zeta^2 = 2i/(z1-z2) its symmetric model is
@@ -218,8 +243,14 @@ def pair_sym(z: PairPoint) -> np.ndarray:
     """
     z1, z2 = z.finite()
     d = 2j / (z1 - z2)
-    s01 = d * (0.5 * (z1 + z2))
-    return np.array([[z1 * (z2 * d), s01], [s01, d]])
+    return z1 * (z2 * d), d * (0.5 * (z1 + z2)), d
+
+
+def pair_sym(z: PairPoint):
+    """`pair_sym_entries` as the symmetric 2x2 ndarray."""
+    import numpy as np
+    s00, s01, s11 = pair_sym_entries(z)
+    return np.array([[s00, s01], [s01, s11]])
 
 
 def p_of_pair(z: PairPoint) -> complex:

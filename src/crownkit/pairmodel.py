@@ -9,9 +9,8 @@ linear maps act with explicit handling of the infinite point.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DiagonalPoint, NumericalDrift
 
@@ -25,20 +24,43 @@ def is_infinity(z) -> bool:
     return isinstance(z, str) and z == INFINITY
 
 
-@np.errstate(all="ignore")  # a non-finite result is refused below
-def mobius_apply(m: np.ndarray, z):
-    """Apply a 2x2 matrix to a point of P1(C) by fractional linear action.
+def divide(num: complex, den: complex) -> complex:
+    """num / den as numpy divides complex128: Smith's method with a
+    reciprocal scale, 1/(den.real + den.imag * ratio) for |den.real| >=
+    |den.imag|, and a zero denominator dividing each part by +0.
+
+    Python's own complex `/` divides by that sum instead, and differs in
+    the last bit on about two in five quotients; this keeps the scalar
+    action bit for bit what the array action gave.
+    """
+    ar, ai, br, bi = num.real, num.imag, den.real, den.imag
+    if abs(br) >= abs(bi):
+        if br == 0.0:
+            return complex(ar * math.inf, ai * math.inf)
+        ratio = bi / br
+        scale = 1.0 / (br + bi * ratio)
+        return complex((ar + ai * ratio) * scale, (ai - ar * ratio) * scale)
+    ratio = br / bi if bi else math.nan  # bi = 0 here only when br is NaN
+    scale = 1.0 / (bi + br * ratio)
+    return complex((ar * ratio + ai) * scale, (ai * ratio - ar) * scale)
+
+
+def mobius_apply(g, z):
+    """Apply g, a GroupElement or a 2x2 array, to a point of P1(C) by
+    fractional linear action, on Python scalars.
 
     Raises NumericalDrift where the denominator or the image is not finite.
     """
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    (a, b), (c, d) = getattr(g, "rows", g)
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if is_infinity(z):
         num, den = a, c
     else:
+        z = complex(z)
         num, den = a * z + b, c * z + d
     if den == 0:
         return INFINITY
-    w = num / den
+    w = divide(num, den)
     if not (cmath.isfinite(den) and cmath.isfinite(w)):
         raise NumericalDrift(f"the image of {z} is not finite")
     return w
@@ -62,9 +84,10 @@ class PairPoint:
                 and abs(self.first - self.second) <= _EQ_TOL):
             raise DiagonalPoint(f"pair {self.first} repeats within tolerance")
 
-    def apply(self, m: np.ndarray) -> "PairPoint":
-        return PairPoint(mobius_apply(m, self.first),
-                         mobius_apply(m, self.second))
+    def apply(self, g) -> "PairPoint":
+        """Image under g, a GroupElement or a 2x2 array."""
+        return PairPoint(mobius_apply(g, self.first),
+                         mobius_apply(g, self.second))
 
     def finite(self) -> tuple[complex, complex]:
         """Both coordinates as complex numbers; raises on infinity."""

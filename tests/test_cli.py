@@ -39,19 +39,25 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.mark.parametrize("preset, seen", [({}, ["1", "1", "1"]), (
     {"OMP_NUM_THREADS": "2"}, [None, "2", None])], ids=["unset", "set"])
 def test_cli_sets_one_blas_thread_before_numpy_loads(preset, seen):
-    # the BLAS reads its thread count when numpy loads; the CLI sets one
+    # the BLAS reads its thread count when numpy loads; importing the CLI
+    # does not load it, `kernel` does, and by then the CLI has set one
     # thread unless the user set a count
-    code = ("import os, sys\n"
+    code = ("import contextlib, io, os, sys\n"
+            "seen = []\n"
             "class Spy:\n"
             "    def find_spec(self, name, *args):\n"
             "        if name == 'numpy':\n"
-            f"            print([os.environ.get(v) for v in {BLAS_THREADS}])\n"
+            "            seen.append([os.environ.get(v)\n"
+            f"                         for v in {BLAS_THREADS}])\n"
             "sys.meta_path.insert(0, Spy())\n"
-            "import crownkit.cli\n")
+            "from crownkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['kernel'])\n"
+            "print(code, seen)\n")
     env = {k: v for k, v in CHILD_ENV.items() if k not in BLAS_THREADS}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env={**env, **preset})
-    assert proc.returncode == 0 and proc.stdout == repr(seen) + "\n"
+    assert proc.returncode == 0 and proc.stdout == f"0 {[seen]!r}\n"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -71,28 +77,77 @@ def test_cli_import_leaves_scipy_out():
 NOT_GEOMETRY = {"spectral", "repn", "sobolev", "vectors", "numerics",
                 "maass", "acceptance"}
 
+#: the geometry forms of the benchmark's fresh-process workload that run
+#: without numpy; `convexity` scans its orbit on numpy arrays and is the
+#: one geometry form that loads it
+NUMPY_FREE = {
+    "crown-check": ["crown-check", "--z1=0+1i", "--z2=0-1i"],
+    "param-elliptic": ["param", "--kind", "elliptic", "--phi", "-0.3",
+                       "--t", "1.7", "--x-shift", "0.4"],
+    "param-unipotent": ["param", "--kind", "unipotent", "--x", "-0.6",
+                        "--t", "0.8", "--x-shift", "-1.2"],
+    "match": ["match", "--phi", "0.6"],
+    "boundary": ["boundary", "--z1=2.5", "--z2=-0.5"],
+    "quadric": ["quadric", "--z1=0.3+1.2i", "--z2=-0.4-0.8i"],
+    "aproj": ["aproj", "--z1=0.3+1.2i", "--z2=-0.4-0.8i"],
+    "trace-domain": ["trace-domain", "--value=1.5-0.7i", "--doubled"],
+    "escape": ["escape", "--phi", "1.1", "--grid", "9", "--values"],
+}
 
-@pytest.mark.parametrize("argv, absent", [
-    (["crown-check", "--z1=0+1i", "--z2=0-1i"], NOT_GEOMETRY),
-    (["sobolev", "--k", "1"], {"acceptance"}),
-    (["kernel"], {"acceptance"}),
-    (["maass"], {"acceptance"})], ids=["crown-check", "sobolev", "kernel",
-                                      "maass"])
-def test_a_command_loads_only_the_modules_it_runs(argv, absent):
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (NUMPY_FREE["crown-check"], NOT_GEOMETRY | {"numpy"}, set()),
+    (["sobolev", "--k", "1"], {"acceptance"}, {"numpy"}),
+    (["kernel"], {"acceptance"}, {"numpy"}),
+    (["maass"], {"acceptance"}, {"numpy"}),
+    *[(argv, NOT_GEOMETRY | {"numpy"}, set())
+      for form, argv in NUMPY_FREE.items() if form != "crown-check"],
+    (["convexity", "--phi", "0.3", "--samples", "100"], NOT_GEOMETRY,
+     {"numpy"})],
+    ids=["crown-check", "sobolev", "kernel", "maass",
+         *[form for form in NUMPY_FREE if form != "crown-check"],
+         "convexity"])
+def test_a_command_loads_only_the_modules_it_runs(argv, absent, present):
     # each cmd_* imports what it runs, so a fresh process pays only for
-    # its own command; only `suite` loads the acceptance suite
+    # its own command; only `suite` loads the acceptance suite, and of the
+    # geometry commands only `convexity` loads numpy
     code = ("import contextlib, io, json, sys\n"
             "from crownkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
             "print(json.dumps([code, [m.split('.')[1] for m in sys.modules\n"
-            "                         if m.startswith('crownkit.')]]))")
+            "                         if m.startswith('crownkit.')]\n"
+            "                  + ['numpy'] * ('numpy' in sys.modules)]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env=CHILD_ENV)
     exit_code, loaded = json.loads(proc.stdout)
     assert exit_code == 0 and proc.stderr == ""
-    assert {"cli", "liecore", "pairmodel"} <= set(loaded)
+    assert {"cli", "liecore", "pairmodel"} | present <= set(loaded)
     assert not set(loaded) & absent
+
+
+#: runs the CLI in a fresh interpreter that refuses to import numpy
+NO_NUMPY = ("import sys\n"
+            "class NoNumpy:\n"
+            "    def find_spec(self, name, *args):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ImportError('numpy is refused')\n"
+            "sys.meta_path.insert(0, NoNumpy())\n"
+            "from crownkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.parametrize("form", list(NUMPY_FREE))
+def test_geometry_form_runs_without_numpy(form, capsys):
+    # this process has numpy loaded, so the document printed here also
+    # goes through emit's numpy branches; the bytes must not change
+    argv = NUMPY_FREE[form]
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env=CHILD_ENV)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert main(list(argv)) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_parse_complex_forms():
@@ -137,12 +192,33 @@ def test_usage_error_exit_code():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace-domain", "--value=2", "--doubled", "-1e-12"],
+    ["escape", "--phi", "1.1", "--values", "-1"],
+    ["param", "--phi", "-1e-12", "-2"]], ids=" ".join)
+def test_a_value_with_no_option_to_take_it_is_a_usage_error(argv, capsys):
+    # a token led by '-' and a digit is the value of the option before
+    # it; after a flag, or a second one, it is a usage error as before
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "usage:" in err
+
+
 def test_numerical_failure_exit_code(capsys):
     # a point on the diagonal is a numerical/domain failure, not a crash
     code = main(["phi", "--lam", "1.0", "--z1", "0+2i", "--z2", "0+3i"])
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "fail"
+
+
+def test_a_grid_too_large_to_hold_fails_at_once(capsys):
+    # 2**62 sigmas take 2**65 bytes, more than an address space holds: the
+    # list is refused before anything is allocated or evaluated
+    code = main(["escape", "--phi", "1.1", "--grid", str(2 ** 62)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["status"] == "fail"
+    assert doc["error"] == "MemoryError" and doc["command"] == "escape"
 
 
 @pytest.mark.parametrize("argv, callee", [
@@ -246,6 +322,8 @@ FUZZ = {
     ("crown-check", "--z1=inf", "--z2=0-1i"): 1,
     ("crown-check", "--z1=0", "--z2=1e300"): None,
     ("param", "--t", "0"): 1,
+    # an option's value in exponent form, led by '-'
+    ("param", "--t", "2", "--phi", "-1e-12"): 0,
     ("param", "--t", "-1"): 1,
     ("param", "--phi", "nan"): 1,
     ("param", "--phi", "1e300"): None,

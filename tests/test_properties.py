@@ -1,6 +1,8 @@
 """Property tests on generated inputs: the symmetric model of pair points,
-the coordinate round trips, the off-cut invariant of quadratic powers, the
-closed-form group action on them and the norms it keeps, Sobolev norms
+the coordinate round trips, the scalar group law and Mobius division
+against numpy's complex128 results bit for bit, the off-cut invariant of
+quadratic powers, the closed-form group action on them and the norms it
+keeps, Sobolev norms
 from one stacked quadrature against one quadrature per monomial, the
 closed-form unit-scale dyadic blocks against their Mobius-pulled
 construction, the rotation invariance of the spherical function and its
@@ -21,7 +23,7 @@ from crownkit import crown, repn, sobolev, spectral
 from crownkit.errors import BranchCut
 from crownkit.liecore import (H_VEC, a_t, b_t, exp_lie, k_theta, n_x,
                               p_invariant, p_of_pair, pair_sym, sym_model)
-from crownkit.pairmodel import BASE_POINT, PairPoint
+from crownkit.pairmodel import BASE_POINT, PairPoint, divide
 from crownkit.vectors import MobiusPulled, Product, QuadraticPower
 
 GEOMETRY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -61,6 +63,51 @@ def test_tangent_and_quadric_round_trips(g, phi):
     back = crown.tangent_to_point(crown.point_to_tangent(z))
     assert crown.pair_distance(back, z) < 1e-9
     assert crown.pair_distance(crown.from_quadric(crown.to_quadric(z)), z) < 1e-9
+
+
+# float parts with the edges of division drawn often: signed zeros,
+# subnormals, the far range and infinities, and NaN
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan, 1.0, -1.0]),
+    st.floats())
+edge_complexes = st.builds(complex, edge_floats, edge_floats)
+
+
+def _same_bits(x: complex, y: complex) -> bool:
+    """Equal parts with equal signs of zero; a NaN matches any NaN, whose
+    payload no program reads."""
+    return all((math.isnan(p) and math.isnan(q))
+               or (p == q and math.copysign(1.0, p) == math.copysign(1.0, q))
+               for p, q in ((x.real, y.real), (x.imag, y.imag)))
+
+
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(edge_complexes, edge_complexes)
+def test_mobius_division_is_numpy_complex128_division(num, den):
+    # numpy is the oracle: the scalar Mobius action must give the bits the
+    # 2x2 array action gave
+    with np.errstate(all="ignore"):
+        want = complex(np.complex128(num) / np.complex128(den))
+    assert _same_bits(divide(num, den), want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(0.0, math.pi), st.floats(-1.5, 1.5),
+       st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])))
+def test_scalar_group_law_is_numpy_2x2_arithmetic(theta, log_t, x):
+    k, a, n = k_theta(theta), a_t(math.exp(log_t)), n_x(x)
+    g = k @ a @ n
+    want = k.m @ a.m @ n.m
+    assert g.m.dtype == want.dtype and g.m.shape == (2, 2)
+    assert np.array_equal(g.m.view(np.uint64), want.view(np.uint64))
+    inverse = np.array([[want[1, 1], -want[0, 1]], [-want[1, 0], want[0, 0]]])
+    assert np.array_equal(g.inverse().m.view(np.uint64),
+                          inverse.view(np.uint64))
+    z = complex(x, math.exp(-log_t))
+    assert _same_bits(g.act(z), complex(
+        (want[0, 0] * z + want[0, 1]) / (want[1, 0] * z + want[1, 1])))
 
 
 # coefficients on a lattice of quarters: exact zeros and exact touching

@@ -139,9 +139,12 @@ def _panel_gk(y, half):
     with np.errstate(all="ignore"):
         k15 = half * (y @ _K15_WEIGHTS)
         g7 = half * (y[..., _G7_SLICE] @ _G7_WEIGHTS)
-        # standard QUADPACK-style sharpened error estimate
-        resasc = half * (np.abs(y - (0.5 * k15 / half)[..., None])
-                         @ _K15_WEIGHTS)
+        # standard QUADPACK-style sharpened error estimate; a real stack
+        # takes |y - mean| in place, one stack-sized temporary
+        dev = y - (0.5 * k15 / half)[..., None]
+        dev = np.abs(dev, out=dev if dev.dtype.kind == "f" else None)
+        resasc = half * (dev @ _K15_WEIGHTS)
+        del dev
         err = np.abs(k15 - g7)
         sharp = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
         # no panel is known better than the rounding of its K15 sum

@@ -37,7 +37,8 @@ from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
 from .numerics import (IdentityCheck, QuadratureConfig, REPRESENTATION_CFG,
                        integrate)
 from .pairmodel import PairPoint
-from .vectors import MobiusPulled, QuadraticPower, SmoothVector
+from .vectors import (MobiusPulled, QuadraticPower, SmoothVector,
+                      square_range)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -92,12 +93,13 @@ def apply_pi(param: SpectralParam, g: GroupElement, f):
 
 
 def rep_norm(vec) -> float:
-    """L^2 norm of a representation vector."""
-    lo, hi = vec.support if vec.support is not None else (-math.inf, math.inf)
+    """L^2 norm of a representation vector; an even vector on a symmetric
+    support is integrated on the right half (`square_range`)."""
+    lo, hi, weight = square_range([vec])
 
     def density(x):
         v = vec.value(x)
-        return v.real ** 2 + v.imag ** 2
+        return weight * (v.real ** 2 + v.imag ** 2)
 
     res = integrate(density, lo, hi, REPRESENTATION_CFG.with_hints(vec.hints))
     return math.sqrt(max(res.value.real, 0.0))

@@ -33,11 +33,22 @@ the Taylor rows of v to order k once and walks the monomial tree,
 f-powers first, then e, then h: each node is one step of the derived
 action on Taylor rows from its parent.  The squared moduli of all nodes
 share one panel pool, each to its own tolerance, and ||v|| is
-component 0.  Cutoffs times v can share the pool and v's Taylor rows:
+component 0.  The continued vectors, their dilations pi(b_t) and the
+three cutoffs are even, and so is the squared modulus of every word
+applied to them, so these norms integrate twice the squares on the right
+half of the range (`vectors.square_range`).
+
+Several vectors c g, a cutoff c (or none) times a vector g, share a
+quadrature when they have the same support: each distinct cutoff and
+vector has its Taylor rows evaluated once per round, and each product's
+rows then walk the word tree in turn, keeping only the squared moduli.
 f and the outer block (tau + phi) f are one quadrature, which also gives
-the display at f, so a bound at depth m takes m + 3 quadratures: that
-one, the inner block, the m dyadic blocks and the display after the
-rotation k0.
+the display at f.  The inner block and the m dyadic blocks all live on
+[-2, 2], and the peaks of block j >= 2, near +-2^j, lie outside it, so
+a stack of them takes about one block's panels; they go in stacks of at
+most _STACK blocks, which caps the memory of a round.  A bound at depth
+m thus takes 2 + ceil((m + 1) / _STACK) quadratures: three up to
+m = 7, eleven at m = 64.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ from .liecore import K0, b_t
 from .numerics import REPRESENTATION_CFG, IdentityCheck, integrate
 from .repn import (DIRECTIONS, SpectralParam, action_taylor, apply_pi,
                    derived_taylor)
-from .vectors import Product, RadialStep, SmoothVector, _mul
+from .vectors import Product, RadialStep, SmoothVector, _mul, square_range
 
 _SUBGROUP_DIRECTION = {
     "A": "h",
@@ -70,6 +81,11 @@ MAX_ORDER = 4
 #: v_K continued to eps = 1e-3 at lam = 1, k = 2, going on from m = 64 to
 #: m = 200 moves dyadic_rhs by 1.6e-14 relative
 _M_MAX = 64
+#: the most products one quadrature stacks: the inner and dyadic blocks of
+#: a bound go in stacks of this many.  All 65 blocks of k = 2, m = 64 in
+#: one stack raise the tracemalloc peak of the bound to 13 MB; in stacks
+#: of 8 it stays at 1.7 MB, as at m = 8
+_STACK = 8
 
 #: the Littlewood-Paley cutoffs at unit scale: the smoothstep psi, 1 on
 #: |x| <= 1 and 0 on |x| >= 2; phi = psi - psi(2 .); and the outer cutoff
@@ -107,35 +123,59 @@ def _chain(direction: str, k: int):
     return [(direction,) * j for j in range(k + 1)]
 
 
-def _word_norms(param: SpectralParam, f: SmoothVector, words,
-                cuts=()) -> list[list[float]]:
+def _word_norms(param: SpectralParam, products, words) -> list[list[float]]:
     """Norms of d_pi(w_n) ... d_pi(w_1) v for each word (w_1, ..., w_n), in
-    the order of `words`, for v = f and for v = c f with each cutoff c of
-    `cuts`: one list per vector, f's first.  All of them are integrated in
-    one quadrature on f's support with the hints of f and of the cutoffs.
-    The words form a tree: a word's parent, the word without its last
-    letter, is listed before it, and each word is one step of the derived
-    action on Taylor rows from its parent, so one set of Taylor rows of f
-    per quadrature round serves every word of every vector."""
+    the order of `words`, for each product v = c g of `products`, pairs
+    (c, g) of a cutoff c or None and a vector g: one list per product, in
+    their order.  Products of one support share quadratures, at most
+    _STACK to one, on that support with the hints of all of them.  Each
+    round evaluates the Taylor rows of each distinct cutoff and vector of
+    a stack once; then, one product at a time, its rows walk the word
+    tree, a word's parent, the word without its last letter, listed
+    before it and each word one step of the derived action on Taylor rows
+    from its parent, and only the squared moduli of the words are kept."""
     directions = {d: DIRECTIONS[d] for w in words for d in w}
     order = max(map(len, words))
+    vecs = [g if c is None else Product(c, g) for c, g in products]
+    by_support = {}
+    for i, v in enumerate(vecs):
+        by_support.setdefault(v.support, []).append(i)
+    norms = [None] * len(products)
+    for group in by_support.values():
+        for start in range(0, len(group), _STACK):
+            stack = group[start:start + _STACK]
+            lo, hi, weight = square_range([vecs[i] for i in stack])
 
-    def rows(x):
-        ab = {d: action_taylor(param, vec, x) for d, vec in directions.items()}
-        base = f.taylor(x, order)
-        # rows by Taylor order, vector and point
-        tree = {(): np.stack([base] + [_mul(c.taylor(x, order), base)
-                                       for c in cuts], axis=1)}
-        for w in words[1:]:
-            tree[w] = derived_taylor(ab[w[-1]], tree[w[:-1]])
-        top = np.array([tree[w][0] for w in words]).reshape(-1, x.size)
-        return top.real ** 2 + top.imag ** 2
+            def rows(x, stack=stack, weight=weight):
+                ab = {d: action_taylor(param, vec, x)
+                      for d, vec in directions.items()}
+                taylor = {}   # rows of each distinct cutoff and vector
 
-    lo, hi = f.support if f.support is not None else (-math.inf, math.inf)
-    hints = sorted({*f.hints, *(h for c in cuts for h in c.hints)})
-    res = integrate(rows, lo, hi, REPRESENTATION_CFG.with_hints(hints))
-    squares = res.value.reshape(len(words), 1 + len(cuts)).T
-    return [[math.sqrt(max(v.real, 0.0)) for v in row] for row in squares]
+                def rows_of(u):
+                    if id(u) not in taylor:
+                        taylor[id(u)] = u.taylor(x, order)
+                    return taylor[id(u)]
+
+                out = np.empty((len(stack), len(words), x.size))
+                for n, i in enumerate(stack):
+                    c, g = products[i]
+                    tree = {(): rows_of(g) if c is None
+                            else _mul(rows_of(c), rows_of(g))}
+                    for w in words[1:]:
+                        tree[w] = derived_taylor(ab[w[-1]], tree[w[:-1]])
+                    for r, w in enumerate(words):
+                        top = tree[w][0]
+                        out[n, r] = top.real ** 2 + top.imag ** 2
+                out *= weight
+                return out.reshape(-1, x.size)
+
+            hints = sorted({h for i in stack for h in vecs[i].hints})
+            res = integrate(rows, lo, hi,
+                            REPRESENTATION_CFG.with_hints(hints))
+            squares = res.value.reshape(len(stack), len(words))
+            for i, row in zip(stack, squares):
+                norms[i] = [math.sqrt(max(v.real, 0.0)) for v in row]
+    return norms
 
 
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
@@ -144,7 +184,7 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
         words = _monomials(spec.k)
     else:
         words = _chain(_SUBGROUP_DIRECTION[spec.subgroup], spec.k)
-    return sum(_word_norms(param, f, words)[0])
+    return sum(_word_norms(param, [(None, f)], words)[0])
 
 
 def unit_block(param: SpectralParam, cutoff: SmoothVector, t: float,
@@ -193,17 +233,20 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     The order k must lie in 0..MAX_ORDER and the depth m in 1..64, the
     depths `choose_m` tries; both are checked before any work.
     """
-    spec = SobolevSpec(k)
+    SobolevSpec(k)  # refuses an order outside 0..MAX_ORDER
     if not 1 <= m <= _M_MAX:
         raise ValueError(f"dyadic depth m = {m} outside 1..{_M_MAX}")
     words = _monomials(k)
-    f_norms, outer_norms = _word_norms(param, f, words, [OUTER])
-    outer = sum(outer_norms)
-    inner = sobolev_norm(param, unit_block(param, PSI, 2.0 ** -(m + 1), f),
-                         spec)
-    blocks = tuple(sobolev_norm(param, unit_block(param, PHI, 2.0 ** -j, f),
-                                spec) for j in range(1, m + 1))
-    dyadic_rhs = outer + inner + sum(blocks)
+    # f, the outer block (tau + phi) f, the inner block and the m dyadic
+    # blocks, the last m + 1 at unit scale on [-2, 2]
+    products = [(None, f), (OUTER, f),
+                (PSI, apply_pi(param, b_t(2.0 ** -(m + 1)), f))]
+    products += [(PHI, apply_pi(param, b_t(2.0 ** -j), f))
+                 for j in range(1, m + 1)]
+    f_norms, outer_norms, inner_norms, *block_norms = _word_norms(
+        param, products, words)
+    outer, inner = sum(outer_norms), sum(inner_norms)
+    dyadic_rhs = outer + inner + sum(sum(n) for n in block_norms)
     nbar_f, a_f = _display(words, f_norms, k)
     norm_f = nbar_f[0]
     comparison = sum(nbar_f) + norm_f + sum(a_f)
@@ -211,7 +254,8 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     # rotate so the singular circle points land on the contraction fixed
     # points, then push with a_t until the Nbar block collapses to ~||f||
     chains = _chain("f", k) + _chain("h", k)[1:]
-    [rot_norms] = _word_norms(param, apply_pi(param, K0, f), chains)
+    [rot_norms] = _word_norms(param, [(None, apply_pi(param, K0, f))],
+                              chains)
     nbar_norms, a_rot = _display(chains, rot_norms, k)
     s_a_rot = sum(a_rot)
     t = 1.0

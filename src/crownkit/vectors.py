@@ -30,6 +30,16 @@ The other nodes are the Gaussian `ExpPoly`, the pointwise `Product`, the
 Mobius pull-back `MobiusPulled`, and one cutoff, `RadialStep`, whose four
 edges place a smooth rise and fall in |x|.  Each Littlewood-Paley cutoff
 of the Sobolev bound is one such node at unit scale.
+
+Parity: a node's `even` flag says it is an even function, derived from
+its structure.  A quadratic power is even when its linear coefficient
+q1 is 0, as for v_K, every continuation `continue_vK(eps)` and every
+dilation pi(b_t) of them; a `RadialStep` always is; a `Product` is when
+both factors are.  The derived actions keep parity (h) or flip it (e, f,
+u, e + f), so the squared modulus of any word of them applied to an even
+vector is even, and `square_range` integrates such squares on the right
+half of a symmetric range only.  The other nodes report False, the
+group translates `MobiusPulled` among them, whatever their values.
 """
 
 from __future__ import annotations
@@ -151,6 +161,7 @@ class SmoothVector:
 
     support: tuple[float, float] | None = None
     hints: tuple[float, ...] = ()
+    even: bool = False
 
     def taylor(self, x: np.ndarray, order: int) -> np.ndarray:
         """Rows f^(k)(x)/k!, k = 0..order, at a 1-d array of points."""
@@ -191,6 +202,7 @@ class QuadraticPower(SmoothVector):
         self.roots = roots[np.isfinite(roots)]
         self.hints = tuple(sorted(float(r.real + s * abs(r.imag))
                                   for r in self.roots for s in (-1, 0, 1)))
+        self.even = bool(q[1] == 0)
 
     def pulled(self, ginv) -> "QuadraticPower":
         """pi(g) of this vector, (a, b; c, d) = ginv = g^{-1} real, at the
@@ -240,9 +252,24 @@ class Product(SmoothVector):
         else:
             self.support = u.support if u.support is not None else v.support
         self.hints = tuple(sorted(set(u.hints) | set(v.hints)))
+        self.even = u.even and v.even
 
     def taylor(self, x, order):
         return _mul(self.u.taylor(x, order), self.v.taylor(x, order))
+
+
+def square_range(vecs) -> tuple[float, float, float]:
+    """(lo, hi, weight) for the integrals of weight |v|^2 over [lo, hi]
+    that give the squared norms of vectors v of one common support: the
+    support and weight 1, or, when the support is symmetric and every v
+    is even, its right half and weight 2.  Integrating the doubled square
+    gives the same value and holds the quadrature to the same tolerance
+    on it."""
+    support = vecs[0].support
+    lo, hi = support if support is not None else (-math.inf, math.inf)
+    if lo == -hi and all(v.even for v in vecs):
+        return 0.0, hi, 2.0
+    return lo, hi, 1.0
 
 
 def _interval_preimage(lo, hi, ginv):
@@ -309,8 +336,10 @@ class RadialStep(SmoothVector):
     Each transition is s(t) = g(t)/(g(t) + g(1-t)) with g(t) = exp(-1/t),
     at t = (|x| - a0)/(a1 - a0) rising and t = (b1 - |x|)/(b1 - b0)
     falling, so all derivatives vanish at the edges.  a0 = a1 = 0 leaves
-    out the rise and b0 = b1 = inf the fall.
+    out the rise and b0 = b1 = inf the fall.  The rows are real.
     """
+
+    even = True
 
     def __init__(self, a0: float, a1: float, b0: float, b1: float):
         a0, a1, b0, b1 = map(float, (a0, a1, b0, b1))
@@ -326,15 +355,8 @@ class RadialStep(SmoothVector):
     def taylor(self, x, order):
         a0, a1, b0, b1 = self.edges
         ax = np.abs(x)
-        out = np.zeros((order + 1, x.size), dtype=complex)
+        out = np.zeros((order + 1, x.size))
         out[0][(a1 <= ax) & (ax <= b0)] = 1.0
-        k = np.arange(order + 1)[:, None]
-
-        def glue(s, ds):
-            # rows in x of g(s) = exp(-1/s) for s linear in x, 0 < s < 1:
-            # -1/s has rows -(1/s) (-ds/s)^k
-            return _exp(-(1.0 / s) * (-ds / s) ** k)
-
         # on each transition t = (|x| - zero)/(one - zero) runs from the
         # edge where the step is 0 to the one where it is 1
         for zero, one in ((a0, a1), (b1, b0)):
@@ -342,6 +364,23 @@ class RadialStep(SmoothVector):
             if np.any(trans):
                 t = (ax[trans] - zero) / (one - zero)
                 slope = np.sign(x[trans]) / (one - zero)   # dt/dx
-                g = glue(t, slope)
-                out[:, trans] = _div(g, g + glue(1.0 - t, -slope))
+                # s is the logistic sigma(u) of u = 1/(1 - t) - 1/t, whose
+                # rows in x are p (slope p)^k - q (-slope q)^k with
+                # p = 1/(1 - t), q = 1/t
+                p, q = 1.0 / (1.0 - t), 1.0 / t
+                dp, dq = slope * p, -slope * q
+                u = np.empty((order + 1, t.size))
+                u[0] = p - q
+                for j in range(1, order + 1):
+                    p, q = p * dp, q * dq
+                    u[j] = p - q
+                # sigma(-|u|) = e/(1 + e) with e = exp(-|u|) <= 1, and
+                # sigma(u) = 1 - sigma(-u) where u >= 0: nothing overflows
+                flip = np.where(u[0] >= 0.0, -1.0, 1.0)
+                e = _exp(u * flip)
+                one_plus = e.copy()
+                one_plus[0] += 1.0
+                s = _div(e, one_plus) * flip
+                s[0] += flip < 0.0
+                out[:, trans] = s
         return out

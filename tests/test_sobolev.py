@@ -1,18 +1,19 @@
 """Sobolev norms, the dyadic cutoff family, and the invariant bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dyadic_phi, dyadic_tau
 from crownkit import numerics, repn, sobolev
-from crownkit.liecore import K0, a_t
+from crownkit.liecore import K0, a_t, b_t
 from crownkit.repn import SpectralParam, apply_pi, continue_vK, \
     rep_norm, v_K
 from crownkit.sobolev import (SobolevSpec, choose_m, invariant_upper_bound,
                               rotate_A_to_H, sobolev_norm)
-from crownkit.vectors import ExpPoly, RadialStep
+from crownkit.vectors import ExpPoly, MobiusPulled, Product, RadialStep
 
 PARAM = SpectralParam(1.0)
 
@@ -215,10 +216,110 @@ def test_sobolev_norm_takes_few_rounds(monkeypatch, rotated):
 
 
 def test_invariant_bound_quadrature_count(monkeypatch):
-    # one quadrature per dyadic block (inner and m blocks), one for the
-    # outer block together with the display at f, which also gives ||f||,
-    # and one for the display after the rotation k0
+    # one quadrature for the outer block together with the display at f,
+    # which also gives ||f||, one for the inner and the m dyadic blocks,
+    # stacked on their common support [-2, 2], and one for the display
+    # after the rotation k0
     f, m = continue_vK(PARAM, 1e-3), 4
     calls = _count_integrate(monkeypatch)
     invariant_upper_bound(PARAM, f, 2, m)
-    assert len(calls) == m + 3
+    assert len(calls) == 3
+
+
+def test_even_flags():
+    # q = 1 + w x^2 has no linear term, nor has any dilation of it, and the
+    # cutoffs are even; the rotation k0 gives q a linear term unless
+    # eps = pi/4, where it fixes v_K, and a Mobius pull-back claims no
+    # parity whatever its values
+    for eps in (1e-4, 1e-2, 0.3):
+        f = continue_vK(PARAM, eps)
+        assert f.even
+        block = apply_pi(PARAM, b_t(2.0 ** -3), f)
+        assert block.even and Product(sobolev.PHI, block).even
+        assert not apply_pi(PARAM, K0, f).even
+        assert not MobiusPulled(f, np.eye(2), PARAM.lam).even
+        assert not Product(sobolev.PHI, apply_pi(PARAM, K0, f)).even
+    assert v_K(PARAM).even and apply_pi(PARAM, K0, v_K(PARAM)).even
+    assert sobolev.PSI.even and sobolev.PHI.even and sobolev.OUTER.even
+    assert not ExpPoly(1.0, [1.0], (0.0, 0.0, 1.0)).even
+
+
+def _even_cases():
+    """Even vectors and their full-line oracles: the same functions as
+    MobiusPulled by the identity, which claims no parity."""
+    for lam, eps in ((0.5, 1e-2), (1.0, 1e-4), (2.3, 1e-3)):
+        param = SpectralParam(lam)
+        f = continue_vK(param, eps)
+        block = Product(sobolev.PHI, apply_pi(param, b_t(0.25), f))
+        for vec in (f, block):
+            yield param, vec, MobiusPulled(vec, np.eye(2), lam)
+
+
+@pytest.mark.parametrize("subgroup", [None, "A", "N", "Nbar", "K", "H"])
+def test_even_norms_on_the_half_line_match_the_full_line(subgroup):
+    # every word of h, e, f, u and e + f keeps or flips parity, so an even
+    # vector's squared monomials integrate on the right half at twice the
+    # density, to the same value
+    for param, vec, oracle in _even_cases():
+        assert vec.even and not oracle.even
+        for k in range(4):
+            spec = SobolevSpec(k, subgroup)
+            half = sobolev_norm(param, vec, spec)
+            full = sobolev_norm(param, oracle, spec)
+            assert abs(half - full) <= 1e-9 * full
+        assert abs(rep_norm(vec) - rep_norm(oracle)) <= 1e-9 * rep_norm(oracle)
+
+
+def test_even_vectors_integrate_the_right_half(monkeypatch):
+    # the ranges the quadratures of a bound run on: [0, inf) for f with the
+    # outer block, [0, 2] for the stacked blocks, and the whole line for
+    # pi(k0) f, which is not even
+    ranges = []
+
+    def recorded(rows, a, b, cfg):
+        ranges.append((a, b))
+        return numerics.integrate(rows, a, b, cfg)
+
+    monkeypatch.setattr(sobolev, "integrate", recorded)
+    monkeypatch.setattr(repn, "integrate", recorded)
+    f = continue_vK(PARAM, 1e-3)
+    rep_norm(f)
+    invariant_upper_bound(PARAM, f, 1, 4)
+    assert ranges == [(0.0, math.inf), (0.0, math.inf), (0.0, 2.0),
+                      (-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("m, k", [(4, 1), (12, 2)])
+def test_stacked_blocks_match_per_block_norms(m, k):
+    # the inner and dyadic blocks stacked on [-2, 2], eight to a
+    # quadrature, against one sobolev_norm per block
+    f = continue_vK(PARAM, 1e-3)
+    blocks = [(sobolev.PSI, 2.0 ** -(m + 1))]
+    blocks += [(sobolev.PHI, 2.0 ** -j) for j in range(1, m + 1)]
+    stacked = sobolev._word_norms(
+        PARAM, [(c, apply_pi(PARAM, b_t(t), f)) for c, t in blocks],
+        sobolev._monomials(k))
+    for (c, t), norms in zip(blocks, stacked):
+        alone = sobolev_norm(PARAM, sobolev.unit_block(PARAM, c, t, f),
+                             SobolevSpec(k))
+        assert abs(sum(norms) - alone) <= 1e-9 * alone
+    bound = invariant_upper_bound(PARAM, f, k, m)
+    assert abs(bound.inner_block - sum(stacked[0])) <= 1e-9 * bound.inner_block
+
+
+def _bound_peak(f, m):
+    tracemalloc.start()
+    try:
+        invariant_upper_bound(PARAM, f, 2, m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_bound_memory_stays_at_one_stack():
+    # the blocks go at most _STACK to a quadrature, so a round's stack does
+    # not grow with m: stacked all at once, the 65 blocks at m = 64 raise
+    # the peak about eightfold
+    f = continue_vK(PARAM, 1e-3)
+    invariant_upper_bound(PARAM, f, 2, 8)
+    assert _bound_peak(f, 64) <= 1.25 * _bound_peak(f, 8)

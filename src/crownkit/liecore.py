@@ -43,6 +43,13 @@ def check_band(phi: float) -> None:
         raise DomainError(f"|phi| = {abs(phi)} not < pi/4")
 
 
+def check_torus_angle(r: float) -> None:
+    """Raise DomainError unless 0 <= r < pi/4, a torus angle of the crown."""
+    if r < 0.0:
+        raise DomainError(f"r = {r} outside [0, pi/4)")
+    check_band(r)
+
+
 class GroupElement:
     """2x2 complex matrix [[a, b], [c, d]] of determinant one, stored as
     its four entries; built from any 2x2 array or nested sequence."""

@@ -100,7 +100,7 @@ class QuadratureConfig:
         return QuadratureConfig(self.abs_tol, self.rel_tol, tuple(hints))
 
 
-#: closed-form geometry checks: cheap integrands, tight tolerances
+#: integrate's default: tight tolerances for cheap, smooth integrands
 GEOMETRY_CFG = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
 #: oscillatory representation-theoretic integrals: looser absolute target
 REPRESENTATION_CFG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-9)
@@ -235,10 +235,12 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
     `f` is called with a 1-d numpy array of n sample points, once per
     round, and returns n values, or a stack of shape (m, n) whose m
     components share one pool of panels; a stack gives m values and m
-    errors.  Listed singularities must sit at hinted points or endpoints.
-    Each piece starts on at most _INITIAL_PANELS + _GRADE_DEPTH panels,
-    graded toward its end down to the distance to the nearest other hint.
-    The reported error bounds the total over all panels and is within
+    errors.  f returns a new, writable array that it does not keep: the
+    Jacobian of the substitution is multiplied into it in place.  Listed
+    singularities must sit at hinted points or endpoints.  Each piece
+    starts on at most _INITIAL_PANELS + _GRADE_DEPTH panels, graded
+    toward its end down to the distance to the nearest other hint.  The
+    reported error bounds the total over all panels and is within
     max(abs_tol, rel_tol |value|), for each component of a stack.  Raises
     NonConvergence when the _MAX_ADDED panels that refinement may add do
     not meet that request and InvalidIntegrand on NaN/Inf samples.
@@ -272,7 +274,8 @@ def integrate(f, a, b, cfg: QuadratureConfig = GEOMETRY_CFG) -> IntegralResult:
         with np.errstate(all="ignore"):  # non-finite samples are policed below
             vals = np.asarray(f(x.ravel()))
             vals = vals.astype(np.result_type(vals, float), copy=False)
-            y = jac * vals.reshape((-1,) + x.shape)
+            y = vals.reshape((-1,) + x.shape)
+            y *= jac
         stacked = vals.ndim == 2
         _ensure_finite(y, x)
         return _panel_gk(y, half)

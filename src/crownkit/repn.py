@@ -21,6 +21,15 @@ The derived action of D = c_h h + c_e e + c_f f is one first-order
 operator, linear in D.  Along the holomorphic disc F(w) = pi(exp(w D)) F(0)
 it gives F'(0) = d_pi(D) F(0), so the Levi form of log ||F||^2 takes three
 integrals and no difference quotient.
+
+Every squared norm of the package is one quadrature, `_word_norms`: the
+norms of words d_pi(w_n) ... d_pi(w_1) v, the plain norm being the empty
+word.  Each round evaluates the Taylor rows of each vector once and walks
+the word tree, one derived-action step per word, and the squared moduli
+share one panel pool.  d_pi(h) keeps parity and d_pi(e), d_pi(f), d_pi(u),
+d_pi(e + f) flip it, so even vectors on a symmetric support integrate on
+the right half (`vectors.square_range`).  Products c g of a cutoff and a
+vector with one support go at most _STACK to a quadrature.
 """
 
 from __future__ import annotations
@@ -33,14 +42,19 @@ import numpy as np
 
 from .errors import DomainError, NotInCrown
 from .liecore import (E_VEC, F_VEC, H_VEC, OMEGA_RADIUS, U_VEC, GroupElement,
-                      LieVector, check_band, exp_lie)
+                      LieVector, check_band, check_torus_angle, exp_lie)
 from .numerics import (IdentityCheck, QuadratureConfig, REPRESENTATION_CFG,
                        integrate)
 from .pairmodel import PairPoint
-from .vectors import (MobiusPulled, QuadraticPower, SmoothVector,
-                      square_range)
+from .vectors import (MobiusPulled, Product, QuadraticPower, SmoothVector,
+                      _mul, square_range)
 
 SQRT_PI = math.sqrt(math.pi)
+#: the most products one quadrature of `_word_norms` stacks: the inner and
+#: dyadic blocks of a Sobolev bound go in stacks of this many.  All 65
+#: blocks of k = 2, m = 64 in one stack raise the tracemalloc peak of the
+#: bound to 13 MB; in stacks of 8 it stays at 1.7 MB, as at m = 8
+_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -93,29 +107,29 @@ def apply_pi(param: SpectralParam, g: GroupElement, f):
 
 
 def rep_norm(vec) -> float:
-    """L^2 norm of a representation vector; an even vector on a symmetric
-    support is integrated on the right half (`square_range`)."""
-    lo, hi, weight = square_range([vec])
+    """L^2 norm of a representation vector: the empty word of
+    `_word_norms`."""
+    return _word_norms(None, [(None, vec)], [()])[0][0]
 
-    def density(x):
-        v = vec.value(x)
-        return weight * (v.real ** 2 + v.imag ** 2)
 
-    res = integrate(density, lo, hi, REPRESENTATION_CFG.with_hints(vec.hints))
-    return math.sqrt(max(res.value.real, 0.0))
+def _overlap(*vecs):
+    """(lo, hi, cfg) for an integral of a product of vectors: their common
+    support and REPRESENTATION_CFG hinted at all their hints."""
+    lo, hi = -math.inf, math.inf
+    for v in vecs:
+        if v.support is not None:
+            lo, hi = max(lo, v.support[0]), min(hi, v.support[1])
+    hints = sorted(set().union(*(v.hints for v in vecs)))
+    return lo, hi, REPRESENTATION_CFG.with_hints(hints)
 
 
 def rep_pairing(u, v) -> complex:
     """Hermitian pairing <u, v> = int u(x) conj(v(x)) dx."""
-    sup_u = u.support if u.support is not None else (-math.inf, math.inf)
-    sup_v = v.support if v.support is not None else (-math.inf, math.inf)
-    lo, hi = max(sup_u[0], sup_v[0]), min(sup_u[1], sup_v[1])
+    lo, hi, cfg = _overlap(u, v)
     if lo >= hi:
         return 0.0 + 0.0j
-    hints = tuple(sorted(set(u.hints) | set(v.hints)))
-    res = integrate(lambda x: u.value(x) * np.conj(v.value(x)), lo, hi,
-                    REPRESENTATION_CFG.with_hints(hints))
-    return res.value
+    return integrate(lambda x: u.value(x) * np.conj(v.value(x)), lo, hi,
+                     cfg).value
 
 
 @dataclass(frozen=True)
@@ -200,6 +214,60 @@ def d_pi(param: SpectralParam, direction: str, f: SmoothVector) -> DPi:
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     return DPi(param, DIRECTIONS[direction], f)
+
+
+def _word_norms(param: SpectralParam | None, products,
+                words) -> list[list[float]]:
+    """Norms of d_pi(w_n) ... d_pi(w_1) v for each word (w_1, ..., w_n) of
+    `words`, each listed after its parent (the word without its last
+    letter), for each product v = c g of `products`, pairs (c, g) of a
+    cutoff c or None and a vector g: one list per product.  param may be
+    None when every word is empty.  Products of one support share
+    quadratures, at most _STACK to one, hinted at all their hints; each
+    distinct cutoff and vector of a stack has its Taylor rows evaluated
+    once per round, and only the words' squared moduli are kept."""
+    directions = {d: DIRECTIONS[d] for w in words for d in w}
+    order = max(map(len, words))
+    vecs = [g if c is None else Product(c, g) for c, g in products]
+    by_support = {}
+    for i, v in enumerate(vecs):
+        by_support.setdefault(v.support, []).append(i)
+    norms = [None] * len(products)
+    for group in by_support.values():
+        for start in range(0, len(group), _STACK):
+            stack = group[start:start + _STACK]
+            lo, hi, weight = square_range([vecs[i] for i in stack])
+
+            def rows(x, stack=stack, weight=weight):
+                ab = {d: action_taylor(param, vec, x)
+                      for d, vec in directions.items()}
+                taylor = {}   # rows of each distinct cutoff and vector
+
+                def rows_of(u):
+                    if id(u) not in taylor:
+                        taylor[id(u)] = u.taylor(x, order)
+                    return taylor[id(u)]
+
+                out = np.empty((len(stack), len(words), x.size))
+                for n, i in enumerate(stack):
+                    c, g = products[i]
+                    tree = {(): rows_of(g) if c is None
+                            else _mul(rows_of(c), rows_of(g))}
+                    for w in words[1:]:
+                        tree[w] = derived_taylor(ab[w[-1]], tree[w[:-1]])
+                    for r, w in enumerate(words):
+                        top = tree[w][0]
+                        out[n, r] = top.real ** 2 + top.imag ** 2
+                out *= weight
+                return out.reshape(-1, x.size)
+
+            hints = sorted({h for i in stack for h in vecs[i].hints})
+            res = integrate(rows, lo, hi,
+                            REPRESENTATION_CFG.with_hints(hints))
+            squares = res.value.reshape(len(stack), len(words))
+            for i, row in zip(stack, squares):
+                norms[i] = [math.sqrt(max(v.real, 0.0)) for v in row]
+    return norms
 
 
 def dpi_fd_gap(param: SpectralParam, direction: str, f: SmoothVector,
@@ -334,11 +402,13 @@ class HFunctional:
 
 def h_limit_gap(param: SpectralParam, psi: SmoothVector, eps: float,
                 convention: str = "derived") -> float:
-    """| <pi(a_eps) v_K, psi> - <v_H, psi> | at one eps."""
-    vec = continue_vK(param, eps)
-    lim = rep_pairing(vec, psi)
-    target = np.conj(rep_pairing(psi, HFunctional("v_H", param, convention)))
-    return abs(lim - complex(target))
+    """| <pi(a_eps) v_K - v_H, psi> | at one eps: one integral over the
+    support of psi, hinted at the peaks of all three."""
+    vec, v_h = continue_vK(param, eps), HFunctional("v_H", param, convention)
+    lo, hi, cfg = _overlap(vec, v_h, psi)
+    res = integrate(lambda x: (vec.value(x) - v_h.value(x))
+                    * np.conj(psi.value(x)), lo, hi, cfg)
+    return abs(res.value)
 
 
 # -- plurisubharmonicity of the norm ---------------------------------------
@@ -353,9 +423,7 @@ def levi_form(param: SpectralParam, phi0: float,
     positive by Cauchy-Schwarz unless F' is parallel to F: the testable
     form of strict plurisubharmonicity of the squared-norm potential.
     """
-    if phi0 < 0.0:
-        raise DomainError("phi0 must lie in [0, pi/4)")
-    check_band(phi0)
+    check_torus_angle(phi0)
     f = continue_vK(param, OMEGA_RADIUS - phi0)
     df = DPi(param, direction, f)
     norm_sq = rep_norm(f) ** 2

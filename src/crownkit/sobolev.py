@@ -24,30 +24,20 @@ vector back along the dilation x -> t x, up to a constant factor and with
 no Mobius pole, so it carries the dilated cutoffs back to the fixed ones:
 pi(b_{2^-j})(phi_j f) = phi pi(b_{2^-j}) f and pi(b_{2^-(m+1)})(tau_m f)
 = psi pi(b_{2^-(m+1)}) f, where pi(b_t) f is again a quadratic power for
-the continued vectors (`unit_block`).  The bound therefore reads only
-three cutoffs, each one `RadialStep` node with its edges: PSI, PHI and
+the continued vectors.  The bound therefore reads only three cutoffs,
+each one `RadialStep` node with its edges: PSI, PHI and
 OUTER = tau + phi = 1 - psi(2 .).
 
-A norm is one quadrature with a stacked integrand.  Each round evaluates
-the Taylor rows of v to order k once and walks the monomial tree,
-f-powers first, then e, then h: each node is one step of the derived
-action on Taylor rows from its parent.  The squared moduli of all nodes
-share one panel pool, each to its own tolerance, and ||v|| is
-component 0.  The continued vectors, their dilations pi(b_t) and the
-three cutoffs are even, and so is the squared modulus of every word
-applied to them, so these norms integrate twice the squares on the right
-half of the range (`vectors.square_range`).
-
-Several vectors c g, a cutoff c (or none) times a vector g, share a
-quadrature when they have the same support: each distinct cutoff and
-vector has its Taylor rows evaluated once per round, and each product's
-rows then walk the word tree in turn, keeping only the squared moduli.
-f and the outer block (tau + phi) f are one quadrature, which also gives
-the display at f.  The inner block and the m dyadic blocks all live on
+A norm is one quadrature of `repn._word_norms` over the monomial words,
+f-powers first, then e, then h, and ||v|| is the empty word.  The
+continued vectors, their dilations pi(b_t) and the three cutoffs are
+even, so these norms integrate on the right half of the range.  f and
+the outer block (tau + phi) f are one quadrature, which also gives the
+display at f.  The inner block and the m dyadic blocks all live on
 [-2, 2], and the peaks of block j >= 2, near +-2^j, lie outside it, so
 a stack of them takes about one block's panels; they go in stacks of at
-most _STACK blocks, which caps the memory of a round.  A bound at depth
-m thus takes 2 + ceil((m + 1) / _STACK) quadratures: three up to
+most repn._STACK = 8 blocks, which caps the memory of a round.  A bound
+at depth m thus takes 2 + ceil((m + 1) / 8) quadratures: three up to
 m = 7, eleven at m = 64.
 """
 
@@ -56,13 +46,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .liecore import K0, b_t
-from .numerics import REPRESENTATION_CFG, IdentityCheck, integrate
-from .repn import (DIRECTIONS, SpectralParam, action_taylor, apply_pi,
-                   derived_taylor)
-from .vectors import Product, RadialStep, SmoothVector, _mul, square_range
+from .numerics import IdentityCheck
+from .repn import SpectralParam, _word_norms, apply_pi, rep_norm
+from .vectors import RadialStep, SmoothVector
 
 _SUBGROUP_DIRECTION = {
     "A": "h",
@@ -81,11 +68,6 @@ MAX_ORDER = 4
 #: v_K continued to eps = 1e-3 at lam = 1, k = 2, going on from m = 64 to
 #: m = 200 moves dyadic_rhs by 1.6e-14 relative
 _M_MAX = 64
-#: the most products one quadrature stacks: the inner and dyadic blocks of
-#: a bound go in stacks of this many.  All 65 blocks of k = 2, m = 64 in
-#: one stack raise the tracemalloc peak of the bound to 13 MB; in stacks
-#: of 8 it stays at 1.7 MB, as at m = 8
-_STACK = 8
 
 #: the Littlewood-Paley cutoffs at unit scale: the smoothstep psi, 1 on
 #: |x| <= 1 and 0 on |x| >= 2; phi = psi - psi(2 .); and the outer cutoff
@@ -123,61 +105,6 @@ def _chain(direction: str, k: int):
     return [(direction,) * j for j in range(k + 1)]
 
 
-def _word_norms(param: SpectralParam, products, words) -> list[list[float]]:
-    """Norms of d_pi(w_n) ... d_pi(w_1) v for each word (w_1, ..., w_n), in
-    the order of `words`, for each product v = c g of `products`, pairs
-    (c, g) of a cutoff c or None and a vector g: one list per product, in
-    their order.  Products of one support share quadratures, at most
-    _STACK to one, on that support with the hints of all of them.  Each
-    round evaluates the Taylor rows of each distinct cutoff and vector of
-    a stack once; then, one product at a time, its rows walk the word
-    tree, a word's parent, the word without its last letter, listed
-    before it and each word one step of the derived action on Taylor rows
-    from its parent, and only the squared moduli of the words are kept."""
-    directions = {d: DIRECTIONS[d] for w in words for d in w}
-    order = max(map(len, words))
-    vecs = [g if c is None else Product(c, g) for c, g in products]
-    by_support = {}
-    for i, v in enumerate(vecs):
-        by_support.setdefault(v.support, []).append(i)
-    norms = [None] * len(products)
-    for group in by_support.values():
-        for start in range(0, len(group), _STACK):
-            stack = group[start:start + _STACK]
-            lo, hi, weight = square_range([vecs[i] for i in stack])
-
-            def rows(x, stack=stack, weight=weight):
-                ab = {d: action_taylor(param, vec, x)
-                      for d, vec in directions.items()}
-                taylor = {}   # rows of each distinct cutoff and vector
-
-                def rows_of(u):
-                    if id(u) not in taylor:
-                        taylor[id(u)] = u.taylor(x, order)
-                    return taylor[id(u)]
-
-                out = np.empty((len(stack), len(words), x.size))
-                for n, i in enumerate(stack):
-                    c, g = products[i]
-                    tree = {(): rows_of(g) if c is None
-                            else _mul(rows_of(c), rows_of(g))}
-                    for w in words[1:]:
-                        tree[w] = derived_taylor(ab[w[-1]], tree[w[:-1]])
-                    for r, w in enumerate(words):
-                        top = tree[w][0]
-                        out[n, r] = top.real ** 2 + top.imag ** 2
-                out *= weight
-                return out.reshape(-1, x.size)
-
-            hints = sorted({h for i in stack for h in vecs[i].hints})
-            res = integrate(rows, lo, hi,
-                            REPRESENTATION_CFG.with_hints(hints))
-            squares = res.value.reshape(len(stack), len(words))
-            for i, row in zip(stack, squares):
-                norms[i] = [math.sqrt(max(v.real, 0.0)) for v in row]
-    return norms
-
-
 def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     """Sobolev norm of order spec.k, full or restricted to one subgroup."""
     if spec.subgroup is None:
@@ -187,11 +114,9 @@ def sobolev_norm(param: SpectralParam, f, spec: SobolevSpec) -> float:
     return sum(_word_norms(param, [(None, f)], words)[0])
 
 
-def unit_block(param: SpectralParam, cutoff: SmoothVector, t: float,
-               f: SmoothVector) -> SmoothVector:
-    """pi(b_t)(cutoff(./t) f) at unit scale: cutoff pi(b_t) f, since
-    pi(b_t) pulls a vector back along the dilation x -> t x."""
-    return Product(cutoff, apply_pi(param, b_t(t), f))
+def _inner_block(param: SpectralParam, f: SmoothVector, m: int):
+    """pi(b)(tau_m f) at unit scale, the pair (PSI, pi(b_{2^-(m+1)}) f)."""
+    return PSI, apply_pi(param, b_t(2.0 ** -(m + 1)), f)
 
 
 @dataclass(frozen=True)
@@ -239,8 +164,7 @@ def invariant_upper_bound(param: SpectralParam, f: SmoothVector, k: int,
     words = _monomials(k)
     # f, the outer block (tau + phi) f, the inner block and the m dyadic
     # blocks, the last m + 1 at unit scale on [-2, 2]
-    products = [(None, f), (OUTER, f),
-                (PSI, apply_pi(param, b_t(2.0 ** -(m + 1)), f))]
+    products = [(None, f), (OUTER, f), _inner_block(param, f, m)]
     products += [(PHI, apply_pi(param, b_t(2.0 ** -j), f))
                  for j in range(1, m + 1)]
     f_norms, outer_norms, inner_norms, *block_norms = _word_norms(
@@ -278,12 +202,12 @@ def choose_m(param: SpectralParam, f: SmoothVector, k: int) -> int:
     """Smallest dyadic depth (by doubling search) whose innermost block is
     dominated by ||f||; the localized low-frequency mass is then absorbed.
     The order k must lie in 0..MAX_ORDER, checked before any work."""
-    spec = SobolevSpec(k)
-    target = sobolev_norm(param, f, SobolevSpec(0))
+    SobolevSpec(k)  # refuses an order outside 0..MAX_ORDER
+    words, target = _monomials(k), rep_norm(f)
     m = 1
     while m <= _M_MAX:
-        inner = unit_block(param, PSI, 2.0 ** -(m + 1), f)
-        if sobolev_norm(param, inner, spec) <= target:
+        if sum(_word_norms(param, [_inner_block(param, f, m)],
+                           words)[0]) <= target:
             return m
         m *= 2
     return _M_MAX

@@ -46,7 +46,7 @@ import numpy as np
 from .crown import crown_contains, elliptic_point
 from .errors import (AdmissibilityFailure, DomainError, NonConvergence,
                      NotInCrown)
-from .liecore import GroupElement, check_band
+from .liecore import GroupElement, check_torus_angle
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import BASE_POINT, PairPoint
 
@@ -610,12 +610,6 @@ def phi_pairing_row(lams: np.ndarray, g: GroupElement, r: float
 
 # -- the orbital identity ----------------------------------------------------
 
-def _check_torus_angle(r: float) -> None:
-    if r < 0.0:
-        raise DomainError(f"r = {r} outside [0, pi/4)")
-    check_band(r)
-
-
 def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
     """phi_lam(exp(2 i r h) x0) for all lams at once.
 
@@ -623,11 +617,11 @@ def doubled_torus_values(lams: np.ndarray, r: float) -> np.ndarray:
     spherical vector: P_nu(cos 4r), at x = sin^2 2r and y = cos^2 2r, which
     grows like -log y as r -> pi/4.
     """
+    check_torus_angle(r)
     return _doubled_torus(LegendreRule(lams), r)
 
 
 def _doubled_torus(rule: LegendreRule, r: float) -> np.ndarray:
-    _check_torus_angle(r)
     s, c = math.sin(2.0 * r), math.cos(2.0 * r)
     return rule.values(np.array([s * s]), np.array([c * c]))[:, 0].real
 
@@ -764,7 +758,7 @@ def orbital_mass(density: SpectralDensity, r: float,
     r (|f| of the (3, 1) Gaussian rises from 5e-13 at r = 30 to 2e-11 at
     r = 35): at 1e-9 the rho range ran to 30-37 and integrated that noise.
     """
-    _check_torus_angle(r)
+    check_torus_angle(r)
     return _integrate_orbit(orbit_quadrature(density, weight), r)[0]
 
 
@@ -779,7 +773,7 @@ def gutzmer_check(density: SpectralDensity, r: float,
                   weight: PlancherelWeight = PLANCHEREL) -> GutzmerCheck:
     """Orbital mass at torus angle r against the spectral integral weighted
     by the doubled torus value."""
-    _check_torus_angle(r)
+    check_torus_angle(r)
     lhs, orbit = _integrate_orbit(orbit_quadrature(density, weight), r)
     rule = orbit.lam_rule               # coeff conj(d) = lam_w |d|^2 w(lam)
     rhs = np.sum(orbit.coeff * np.conj(density(rule.nodes))

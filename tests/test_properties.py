@@ -230,9 +230,9 @@ def test_unit_scale_blocks_match_the_pulled_products(lam, eps, j, k):
     param = repn.SpectralParam(lam)
     f = repn.continue_vK(param, eps)
     t_inner, t_j = 2.0 ** -(j + 1), 2.0 ** -j
-    pairs = [(sobolev.unit_block(param, sobolev.PSI, t_inner, f),
+    pairs = [(Product(sobolev.PSI, repn.apply_pi(param, b_t(t_inner), f)),
               repn.apply_pi(param, b_t(t_inner), Product(dyadic_tau(j), f))),
-             (sobolev.unit_block(param, sobolev.PHI, t_j, f),
+             (Product(sobolev.PHI, repn.apply_pi(param, b_t(t_j), f)),
               repn.apply_pi(param, b_t(t_j), Product(dyadic_phi(j), f)))]
     xs = np.linspace(-2.0, 2.0, 401)
     for closed, pulled in pairs:

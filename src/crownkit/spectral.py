@@ -19,16 +19,17 @@ points, p(z)/2 at w = x0; DLMF 14.3, Kroetz-Stanton, Ann. of Math. 159
 (2004)), and every caller reads it from one evaluator, `LegendreRule`.
 
 Every lam rule is a `LamRule`: TRANSFORM_RULE, with its phi matrix, for
-the transform, Parseval and the orbital mass's radial cut; KERNEL_RULE for
-the kernels; an orbital mass's own rule on the live range of its density.
-A rule integrates a density (`SpectralDensity`, a vectorized closed form
-in lam with its decay) only where it has decayed by the rule's end.
+the transform, Parseval, the orbital mass's radial cut and the kernels; an
+orbital mass's own rule on the live range of its density.  A density is a
+vectorized function of lam, which a rule integrates only where, weighted
+as it is integrated, it has decayed by the rule's end: for a kernel,
+weighted by e^{pi lam/2}, the growth of its slices at the crown's edge.
 
 The orbital identity moves the group integral of |f|^2 over a shifted
 copy of X inside the crown to the spectral side, weighted by the doubled
 torus value phi_lam(exp(2ir h)), the positive quantity supplied by the
-split pairing of half-continued vectors.  Together with admissible
-measures on the tempered ray this yields invariant reproducing kernels,
+split pairing of half-continued vectors.  Measures on the tempered ray
+that decay faster than e^{-pi lam/2} yield invariant reproducing kernels,
 of which the one weighted by lam tanh(pi lam/2)/cosh(pi lam) is the
 Hardy-space kernel of the most-continuous spectrum of the hyperboloid.
 """
@@ -44,8 +45,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .crown import crown_contains, elliptic_point
-from .errors import (AdmissibilityFailure, DomainError, NonConvergence,
-                     NotInCrown)
+from .errors import DomainError, NonConvergence, NotInCrown
 from .liecore import GroupElement, check_torus_angle
 from .numerics import IdentityCheck, gauss_legendre_grid
 from .pairmodel import BASE_POINT, PairPoint
@@ -89,17 +89,19 @@ class LamRule:
         """phi_lam(r) on the nodes by the radial nodes."""
         return phi_radial_matrix(self.nodes, self.radial[0])
 
-    def check(self, weighted: np.ndarray) -> None:
+    def check(self, weighted: np.ndarray, what: str = "the density"
+              ) -> None:
         """ValueError where a density, weighted as it is integrated on the
         nodes, has no finite positive mass there (its peak is 0, inf or
-        nan) or lives at the last node."""
+        nan) or lives at the last node; `what` names the weighted density
+        in the message."""
         peak = float(weighted.max())
         if not (math.isfinite(peak) and peak > 0.0):
-            raise ValueError(f"the density peaks at {peak:g} on its lam rule "
-                             f"on [0, {self.lam_max:g}]: it has no finite "
+            raise ValueError(f"{what} peaks at {peak:g} on its lam rule on "
+                             f"[0, {self.lam_max:g}]: it has no finite "
                              "positive mass there")
         if weighted[-1] > _LIVE * peak:
-            raise ValueError(f"the density has not decayed by lam = "
+            raise ValueError(f"{what} has not decayed by lam = "
                              f"{self.lam_max:g}, where its lam rule ends")
 
     def live(self, weighted: np.ndarray) -> LamRule:
@@ -112,43 +114,17 @@ class LamRule:
         return LamRule(edges[-1], partial(gauss_legendre_grid, edges, 16))
 
 
-#: the rule of the transform, Parseval and the orbital mass's radial cut:
-#: 40 nodes on each panel of [0, 1/4, 1/2, 1, 2, 4, 8, 16, 32], dense near
-#: 0 where the tempered weight vanishes linearly
+#: the rule of the transform, Parseval, the orbital mass's radial cut and
+#: the kernels: 40 nodes on each panel of [0, 1/4, 1/2, 1, 2, 4, 8, 16,
+#: 32], dense near 0 where the tempered weight vanishes linearly
 TRANSFORM_RULE = LamRule(32.0, partial(
     gauss_legendre_grid, [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
     40))
-#: the rule of the invariant kernels: the transform rule's first seven
-#: panels, the same nodes and weights bit for bit
-KERNEL_RULE = LamRule(16.0, lambda: (TRANSFORM_RULE.nodes[:280],
-                                     TRANSFORM_RULE.weights[:280]))
 
 
 def default_lambda_grid() -> np.ndarray:
     """The transform rule's nodes (perfbench's spectral probe)."""
     return TRANSFORM_RULE.nodes
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """A density on the tempered ray: a vectorized function of lam, with
-    its decay as lam -> infinity.
-
-    decay_tag is one of 'super-exponential', 'exponential', 'polynomial';
-    decay_rate is the rate a of an exponential decay e^{-a lam}.
-    """
-
-    function: Callable[[np.ndarray], np.ndarray]
-    decay_tag: str = "super-exponential"
-    decay_rate: float | None = None
-
-    def __post_init__(self):
-        if self.decay_tag not in ("super-exponential", "exponential",
-                                  "polynomial"):
-            raise ValueError(f"unknown decay tag {self.decay_tag!r}")
-
-    def __call__(self, lam) -> np.ndarray:
-        return self.function(np.asarray(lam, dtype=float))
 
 
 def gaussian(center: float, width: float) -> Callable:
@@ -160,9 +136,9 @@ def gaussian(center: float, width: float) -> Callable:
     return profile
 
 
-def gaussian_density(center: float, width: float) -> SpectralDensity:
+def gaussian_density(center: float, width: float) -> Callable:
     """Smooth test density: the Gaussian profile in lam."""
-    return SpectralDensity(gaussian(center, width))
+    return gaussian(center, width)
 
 
 # -- the spherical function in closed form ------------------------------------
@@ -315,7 +291,7 @@ def _pick(mu, bound, ratio, arc, decay):
     decay at its neediest cell, at most _MAX_TERMS.  A series' error is its
     ratio - 1 inside its loss floor and above 4 outside, which it leaves
     once as mu grows: a point whose least-ratio series, 2F1 or
-    Harish-Chandra, is inside at the largest mu takes it at every lam (95%
+    Harish-Chandra, is inside at the largest mu takes it at every lam (88%
     of the benchmark's kernel points, all but 1e-4 of its orbit points).
     The rest are weighed cell by cell, under the guard of `values`."""
     top, cols = mu.argmax(), np.arange(ratio.shape[1])
@@ -657,7 +633,7 @@ class OrbitQuadrature:
                 "n_theta": self.n_theta, "theta_error": self.theta_error}
 
 
-def orbit_quadrature(density: SpectralDensity,
+def orbit_quadrature(density: Callable,
                      weight: PlancherelWeight = PLANCHEREL
                      ) -> OrbitQuadrature:
     """The grids `orbital_mass` integrates on.
@@ -732,7 +708,7 @@ def _integrate_orbit(quad: OrbitQuadrature, r: float
     return mass, replace(quad, n_theta=n, theta_error=change)
 
 
-def orbital_mass(density: SpectralDensity, r: float,
+def orbital_mass(density: Callable, r: float,
                  weight: PlancherelWeight = PLANCHEREL) -> float:
     """Group integral of |f|^2 over the shifted orbit at torus angle r.
 
@@ -769,7 +745,7 @@ class GutzmerCheck(IdentityCheck):
     orbit: OrbitQuadrature
 
 
-def gutzmer_check(density: SpectralDensity, r: float,
+def gutzmer_check(density: Callable, r: float,
                   weight: PlancherelWeight = PLANCHEREL) -> GutzmerCheck:
     """Orbital mass at torus angle r against the spectral integral weighted
     by the doubled torus value."""
@@ -785,27 +761,28 @@ def gutzmer_check(density: SpectralDensity, r: float,
 
 @dataclass(frozen=True)
 class KernelMeasure:
-    """Measure on the tempered ray defining an invariant kernel.
+    """Measure on the tempered ray defining an invariant kernel, by its
+    density, a vectorized function of lam.
 
-    Admissible when Int e^{c lam} d mu is finite for every c < 2, which the
-    density's decay decides: always when super-exponential, at a rate of 2
-    or more when exponential, never when polynomial.
+    Its kernel converges up to the crown's edge only if the density decays
+    faster than the slices P_nu(c) grow there, like e^{pi lam/2} as c ->
+    -1 (Kroetz-Stanton, Ann. of Math. 159 (2004)), which `weighted` checks
+    on the nodes.
     """
 
-    density: SpectralDensity
-
-    def admissible(self) -> bool:
-        tag, rate = self.density.decay_tag, self.density.decay_rate
-        if tag == "exponential":
-            return rate is not None and rate >= 2.0
-        return tag == "super-exponential"
+    density: Callable
 
     @cached_property
     def weighted(self) -> np.ndarray:
-        """KERNEL_RULE's weights times the density; raises as `check` does."""
-        dens = self.density(KERNEL_RULE.nodes)
-        KERNEL_RULE.check(np.abs(dens))
-        return KERNEL_RULE.weights * dens
+        """TRANSFORM_RULE's weights times the density; ValueError, as
+        `LamRule.check`, where the density times e^{pi lam/2} has no finite
+        positive mass or has not decayed by lam = 32."""
+        rule = TRANSFORM_RULE
+        dens = self.density(rule.nodes)
+        rule.check(np.abs(dens) * np.exp(0.5 * math.pi * rule.nodes),
+                   "the density times e^{pi lam/2}, the growth of its "
+                   "slices at the crown's edge,")
+        return rule.weights * dens
 
 
 def invariant_kernel(measure: KernelMeasure, z: PairPoint,
@@ -813,24 +790,20 @@ def invariant_kernel(measure: KernelMeasure, z: PairPoint,
     """K(z, w) = Int <pi(z)v, pi(w)v> d mu(lam); Hermitian and G-invariant.
 
     Every spectral slice <pi(z)v_K, pi(w)v_K> is P_nu at the invariant of
-    the pair, so one `LegendreRule` row over KERNEL_RULE gives all of
-    them; K(w, z) is conj K(z, w) exactly.  ValueError where the density
-    has no finite positive mass on KERNEL_RULE or has not decayed by
-    lam = 16, where it ends.
+    the pair, so one `LegendreRule` row over TRANSFORM_RULE gives all of
+    them; K(w, z) is conj K(z, w) exactly.  ValueError, before any P_nu is
+    evaluated, where the measure's `weighted` refuses its density.
     """
-    if not measure.admissible():
-        raise AdmissibilityFailure("the kernel measure decays too slowly")
     weighted = measure.weighted
-    row = KERNEL_RULE.legendre.values(*_pair_invariant(z, w))[:, 0]
+    row = TRANSFORM_RULE.legendre.values(*_pair_invariant(z, w))[:, 0]
     return complex(np.sum(weighted * row))
 
 
-def hardy_density() -> SpectralDensity:
+def hardy_density() -> Callable:
     """lam tanh(pi lam/2)/cosh(pi lam) (positive scale), which decays like
     e^{-pi lam}."""
-    return SpectralDensity(lambda lam: (lam * np.tanh(0.5 * math.pi * lam)
-                                        / np.cosh(math.pi * lam)),
-                           "exponential", decay_rate=math.pi)
+    return lambda lam: lam * np.tanh(0.5 * math.pi * lam) / np.cosh(
+        math.pi * lam)
 
 
 _HARDY_MEASURE = KernelMeasure(hardy_density())

@@ -295,11 +295,19 @@ def test_gutzmer_reports_its_orbit_grid(capsys):
     assert grid["n_rho"] > 0 and grid["n_theta"] > 0 and grid["n_lambda"] > 0
 
 
-def test_kernel_command_on_a_resolved_gaussian(capsys):
-    code = main(["kernel", "--center", "2", "--width", "0.7"])
+@pytest.mark.parametrize("width, value", [("0.7", 1.7508894830878177),
+                                          ("2", 4.217877058415299)],
+                         ids=["0.7", "2"])
+def test_kernel_command_on_a_resolved_gaussian(width, value, capsys):
+    # K(x0, x0) is the density's mass on lam >= 0, w sqrt(pi/2) (1 +
+    # erf(c/(w sqrt 2))); width 2 exited 1 while the kernels' lam rule
+    # ended at 16
+    code = main(["kernel", "--center", "2", "--width", width])
     out = json.loads(capsys.readouterr().out)["outputs"]
-    assert code == 0 and out["admissible"] is True
-    assert out["value_at_base"] == {"re": 1.7508894830878177, "im": 0.0}
+    w = float(width)
+    mass = w * math.sqrt(math.pi / 2) * (1 + math.erf(2 / (w * math.sqrt(2))))
+    assert code == 0 and out["value_at_base"] == {"re": value, "im": 0.0}
+    assert abs(value - mass) <= 1e-12 * mass
 
 
 def test_hardy_kernel_point_form(capsys):

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import random_crown_point, random_real_element
 from crownkit import cli, crown, spectral
-from crownkit.errors import AdmissibilityFailure, DomainError, NonConvergence
-from crownkit.liecore import a_t, k_theta, n_x
+from crownkit.errors import DomainError, NonConvergence
+from crownkit.liecore import IDENTITY, a_t, k_theta, n_x
 from crownkit.numerics import gauss_legendre_grid
 from crownkit.pairmodel import BASE_POINT, PairPoint
 from crownkit.repn import SpectralParam, continue_vK, phi_lambda, rep_norm
@@ -98,7 +98,7 @@ def _table_widths(rule):
 @pytest.mark.parametrize("first, second", [(_MANY_TERMS, _FEW_TERMS),
                                            (_FEW_TERMS, _MANY_TERMS)])
 def test_legendre_rule_grows_its_tables_bit_for_bit(first, second):
-    lams = spectral.KERNEL_RULE.nodes
+    lams = spectral.TRANSFORM_RULE.nodes
     rule = spectral.LegendreRule(lams)
     widths = []
     for c in (first, second):
@@ -154,7 +154,7 @@ def test_the_ranked_pick_is_the_least_series_error(monkeypatch):
     cut = np.concatenate([-1 + near * np.exp(1j * rng.uniform(-3, 3, 60)),
                           -1 - 1e3 * near + 1e-2 * near * 1j,
                           -1 - 1e3 * near - 1e-2 * near * 1j])
-    rules = [spectral.KERNEL_RULE, spectral.TRANSFORM_RULE,
+    rules = [spectral.TRANSFORM_RULE,
              spectral.TRANSFORM_RULE.live(np.exp(-(spectral.TRANSFORM_RULE
                                                    .nodes - 2) ** 2))]
     for rule in rules:
@@ -191,7 +191,7 @@ def test_legendre_values_are_conjugate_symmetric_bit_for_bit(monkeypatch,
     x, y = x[ratio < 0.9], y[ratio < 0.9]   # where the series converges
     assert x.size >= 8 and np.all(x.imag != 0)
     _force_series(monkeypatch, forced)
-    rule = spectral.LegendreRule(spectral.KERNEL_RULE.nodes)
+    rule = spectral.LegendreRule(spectral.TRANSFORM_RULE.nodes)
     val = rule.values(x, y)
     assert np.all(np.isfinite(val))
     assert np.array_equal(rule.values(np.conj(x), np.conj(y)), np.conj(val))
@@ -556,7 +556,10 @@ def test_pinned_spectral_numbers():
     # test_gutzmer_rhs_against_mpmath's oracle), and the
     # `hardy-kernel --gram 5 --seed 7` Gram matrix, as computed before the
     # lam tables moved into LegendreRule and the theta rule onto its mirror
-    # half
+    # half, but for entry [4, 4]: mpmath's hyp2f1 at 40 digits, integrated
+    # against the Hardy density over lam <= 80 at that entry's invariant
+    # (a kernel rule that ended at lam = 16 read it 2.3e-12 low); the other
+    # entries agree with the same oracle within 1e-14
     chk = spectral.gutzmer_check(spectral.gaussian_density(2.0, 0.7), 0.3927)
     assert abs(chk.lhs - 0.2245291709552214) < 1e-14 * chk.lhs
     assert abs(chk.rhs - 0.2245291770268346) < 1e-14 * chk.rhs
@@ -574,7 +577,7 @@ def test_pinned_spectral_numbers():
          0.08103732412206881 - 0.0750113030442241j],
         [0, 0, 0, 0.15408714073146118,
          0.0919558017449237 - 0.05820561401638259j],
-        [0, 0, 0, 0, 0.35346272037245297]])
+        [0, 0, 0, 0, 0.35346272037327925]])
     rng = np.random.default_rng(7)
     pts = [crown.random_crown_point(rng, 0.6) for _ in range(5)]
     for i in range(5):
@@ -584,21 +587,43 @@ def test_pinned_spectral_numbers():
             assert abs(value - expected) < 1e-14 * abs(expected)
 
 
-def test_kernel_measure_admissibility():
-    assert spectral.KernelMeasure(spectral.hardy_density()).admissible()
-    fat = spectral.SpectralDensity(lambda lam: np.exp(-0.5 * lam),
-                                   "exponential", decay_rate=0.5)
-    assert not spectral.KernelMeasure(fat).admissible()
-    with pytest.raises(AdmissibilityFailure):
-        spectral.invariant_kernel(spectral.KernelMeasure(fat),
-                                  BASE_POINT, BASE_POINT)
+def _gaussian_mass(center, width):
+    """Int_0^inf of the Gaussian profile: K(x0, x0) of its kernel."""
+    return width * math.sqrt(math.pi / 2) * (1 + math.erf(
+        center / (width * math.sqrt(2))))
+
+
+def test_kernel_measure_admissibility(monkeypatch):
+    # the slices grow like e^{pi lam/2} at the crown's edge, so a density
+    # is admitted only where it outlasts that growth by lam = 32, and
+    # K(x0, x0) is then its mass; e^{-2 lam} was once admitted by its
+    # declared rate and read kernels up to 5.7e-4 off near the edge
+    admitted = [(spectral.hardy_density(), 0.125, 1e-15),
+                (spectral.gaussian_density(2.0, 0.7), _gaussian_mass(2, 0.7),
+                 1e-12 * _gaussian_mass(2, 0.7)),
+                (spectral.gaussian_density(2.0, 2.0), _gaussian_mass(2, 2),
+                 1e-12 * _gaussian_mass(2, 2)),
+                (lambda lam: np.exp(-3.0 * lam), 1 / 3, 1e-15)]
+    for dens, mass, tol in admitted:
+        k = spectral.invariant_kernel(spectral.KernelMeasure(dens),
+                                      BASE_POINT, BASE_POINT)
+        assert abs(k - mass) < tol
+
+    def no_table(*args):
+        raise AssertionError("a refused density built a P_nu table")
+
+    monkeypatch.setattr(spectral.LegendreRule, "_table", no_table)
+    for rate in (0.5, 2.0):
+        measure = spectral.KernelMeasure(lambda lam: np.exp(-rate * lam))
+        with pytest.raises(ValueError, match=r"times e\^\{pi lam/2\}"):
+            spectral.invariant_kernel(measure, BASE_POINT, BASE_POINT)
 
 
 @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
 def test_a_density_with_no_finite_mass_is_refused(value, weight):
     # a density that is 0 on every node once read a kernel and an orbital
     # mass of 0 with status pass; nan or inf would reach the sums
-    dens = spectral.SpectralDensity(lambda lam: np.full_like(lam, value))
+    dens = lambda lam: np.full_like(lam, value)     # noqa: E731
     with pytest.raises(ValueError, match="no finite positive mass"):
         spectral.invariant_kernel(spectral.KernelMeasure(dens),
                                   BASE_POINT, BASE_POINT)
@@ -607,22 +632,14 @@ def test_a_density_with_no_finite_mass_is_refused(value, weight):
 
 
 def test_kernels_never_build_the_phi_matrix(monkeypatch):
-    # the kernel rule is the transform rule's first seven panels, so the
-    # Gram pins of test_pinned_spectral_numbers hold bit for bit; on fresh
-    # rules a kernel reads neither the phi matrix nor the radial rule
-    kernel, transform = spectral.KERNEL_RULE, spectral.TRANSFORM_RULE
-    assert np.array_equal(kernel.nodes, transform.nodes[:280])
-    assert np.array_equal(kernel.weights, transform.weights[:280])
-    assert kernel.nodes[-1] < kernel.lam_max == 16.0 < transform.nodes[280]
-
+    # the kernels sum over the transform rule's nodes; on a fresh rule a
+    # kernel reads neither its phi matrix nor its radial rule
     def fresh_matrix(*args):
         raise AssertionError("a kernel built a phi matrix")
 
     monkeypatch.setattr(spectral, "phi_radial_matrix", fresh_matrix)
-    monkeypatch.setattr(spectral, "TRANSFORM_RULE",
-                        spectral.LamRule(32.0, transform._build))
-    monkeypatch.setattr(spectral, "KERNEL_RULE",
-                        spectral.LamRule(16.0, kernel._build))
+    monkeypatch.setattr(spectral, "TRANSFORM_RULE", spectral.LamRule(
+        32.0, spectral.TRANSFORM_RULE._build))
     pts = [BASE_POINT, crown.elliptic_point(k_theta(0.3) @ a_t(1.7), 0.4)]
     assert spectral.hardy_kernel(*pts) == spectral.hardy_gram(pts)[0, 1]
     measure = spectral.KernelMeasure(spectral.gaussian_density(2.0, 0.7))
@@ -633,23 +650,42 @@ def test_kernels_never_build_the_phi_matrix(monkeypatch):
 
 def test_kernel_base_value_is_total_mass(weight):
     value = spectral.hardy_kernel(BASE_POINT, BASE_POINT)
-    nodes, lam_w = spectral.KERNEL_RULE.nodes, spectral.KERNEL_RULE.weights
+    rule = spectral.TRANSFORM_RULE
+    nodes, lam_w = rule.nodes, rule.weights
     direct = float(np.sum(lam_w * spectral.hardy_density()(nodes).real))
     assert abs(value.real - direct) < 1e-6
     assert abs(value.imag) < 1e-10
 
 
-@pytest.mark.parametrize("eps, value", [(1e-3, 0.6418345936473534),
-                                        (1e-8, 1.9349227023326565),
-                                        (1e-30, 7.635823679555382)])
+@pytest.mark.parametrize("eps, value", [(1e-3, 0.64183459367949091),
+                                        (1e-8, 1.934922702810014),
+                                        (1e-30, 7.6358236821096676)],
+                         ids=["1e-3", "1e-8", "1e-30"])
 def test_hardy_kernel_at_the_crown_edge(eps, value):
     # K(z, z) at z = (eps i, -i), where c = -1 + 8 eps/(1 + eps)^2; the
-    # values sum mpmath's Legendre function at 40 digits over the kernel's
-    # lam rule.  A pairing whose x-grid clustered no finer than 1e-9
-    # returned 3.02404 at eps = 1e-30.
+    # values integrate the Hardy density times mpmath's hyp2f1 at 40
+    # digits over lam <= 80 (a kernel rule that ended at lam = 16 read
+    # them 5.0e-11, 2.5e-10 and 3.3e-10 low).  A pairing whose x-grid
+    # clustered no finer than 1e-9 returned 3.02404 at eps = 1e-30.
     z = PairPoint(eps * 1j, -1j)
     k = spectral.hardy_kernel(z, z)
     assert abs(k - value) < 1e-12 * value
+
+
+@pytest.mark.parametrize("r, value", [(0.0, 0.125),
+                                      (0.6, 0.27904230518136778504),
+                                      (0.75, 0.61689049002956192456),
+                                      (0.78, 1.0372784164506321736),
+                                      (0.785, 1.6239335826503799681)],
+                         ids=["0", "0.6", "0.75", "0.78", "0.785"])
+def test_hardy_diagonal_up_to_the_crown_edge(r, value):
+    # K(z, z) at z = elliptic_point(IDENTITY, r), where c = cos 4r; the
+    # values integrate the Hardy density times mpmath's hyp2f1 at 40
+    # digits over lam <= 80.  The slices grow like e^{pi lam/2} there, and
+    # a kernel rule that ended at lam = 16 was 2.2e-10 off at r = 0.785
+    z = crown.elliptic_point(IDENTITY, r)
+    k = spectral.hardy_kernel(z, z)
+    assert abs(k - value) < 1e-13 * value
 
 
 def test_kernel_hermitian_and_positive(rng):
